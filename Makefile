@@ -42,11 +42,6 @@ race:
 # benchmark runs the same grid cold (simulate + persist), warm from a fresh
 # process replaying disk blobs, and warm from the in-process memory tier,
 # and records the ratios (disk-speedup-x, mem-speedup-x) in BENCH_store.json.
-# The chip benchmark runs a VGG-E-derived data-parallel replica workload on
-# the full 6x16 baseline ConvLayer chip serially and partitioned across 4
-# tile workers, and records the wall-clock ratio (chip-speedup-x) in
-# BENCH_chip.json; the gain saturates at min(4, usable cores, runnable rows),
-# so no ratio gate is asserted here.
 # The predict benchmarks time one cold exact cell simulation against the
 # learned fast path answering the same cell (features + confidence gate +
 # dot products) and record the per-cell gap (predict-speedup-x) in
@@ -65,7 +60,7 @@ PREDICT_MAX_RATIO ?= 0.01
 SERVE_MAX_RATIO ?= 0.5
 
 bench:
-	$(GO) test -run '^$$' -bench . -skip Chip -benchmem -json ./internal/sim/ > BENCH_sim.json
+	$(GO) test -run '^$$' -bench . -benchmem -json ./internal/sim/ > BENCH_sim.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_sim.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
 	@echo "wrote BENCH_sim.json"
 	$(GO) run ./cmd/sdbenchdiff -ratio RunTelemetryOn/RunTelemetryOff -max-ratio $(TELEMETRY_MAX_RATIO) BENCH_sim.json
@@ -81,9 +76,6 @@ bench:
 	$(GO) test -run '^$$' -bench SweepStore -benchmem -json ./internal/sweep/ > BENCH_store.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_store.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
 	@echo "wrote BENCH_store.json"
-	$(GO) test -run '^$$' -bench Chip -benchmem -json ./internal/sim/ > BENCH_chip.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_chip.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
-	@echo "wrote BENCH_chip.json"
 	$(GO) test -run '^$$' -bench Predict -benchmem -json ./internal/predict/ > BENCH_predict.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_predict.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
 	@echo "wrote BENCH_predict.json"
@@ -98,7 +90,7 @@ bench:
 # first; with the working tree clean, `git stash`-style comparison is just
 # `git show HEAD:BENCH_sim.json > old.json && make benchdiff OLD=old.json`.
 benchdiff:
-	@for f in BENCH_sim BENCH_sweep BENCH_memo BENCH_tensor BENCH_store BENCH_chip BENCH_predict BENCH_serve; do \
+	@for f in BENCH_sim BENCH_sweep BENCH_memo BENCH_tensor BENCH_store BENCH_predict BENCH_serve; do \
 		if git show HEAD:$$f.json > /tmp/$$f.base.json 2>/dev/null; then \
 			echo "== $$f: HEAD vs working tree =="; \
 			$(GO) run ./cmd/sdbenchdiff /tmp/$$f.base.json $$f.json; \

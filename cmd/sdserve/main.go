@@ -8,7 +8,7 @@
 //
 //	sdserve [-addr :6060] [-store-dir DIR] [-store-max-mb N] \
 //	        [-queue N] [-rate R] [-burst N] [-max-clients N] \
-//	        [-max-concurrent N] [-parallel N] [-tile-workers N] \
+//	        [-max-concurrent N] [-parallel N] \
 //	        [-verify-store] [-kernel-workers N] [-predict model.json] \
 //	        [-log-out PATH|-] [-log-level LEVEL] [-max-jobs N] [-flight N]
 //
@@ -31,7 +31,7 @@
 //
 // Jobs run concurrently: up to -max-concurrent at a time (default
 // min(4, cores); 1 restores the serial scheduler), dequeued highest
-// priority first. All concurrent jobs carve their sweep, tile and kernel
+// priority first. All concurrent jobs carve their sweep and kernel
 // workers out of one machine-wide worker budget, so concurrency never
 // oversubscribes the cores, and jobs racing on the same grid cell coalesce
 // through the store's single-flight layer — one simulates, the rest share
@@ -87,7 +87,6 @@ func main() {
 	rate := flag.Float64("rate", 1, "per-client submission rate (jobs/second)")
 	burst := flag.Int("burst", 8, "per-client submission burst")
 	parallel := flag.Int("parallel", 0, "per-job sweep worker-pool size (0 = GOMAXPROCS)")
-	tileWorkers := flag.Int("tile-workers", 0, "per-tile chip partitioning worker cap within each job (0 = auto, 1 = serial); results are byte-identical at any value")
 	verifyStore := flag.Bool("verify-store", false, "re-simulate a deterministic sample of store hits and fail jobs on divergence")
 	predictPath := flag.String("predict", "", "learned fast-path model file (fit with sdpredict); jobs that set \"predict\": true answer confident cells from it instead of simulating")
 	kernelWorkers := flag.Int("kernel-workers", 0, "tensor kernel worker-pool size (0 = GOMAXPROCS)")
@@ -138,7 +137,6 @@ func main() {
 		MaxQueue:      *queueMax,
 		MaxConcurrent: *maxConcurrent,
 		SweepWorkers:  *parallel,
-		TileWorkers:   *tileWorkers,
 		RatePerSec:    *rate,
 		Burst:         *burst,
 		MaxClients:    *maxClients,

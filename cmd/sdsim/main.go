@@ -4,9 +4,9 @@
 //
 // Usage:
 //
-//	sdsim [-train] [-mb N] [-iters N] [-tile-workers N] [-trace-out t.json] \
+//	sdsim [-train] [-mb N] [-iters N] [-trace-out t.json] \
 //	      [-metrics-out m.json] [-serve :6060] [-log-out PATH|-] [-log-level LEVEL]
-//	sdsim -batch 1,2,4 [-parallel N] [-tile-workers N] [-train] [-metrics-out m.json] [-serve :6060] [-store-dir DIR]
+//	sdsim -batch 1,2,4 [-parallel N] [-train] [-metrics-out m.json] [-serve :6060] [-store-dir DIR]
 //
 // With -batch, sdsim sweeps the listed minibatch sizes through the sharded
 // sweep engine instead of running a single simulation; -parallel sets the
@@ -51,10 +51,9 @@ func main() {
 	serveAddr := flag.String("serve", "", "serve /metrics, /trace, /profile and /debug/pprof/ on this address and stay up after the run")
 	batch := flag.String("batch", "", "comma-separated minibatch sizes to sweep instead of a single run")
 	parallel := flag.Int("parallel", 0, "batch-mode worker-pool size (0 = GOMAXPROCS)")
-	noMemo := flag.Bool("no-memo", false, "disable replica memoization (batch-mode cell memo and, on timing-only machines, within-chip row memo)")
-	verifyMemo := flag.Bool("verify-memo", false, "cross-check memoized results against full simulation and fail on divergence")
+	noMemo := flag.Bool("no-memo", false, "batch mode: disable the cell memo (duplicate grid cells are simulated separately)")
+	verifyMemo := flag.Bool("verify-memo", false, "batch mode: re-simulate one replica per memoized cell class and fail on divergence")
 	kernelWorkers := flag.Int("kernel-workers", 0, "tensor kernel worker-pool size for functional execution (0 = GOMAXPROCS); results are bit-identical at any value")
-	tileWorkers := flag.Int("tile-workers", 0, "per-tile chip partitioning worker cap (0 = auto, 1 = serial); results are byte-identical at any value")
 	storeDir := flag.String("store-dir", "", "batch mode: persist results in a content-addressed store at this directory")
 	verifyStore := flag.Bool("verify-store", false, "batch mode: re-simulate a deterministic sample of store hits and fail on divergence")
 	logOut := flag.String("log-out", "", "structured JSON log destination (path, - for stderr, empty = off)")
@@ -70,7 +69,7 @@ func main() {
 	defer closeLog()
 
 	if *batch != "" {
-		runBatch(*batch, *parallel, *tileWorkers, *train, *iters, *metricsOut, *serveAddr, *noMemo, *verifyMemo, *storeDir, *verifyStore, logger)
+		runBatch(*batch, *parallel, *train, *iters, *metricsOut, *serveAddr, *noMemo, *verifyMemo, *storeDir, *verifyStore, logger)
 		return
 	}
 
@@ -102,9 +101,6 @@ func main() {
 	}
 
 	m := sim.NewMachine(chip, arch.Single, true)
-	m.SetMemo(!*noMemo)
-	m.SetVerifyMemo(*verifyMemo)
-	m.SetTileWorkers(*tileWorkers)
 	if *traceN > 0 {
 		m.EnableTrace(*traceN)
 	}
@@ -181,7 +177,6 @@ func main() {
 	}
 	fmt.Printf("%s of %s on a %dx%d chip (%d programs, %d instructions)\n",
 		mode, net.Name, chip.Rows, chip.Cols, len(c.Programs), c.TotalInstructions())
-	fmt.Printf("  replica classes %d (identical tile programs share a class)\n", len(c.ReplicaClasses()))
 	fmt.Printf("  cycles          %d\n", st.Cycles)
 	fmt.Printf("  instructions    %d\n", st.Instructions)
 	fmt.Printf("  FLOPs           %d\n", st.FLOPs)
@@ -249,7 +244,7 @@ func main() {
 // runBatch sweeps the listed minibatch sizes through the sharded sweep
 // engine and prints one table row per size. Rows come out in list order and
 // are byte-identical for any -parallel value.
-func runBatch(batch string, parallel, tileWorkers int, train bool, iters int, metricsOut, serveAddr string, noMemo, verifyMemo bool, storeDir string, verifyStore bool, logger *slog.Logger) {
+func runBatch(batch string, parallel int, train bool, iters int, metricsOut, serveAddr string, noMemo, verifyMemo bool, storeDir string, verifyStore bool, logger *slog.Logger) {
 	grid := sweep.Grid{
 		Workloads: []string{"simnet"},
 		Archs:     []string{"baseline"},
@@ -302,7 +297,6 @@ func runBatch(batch string, parallel, tileWorkers int, train bool, iters int, me
 	batchStart := time.Now()
 	results, err := sweep.RunGrid(context.Background(), grid, sweep.Options{
 		Workers:     parallel,
-		TileWorkers: tileWorkers,
 		Metrics:     metrics,
 		NoMemo:      noMemo,
 		VerifyMemo:  verifyMemo,

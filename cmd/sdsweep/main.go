@@ -7,7 +7,7 @@
 // Usage:
 //
 //	sdsweep [-workloads simnet,trainnet] [-archs baseline,half] \
-//	        [-mb 1,2,4] [-modes eval,train] [-iters N] [-parallel N] [-tile-workers N] \
+//	        [-mb 1,2,4] [-modes eval,train] [-iters N] [-parallel N] \
 //	        [-format text|csv|json] [-out table.csv] [-metrics-out m.json] \
 //	        [-progress] [-serve :6060] [-no-memo] [-verify-memo] \
 //	        [-store-dir DIR] [-store-max-mb N] [-verify-store] \
@@ -84,7 +84,6 @@ func main() {
 	verifyMemo := flag.Bool("verify-memo", false, "re-simulate one replicated job per memo class and fail on any divergence")
 	serveAddr := flag.String("serve", "", "serve /progress, /metrics and /debug/pprof/ on this address and stay up after the run")
 	kernelWorkers := flag.Int("kernel-workers", 0, "tensor kernel worker-pool size for functional execution (0 = GOMAXPROCS); results are bit-identical at any value")
-	tileWorkers := flag.Int("tile-workers", 0, "per-tile chip partitioning worker cap within each job (0 = auto, 1 = serial); results are byte-identical at any value")
 	storeDir := flag.String("store-dir", "", "persist results in a content-addressed store at this directory; repeated sweeps replay from it byte-identically")
 	storeMaxMB := flag.Int("store-max-mb", 0, "result-store size bound in MiB (0 = 256 MiB default)")
 	verifyStore := flag.Bool("verify-store", false, "re-simulate a deterministic sample of store hits and fail on any divergence")
@@ -165,7 +164,6 @@ func main() {
 	}
 	opts := sweep.Options{
 		Workers:     *parallel,
-		TileWorkers: *tileWorkers,
 		Metrics:     merged,
 		NoMemo:      *noMemo,
 		VerifyMemo:  *verifyMemo,

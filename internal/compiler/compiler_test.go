@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"strings"
 	"testing"
 
 	"scaledeep/internal/arch"
@@ -8,6 +9,7 @@ import (
 	"scaledeep/internal/isa"
 	"scaledeep/internal/sim"
 	"scaledeep/internal/tensor"
+	"scaledeep/internal/zoo"
 )
 
 // testChip is a small 3-row chip with enough columns and capacity for the
@@ -527,5 +529,17 @@ func TestStridedConvTraining(t *testing.T) {
 		if diff := tensor.MaxAbsDiff(c.ReadWeights(m, l.Index), ref.Weights[l.Index]); diff > 1e-3 {
 			t.Errorf("layer %s weights differ by %v (strided BP)", l.Name, diff)
 		}
+	}
+}
+
+// TestCompileOverCapacityIsError: a minibatch whose per-image state overflows
+// the MemHeavy scratchpads must fail Compile with an error instead of
+// panicking (MiniVGG training on the half-precision chip fits up to mb 41).
+func TestCompileOverCapacityIsError(t *testing.T) {
+	chip := arch.HalfPrecision().Cluster.Conv
+	chip.Rows, chip.Cols = 3, 8
+	_, err := Compile(zoo.MiniVGG(), chip, Options{Minibatch: 64, Iterations: 1, Training: true, LR: 0.0625})
+	if err == nil || !strings.Contains(err.Error(), "over capacity") {
+		t.Fatalf("Compile(minivgg, half, train, mb 64) = %v, want an over-capacity error", err)
 	}
 }

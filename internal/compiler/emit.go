@@ -46,12 +46,15 @@ type region struct {
 	prologueWrites int
 }
 
-// allocator hands out scratchpad ranges per MemHeavy tile.
+// allocator hands out scratchpad ranges per MemHeavy tile. An allocation
+// past a tile's capacity does not stop generation: the first one is kept in
+// err, which Compile returns, so an oversized spec is an ordinary error.
 type allocator struct {
 	rows     int
 	capacity int64
 	next     []int64
 	regions  []*region
+	err      error
 }
 
 func newAllocator(rows, totalMemTiles int, capacityElems int64) *allocator {
@@ -63,9 +66,9 @@ func (a *allocator) tileIndex(tc TileCoord) int { return tc.MCol*a.rows + tc.Row
 
 func (a *allocator) alloc(tc TileCoord, size int64, name string, kind regionKind) *region {
 	t := a.tileIndex(tc)
-	if a.next[t]+size > a.capacity {
-		panic(fmt.Sprintf("compiler: MemHeavy tile (r%d,m%d) over capacity: %d + %d > %d (%s)",
-			tc.Row, tc.MCol, a.next[t], size, a.capacity, name))
+	if a.next[t]+size > a.capacity && a.err == nil {
+		a.err = fmt.Errorf("compiler: MemHeavy tile (r%d,m%d) over capacity: %d + %d > %d (%s)",
+			tc.Row, tc.MCol, a.next[t], size, a.capacity, name)
 	}
 	r := &region{tile: t, addr: a.next[t], size: size, name: name, kind: kind, tiles: map[progKey]bool{}}
 	a.next[t] += size

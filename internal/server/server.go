@@ -12,7 +12,7 @@
 //     per client with a token bucket (429 past the burst).
 //   - Jobs execute up to MaxConcurrent at a time (default min(4, cores);
 //     1 restores the strictly serial scheduler), dequeued highest priority
-//     first (FIFO within a priority). Every job's sweep, tile and kernel
+//     first (FIFO within a priority). Every job's sweep and kernel
 //     workers — and the scheduler's own admission of each concurrent job
 //     past the first — are carved out of the single machine-wide
 //     internal/par token budget, so N concurrent jobs split the cores
@@ -101,10 +101,6 @@ type Config struct {
 	// shared internal/par budget (sweep.Options.BudgetWorkers), so
 	// concurrent jobs split the pool instead of stacking it.
 	SweepWorkers int
-	// TileWorkers caps each job's within-chip tile partitioning share
-	// (sweep.Options.TileWorkers): 0 means auto, 1 forces serial tile
-	// simulation. Results are identical at every setting.
-	TileWorkers int
 	// RatePerSec refills each client's submission bucket; 0 means 1/s.
 	RatePerSec float64
 	// Burst caps each client's bucket; 0 means 8.
@@ -128,8 +124,9 @@ type Config struct {
 	// terminal jobs (result and trace included) are evicted. Their summary
 	// survives in the flight recorder. 0 means 256.
 	MaxJobs int
-	// TraceSpans bounds each trace lane's span count per job; 0 means the
-	// telemetry default (4096 per lane).
+	// TraceSpans bounds each trace lane's simulator op spans per job (a
+	// cell's lifecycle spans are always kept); 0 means the telemetry
+	// default (4096 per lane).
 	TraceSpans int
 
 	now func() time.Time // test hook; nil means time.Now
@@ -469,7 +466,6 @@ func (s *Server) execute(ctx context.Context, job *JobState) {
 		// Lease extra sweep workers from the shared par budget so concurrent
 		// jobs split one core budget (see the runLoop comment).
 		BudgetWorkers: true,
-		TileWorkers:   s.cfg.TileWorkers,
 		Metrics:       reg,
 		Store:         s.cfg.Store,
 		VerifyStore:   s.cfg.VerifyStore,

@@ -460,3 +460,22 @@ func TestBucketRefill(t *testing.T) {
 		t.Fatal("burst cap not enforced after long idle")
 	}
 }
+
+// TestServerOversizedJobFails: a cell whose state overflows the chip's
+// scratchpads fails its own job with the compiler's error, and the daemon
+// keeps serving — the next job completes.
+func TestServerOversizedJobFails(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	_, doc := submit(t, ts, Spec{
+		Workloads: []string{"minivgg"}, Archs: []string{"half"},
+		Minibatches: []int{64}, Modes: []string{"train"},
+	}, "oversized")
+	final := waitDone(t, ts, doc["id"].(string))
+	if final.State != "failed" || !strings.Contains(final.Error, "over capacity") {
+		t.Fatalf("oversized job: state %q error %q, want failed with an over-capacity error", final.State, final.Error)
+	}
+	_, doc = submit(t, ts, testSpec(), "after-oversized")
+	if final := waitDone(t, ts, doc["id"].(string)); final.State != "done" {
+		t.Fatalf("job after the oversized one: state %q (error %q)", final.State, final.Error)
+	}
+}

@@ -50,26 +50,17 @@ type dinstr struct {
 	args            []isa.Reg
 }
 
-// decodedProg is the predecoded form of one isa.Program, plus the static
-// properties the replica-memoization planner needs.
+// decodedProg is the predecoded form of one isa.Program.
 type decodedProg struct {
 	src *isa.Program
 	ins []dinstr
-
-	hash uint64 // src.ContentHash(), computed once
-	// portable reports that every memory reference the program can ever make
-	// is row-local (PortLeft/PortRight): see analyzePortable for the exact
-	// argument. Only portable programs participate in within-chip replica
-	// memoization.
-	portable bool
 }
 
 // decodeProgram predecodes p. The caller has already validated it.
 func decodeProgram(p *isa.Program) *decodedProg {
 	d := &decodedProg{
-		src:  p,
-		ins:  make([]dinstr, len(p.Instrs)),
-		hash: p.ContentHash(),
+		src: p,
+		ins: make([]dinstr, len(p.Instrs)),
 	}
 	for i, ins := range p.Instrs {
 		di := &d.ins[i]
@@ -87,67 +78,5 @@ func decodeProgram(p *isa.Program) *decodedProg {
 			}
 		}
 	}
-	d.portable = analyzePortable(p)
 	return d
-}
-
-// portArgIdx lists, per opcode, which register-argument positions carry ABI
-// port values (see the operand layouts in isa's opTable).
-var portArgIdx = [isa.NumOpcodes][]int{
-	isa.NDCONV:    {2, 6, 11},
-	isa.MATMUL:    {2, 6, 8},
-	isa.NDACTFN:   {2, 5},
-	isa.NDSUBSAMP: {2, 9},
-	isa.NDUPSAMP:  {2, 9},
-	isa.NDACC:     {1, 3},
-	isa.VECMUL:    {1, 3, 6},
-	isa.WUPDATE:   {1, 3},
-	isa.MEMSET:    {1},
-	isa.DMALOAD:   {1, 3},
-	isa.DMASTORE:  {1, 3},
-	isa.PASSBUFF:  {1},
-	isa.MEMTRACK:  {0},
-	// DMAMEMTRACK's first argument is an absolute MemHeavy tile index, not a
-	// port; programs containing it are rejected outright in analyzePortable.
-}
-
-// analyzePortable reports whether every memory reference the program can make
-// at runtime is provably row-local (PortLeft or PortRight). The argument is
-// flow-insensitive and therefore sound under any control flow: a register
-// used as a port operand anywhere must have *every* definition in the
-// program be an LDRI of 0 (PortLeft) or 1 (PortRight) — registers start at
-// zero (= PortLeft), so whatever path executes, the port value is in
-// {PortLeft, PortRight}. Any arithmetic definition, any other immediate,
-// PortExt, absolute-tile ports and DMAMEMTRACK disqualify the program.
-func analyzePortable(p *isa.Program) bool {
-	var portRegs [isa.NumRegs]bool
-	for _, ins := range p.Instrs {
-		if ins.Op == isa.DMAMEMTRACK {
-			return false
-		}
-		for _, idx := range portArgIdx[ins.Op] {
-			if idx < len(ins.Args) {
-				portRegs[ins.Args[idx]] = true
-			}
-		}
-	}
-	for _, ins := range p.Instrs {
-		dst, ok := writesReg(ins)
-		if !ok || !portRegs[dst] {
-			continue
-		}
-		if ins.Op != isa.LDRI || (ins.Imm != int32(isa.PortLeft) && ins.Imm != int32(isa.PortRight)) {
-			return false
-		}
-	}
-	return true
-}
-
-// writesReg reports the register an instruction defines, if any.
-func writesReg(ins isa.Instr) (isa.Reg, bool) {
-	switch ins.Op {
-	case isa.LDRI, isa.MOVR, isa.ADDR, isa.ADDRI, isa.SUBR, isa.SUBRI, isa.MULRI, isa.CMPLT:
-		return ins.Dst, true
-	}
-	return 0, false
 }

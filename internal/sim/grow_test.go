@@ -47,9 +47,9 @@ func BenchmarkExtMemGrow(b *testing.B) {
 func TestRunAllocBudget(t *testing.T) {
 	m := newTestMachine()
 	p := prog("t",
-		opInstrAt(8, isa.MEMSET, 0, int64(isa.PortLeft), 16, 0),
-		opInstrAt(16, isa.DMASTORE, 0, int64(isa.PortLeft), 0, int64(isa.PortRight), 16, 0),
-		opInstrAt(24, isa.DMASTORE, 0, int64(isa.PortRight), 64, int64(isa.PortLeft), 16, 0),
+		opInstr(isa.MEMSET, 0, int64(isa.PortLeft), 16, 0),
+		opInstr(isa.DMASTORE, 0, int64(isa.PortLeft), 0, int64(isa.PortRight), 16, 0),
+		opInstr(isa.DMASTORE, 0, int64(isa.PortRight), 64, int64(isa.PortLeft), 16, 0),
 	)
 	cycle := func() {
 		m.Reset()

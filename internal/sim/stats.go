@@ -96,11 +96,6 @@ type Stats struct {
 	SFUBusy    []Cycle            // per MemHeavy tile
 	MemPeak    []int64            // per MemHeavy tile, high-water scratchpad element
 	ActiveComp int                // CompHeavy tiles that executed a program
-
-	// MemoTiles is the number of CompHeavy tiles whose statistics came from
-	// (or, in verify mode, were checked against) a replica-memoization
-	// representative rather than independent simulation (see memo.go).
-	MemoTiles int
 }
 
 // PEUtilization returns mean 2D-PE array busy fraction across tiles that ran
@@ -173,8 +168,7 @@ func (s Stats) String() string {
 // persists on the tile and re-deriving the max from a stale carry-over would
 // inflate a reused Machine's second run. Instruction, NACK, DMA and
 // link-traffic totals are sums of per-tile shadow counters (the hot path
-// touches only its own tile), which is also what lets replica memoization
-// clone a representative tile's activity wholesale.
+// touches only its own tile).
 func (m *Machine) collectStats() {
 	s := &m.stats
 	s.ArrayBusy = s.ArrayBusy[:0]
@@ -188,7 +182,6 @@ func (m *Machine) collectStats() {
 	s.NACKs = 0
 	s.DMATransfers = 0
 	s.CompMemBytes, s.MemMemBytes, s.ExtMemBytes = 0, 0, 0
-	s.MemoTiles = 0
 	for _, ct := range m.comp {
 		s.ArrayBusy = append(s.ArrayBusy, ct.arrayCycles)
 		s.FLOPs += ct.flops

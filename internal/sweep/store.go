@@ -25,7 +25,7 @@ import (
 
 // storeSchema is bumped on any semantic change to the blob contents or the
 // meaning of existing fields.
-const storeSchema = 2 // v2: stall-attribution columns joined the measurements
+const storeSchema = 3 // v3: metric snapshots lost the within-chip row-memo gauge
 
 // runnerSig names the constants runJob bakes into every simulation: the
 // input/golden PRNG seed, the learning rate and the bias policy. Changing
@@ -182,9 +182,9 @@ func auditHit(key string) bool {
 // extension of the §5d -verify-memo discipline. Any difference means the
 // key admitted a computation that is not actually equivalent (or the blob
 // was silently altered without breaking its CRC), and fails the sweep.
-func verifyStoredHit(job Job, key string, payload []byte, pool *machinePool, tileWorkers int) error {
+func verifyStoredHit(job Job, key string, payload []byte, pool *machinePool) error {
 	reg := telemetry.NewRegistry()
-	r, err := runJob(job, reg, pool, telemetry.TraceContext{}, tileWorkers)
+	r, err := runJob(job, reg, pool, telemetry.TraceContext{})
 	if err != nil {
 		return fmt.Errorf("sweep: store verify of %s: %w", job.Name(), err)
 	}

@@ -90,12 +90,6 @@ type Options struct {
 	// the machine N-fold. Worker count never affects results (see Run), so
 	// the leasing changes wall-clock behavior only.
 	BudgetWorkers bool
-	// TileWorkers caps each job's share of the worker pool for within-chip
-	// tile partitioning (sim.Machine.SetTileWorkers): 0 means auto, 1 forces
-	// serial tile simulation. Sweep-level and tile-level parallelism draw
-	// from one machine-wide budget (internal/par), so any split is safe; the
-	// setting never affects results.
-	TileWorkers int
 	// Trace, when non-nil, collects one job-scoped span timeline across the
 	// whole sweep: per-cell store-lookup/simulate/store-write spans plus the
 	// simulator's own per-tile op spans, each cell on its own deterministic

@@ -384,13 +384,18 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges = append(s.Gauges, GaugeSnap{Name: e.name, Labels: labelMap(e.labels), Value: e.g.Value()})
 	}
 	for _, e := range r.histograms {
-		hs := HistogramSnap{Name: e.name, Labels: labelMap(e.labels), Count: e.h.Count(), Sum: e.h.Sum()}
+		// Count is summed from the bucket loads rather than read from the
+		// total, so a snapshot taken while Observe runs stays consistent
+		// (count == +Inf bucket), as the OpenMetrics exposition requires.
+		hs := HistogramSnap{Name: e.name, Labels: labelMap(e.labels), Sum: e.h.Sum()}
 		for i := range e.h.counts {
 			le := "+Inf"
 			if i < len(e.h.bounds) {
 				le = strconv.FormatFloat(e.h.bounds[i], 'g', -1, 64)
 			}
-			hs.Buckets = append(hs.Buckets, BucketSnap{LE: le, Count: e.h.counts[i].Load()})
+			c := e.h.counts[i].Load()
+			hs.Count += c
+			hs.Buckets = append(hs.Buckets, BucketSnap{LE: le, Count: c})
 		}
 		s.Histograms = append(s.Histograms, hs)
 	}

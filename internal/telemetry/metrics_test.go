@@ -127,6 +127,42 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 }
 
+// TestSnapshotHistogramConsistentUnderObserve: a snapshot taken while
+// Observe runs must report a count equal to its bucket total, the
+// invariant the OpenMetrics exposition requires of a mid-job scrape.
+func TestSnapshotHistogramConsistentUnderObserve(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("h", []float64{10, 100})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			h.Observe(float64(i % 200))
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < 2000; i++ {
+		hs := r.Snapshot().Histograms[0]
+		var total int64
+		for _, b := range hs.Buckets {
+			total += b.Count
+		}
+		if hs.Count != total {
+			t.Fatalf("snapshot %d: count %d != bucket total %d", i, hs.Count, total)
+		}
+	}
+}
+
 func TestMergeFrom(t *testing.T) {
 	dst := NewRegistry()
 	dst.Counter("jobs").Add(2)

@@ -24,9 +24,12 @@ import (
 // base — so byte-identical traces additionally require a deterministic
 // clock, which the tests pin with a fixed `now`.)
 //
-// Lanes are bounded (perLane spans); overflow increments a dropped counter
-// that Assemble surfaces, so a truncated trace is detectable instead of
-// silently misleading (see ChromeTraceMeta / trace.dropped_spans).
+// Lanes are bounded (perLane spans) against the simulator's op-span batches
+// (RecordSpan/RecordSpans); overflow increments a dropped counter that
+// Assemble surfaces, so a truncated trace is detectable instead of silently
+// misleading (see ChromeTraceMeta / trace.dropped_spans). Lifecycle spans
+// (Begin/Interval) are a fixed handful per cell and always kept, even in a
+// lane the op spans have filled.
 
 // LaneJob is the reserved lane for job-lifecycle spans (queue-wait, sweep,
 // render, merge); it sorts before every cell lane.
@@ -94,13 +97,14 @@ func joinTrack(prefix, track string) string {
 	return prefix + "/" + track
 }
 
-// record appends spans to a lane, enforcing the per-lane bound. The lane's
-// track prefix is stored once and applied at assembly time, so the hot path
-// (simulator span batches flushing mid-run) never builds track strings. A
-// lane normally has a single producer and so a single prefix; if a second
-// prefix ever shows up, the stored prefix is materialized onto the buffered
-// spans and the lane switches to eager per-span prefixing.
-func (jt *JobTrace) record(lane int, prefix string, spans ...Span) {
+// record appends spans to a lane; bounded spans are dropped once the lane
+// holds perLane spans. The lane's track prefix is stored once and applied
+// at assembly time, so the hot path (simulator span batches flushing
+// mid-run) never builds track strings. A lane normally has a single
+// producer and so a single prefix; if a second prefix ever shows up, the
+// stored prefix is materialized onto the buffered spans and the lane
+// switches to eager per-span prefixing.
+func (jt *JobTrace) record(lane int, prefix string, bounded bool, spans ...Span) {
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
 	buf, ok := jt.lanes[lane]
@@ -111,7 +115,7 @@ func (jt *JobTrace) record(lane int, prefix string, spans ...Span) {
 	// Grow once, exactly: the simulator flushes spans in large batches, so
 	// doubling-growth would allocate several times per flush.
 	if need := len(buf) + len(spans); need > cap(buf) {
-		if need > jt.limit {
+		if bounded && need > jt.limit {
 			need = jt.limit
 		}
 		if need > cap(buf) {
@@ -130,7 +134,7 @@ func (jt *JobTrace) record(lane int, prefix string, spans ...Span) {
 		jt.prefixes[lane] = ""
 	}
 	for _, s := range spans {
-		if len(buf) >= jt.limit {
+		if bounded && len(buf) >= jt.limit {
 			jt.dropped++
 			continue
 		}
@@ -210,7 +214,7 @@ func (tc TraceContext) RecordSpan(s Span) {
 	if tc.jt == nil {
 		return
 	}
-	tc.jt.record(tc.Lane, tc.prefix, s)
+	tc.jt.record(tc.Lane, tc.prefix, true, s)
 }
 
 // RecordSpans records a batch under one lock (SpanBatchSink).
@@ -218,7 +222,7 @@ func (tc TraceContext) RecordSpans(spans []Span) {
 	if tc.jt == nil {
 		return
 	}
-	tc.jt.record(tc.Lane, tc.prefix, spans...)
+	tc.jt.record(tc.Lane, tc.prefix, true, spans...)
 }
 
 // Begin opens a wall-clock span at the current offset from the job base and
@@ -236,7 +240,7 @@ func (tc TraceContext) Begin(name string, attrs ...Attr) func(endAttrs ...Attr) 
 		if len(endAttrs) > 0 {
 			all = append(append([]Attr{}, attrs...), endAttrs...)
 		}
-		tc.jt.record(tc.Lane, tc.prefix, Span{
+		tc.jt.record(tc.Lane, tc.prefix, false, Span{
 			Track: "", Name: name, Start: start, Dur: end - start, Attrs: all,
 		})
 	}
@@ -256,5 +260,5 @@ func (tc TraceContext) Interval(name string, from, to time.Time, attrs ...Attr) 
 	if dur < 0 {
 		dur = 0
 	}
-	tc.jt.record(tc.Lane, tc.prefix, Span{Name: name, Start: start, Dur: dur, Attrs: attrs})
+	tc.jt.record(tc.Lane, tc.prefix, false, Span{Name: name, Start: start, Dur: dur, Attrs: attrs})
 }

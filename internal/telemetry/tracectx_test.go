@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -113,6 +114,29 @@ func TestJobTracePerLaneBoundCountsDropped(t *testing.T) {
 	jt.Context(1, "").RecordSpan(Span{Name: "other"})
 	if got := len(jt.Assemble()); got != 3 {
 		t.Errorf("assembled spans after second lane = %d, want 3", got)
+	}
+}
+
+// TestJobTraceBoundKeepsLifecycleSpans: the per-lane bound applies to op
+// spans only. Lifecycle spans end after the op spans have filled the lane
+// and must still be assembled, in record order.
+func TestJobTraceBoundKeepsLifecycleSpans(t *testing.T) {
+	jt := NewJobTrace("job-1", 2, nil)
+	tc := jt.Context(0, "cell")
+	end := tc.Begin("simulate")
+	tc.RecordSpans([]Span{{Name: "op"}, {Name: "op"}, {Name: "op"}})
+	end()
+	tc.Interval("store.put", time.Now(), time.Now())
+	tc.RecordSpan(Span{Name: "op"})
+	if got := jt.Dropped(); got != 2 {
+		t.Errorf("dropped = %d, want 2", got)
+	}
+	var names []string
+	for _, s := range jt.Assemble() {
+		names = append(names, s.Name)
+	}
+	if want := []string{"op", "op", "simulate", "store.put"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("assembled spans = %v, want %v", names, want)
 	}
 }
 
