@@ -50,8 +50,9 @@ func benchFitted(b *testing.B) *Model {
 	return benchModel
 }
 
-// BenchmarkPredictCellExact is the baseline: one cold exact simulation of
-// the cell through RunGrid (NoMemo, no store — nothing amortized).
+// BenchmarkPredictCellExact is the baseline: one exact simulation of the
+// cell through RunGrid (NoMemo, no store — no result is reused). Its machine
+// comes from the sweep engine's process-wide pool, as it does in sdserve.
 func BenchmarkPredictCellExact(b *testing.B) {
 	g := benchCellGrid()
 	b.ReportAllocs()

@@ -626,6 +626,12 @@ func (s *Server) refreshScrapeGauges(reg *telemetry.Registry) {
 		// leader instead of re-simulated (DESIGN.md §5i).
 		reg.Gauge("store.singleflight.coalesced").Set(float64(stats.Coalesced))
 	}
+	// Process-wide simulator machine pool (DESIGN.md §5d): machines built
+	// versus handed out again after a Reset. Scrape-time gauges only — job
+	// registries, and so job metrics and stored blobs, never see them.
+	built, reused := sweep.MachineCounts()
+	reg.Gauge("sweep.machines.built").Set(float64(built))
+	reg.Gauge("sweep.machines.reused").Set(float64(reused))
 }
 
 // handleJobTrace serves a terminal job's assembled span timeline as a

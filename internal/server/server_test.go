@@ -15,6 +15,7 @@ import (
 
 	"scaledeep/internal/store"
 	"scaledeep/internal/sweep"
+	"scaledeep/internal/telemetry"
 )
 
 // testSpec is a tiny two-cell sweep: fast enough for a unit test, two
@@ -477,5 +478,36 @@ func TestServerOversizedJobFails(t *testing.T) {
 	_, doc = submit(t, ts, testSpec(), "after-oversized")
 	if final := waitDone(t, ts, doc["id"].(string)); final.State != "done" {
 		t.Fatalf("job after the oversized one: state %q (error %q)", final.State, final.Error)
+	}
+}
+
+// TestServerReusesPooledMachines checks that jobs share the sweep engine's
+// process-wide machine pool: a job on an arch an earlier job simulated runs
+// on a reused machine, and /metrics reports it.
+func TestServerReusesPooledMachines(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	reused := func() float64 {
+		t.Helper()
+		var snap telemetry.Snapshot
+		getJSON(t, ts, "/metrics", &snap)
+		for _, g := range snap.Gauges {
+			if g.Name == "sweep.machines.reused" {
+				return g.Value
+			}
+		}
+		t.Fatal("/metrics has no sweep.machines.reused gauge")
+		return 0
+	}
+	before := reused()
+	for _, wl := range []string{"simnet", "fcnet"} {
+		spec := testSpec()
+		spec.Workloads = []string{wl}
+		_, doc := submit(t, ts, spec, "pool")
+		if final := waitDone(t, ts, doc["id"].(string)); final.State != "done" {
+			t.Fatalf("%s job state %q (error %q), want done", wl, final.State, final.Error)
+		}
+	}
+	if after := reused(); after < before+1 {
+		t.Fatalf("sweep.machines.reused went %v -> %v over two sequential baseline jobs, want it to advance", before, after)
 	}
 }

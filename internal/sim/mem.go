@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"scaledeep/internal/isa"
 )
@@ -60,58 +62,87 @@ func (m *memTile) arm(addr, size int64, numUpdates, numReads int, preloaded bool
 	m.trackers = append(m.trackers, t)
 }
 
+// touch bounds-checks an access and records its high-water mark. The check
+// comes first, so peakAddr never exceeds capacity: Reset clears each
+// scratchpad only below it.
 func (m *memTile) touch(addr, size int64) {
-	if addr+size > m.peakAddr {
-		m.peakAddr = addr + size
-	}
 	if addr < 0 || addr+size > m.capacity {
 		panic(fmt.Sprintf("sim: %s: access [%d+%d) exceeds capacity %d", m.name(), addr, size, m.capacity))
 	}
+	if addr+size > m.peakAddr {
+		m.peakAddr = addr + size
+	}
 }
 
-// extMem models a chip's external memory channels: a flat element-addressed
+// extMem models a chip's external memory channels: an element-addressed
 // store with unbounded capacity and untracked access (the harness pre-loads
-// inputs, golden outputs and off-chip weights here).
+// inputs, golden outputs and off-chip weights here). It is sparse: the
+// compiler spreads its regions megaelements apart, so only the extents a
+// run touches are backed, each zero-filled on first touch.
 type extMem struct {
-	data  []float32
-	busy  Cycle
-	bytes int64
+	extents []extent // sorted by base, disjoint, never adjacent
+	busy    Cycle
+	bytes   int64
 }
 
-func (e *extMem) grow(addr, size int64) {
-	need := addr + size
-	if int64(len(e.data)) >= need {
-		return
-	}
-	// Geometric (≥2×) growth: writing a large tensor element-group by
-	// element-group must cost O(n) amortized, not the O(n²) a fixed-pad
-	// policy degrades to.
-	n := 2 * int64(len(e.data))
-	if n < need {
-		n = need
-	}
-	if n < 1024 {
-		n = 1024
-	}
-	grown := make([]float32, n)
-	copy(grown, e.data)
-	e.data = grown
+// extent is one backed range of external memory, [base, base+len(data)).
+type extent struct {
+	base int64
+	data []float32
 }
 
-func (e *extMem) read(addr, size int64) []float32 {
-	e.grow(addr, size)
-	return e.data[addr : addr+size]
-}
+func (x extent) end() int64 { return x.base + int64(len(x.data)) }
 
-func (e *extMem) write(addr int64, vals []float32, acc bool) {
-	e.grow(addr, int64(len(vals)))
-	if acc {
-		for i, v := range vals {
-			e.data[addr+int64(i)] += v
+// span returns the backing slice of [addr, addr+size), backing whatever part
+// of it is not yet backed. An access that reaches or bridges existing
+// extents merges them into one, and extending an extent at its end grows
+// its capacity geometrically (≥2×), so writing a large tensor element-group
+// by element-group costs O(n) amortized. The slice stays valid until the
+// next call that backs new memory.
+func (e *extMem) span(addr, size int64) []float32 {
+	if size <= 0 {
+		return nil
+	}
+	end := addr + size
+	// i is the first extent that reaches addr; j is one past the last that
+	// starts by end. Extents i..j-1 overlap or abut the access.
+	i := sort.Search(len(e.extents), func(k int) bool { return e.extents[k].end() >= addr })
+	if i < len(e.extents) {
+		if x := e.extents[i]; x.base <= addr && end <= x.end() {
+			return x.data[addr-x.base : end-x.base]
 		}
-	} else {
-		copy(e.data[addr:], vals)
 	}
+	j := i
+	for j < len(e.extents) && e.extents[j].base <= end {
+		j++
+	}
+	if i == j {
+		e.extents = slices.Insert(e.extents, i, extent{base: addr, data: make([]float32, size)})
+		return e.extents[i].data
+	}
+	first := e.extents[i]
+	base := min(addr, first.base)
+	n := max(end, e.extents[j-1].end()) - base
+	data := first.data
+	if base < first.base || n > int64(cap(data)) {
+		data = make([]float32, n, max(n, 2*int64(cap(first.data))))
+		copy(data[first.base-base:], first.data)
+	}
+	data = data[:n]
+	for _, x := range e.extents[i+1 : j] {
+		copy(data[x.base-base:], x.data)
+	}
+	e.extents[i] = extent{base: base, data: data}
+	e.extents = slices.Delete(e.extents, i+1, j)
+	return data[addr-base : end-base]
+}
+
+// reset zeroes every extent and keeps it backed for the next run.
+func (e *extMem) reset() {
+	for _, x := range e.extents {
+		clear(x.data)
+	}
+	e.busy, e.bytes = 0, 0
 }
 
 // location resolves a (port, issuing tile) pair to a concrete memory.

@@ -27,10 +27,9 @@ func (m *Machine) readVec(loc location, addr, size int64) []float32 {
 		return loc.mem.data[addr : addr+size]
 	}
 	if !m.Functional {
-		loc.ext.grow(addr, size)
 		return nil
 	}
-	return loc.ext.read(addr, size)
+	return loc.ext.span(addr, size)
 }
 
 func (m *Machine) writeVec(loc location, addr int64, vals []float32, size int64, acc bool) {
@@ -51,13 +50,19 @@ func (m *Machine) writeVec(loc location, addr int64, vals []float32, size int64,
 		}
 		return
 	}
-	if vals == nil {
-		loc.ext.grow(addr, size)
+	if !m.Functional {
 		return
 	}
-	loc.ext.write(addr, vals, acc)
+	s := loc.ext.span(addr, size)
+	if acc {
+		for i, v := range vals {
+			s[i] += v
+		}
+	} else {
+		copy(s, vals)
+	}
 	if m.half {
-		tensor.RoundHalfSlice(loc.ext.data[addr : addr+size])
+		tensor.RoundHalfSlice(s)
 	}
 }
 
@@ -479,9 +484,11 @@ func (m *Machine) execVecMul(ct *compTile, v []int64) (bool, Cycle) {
 	}
 	m.noteSFU(dstLoc, size, end)
 	if m.Functional {
-		gw := tensor.FromSlice(m.readVec(dstLoc, dst, size), int(gLen), int(xLen))
+		// The slice written in place is taken last: a later readVec could
+		// back new external memory and move it.
 		gT := tensor.FromSlice(m.copyVec(m.readVec(gLoc, g, gLen)), int(gLen))
 		xT := tensor.FromSlice(m.copyVec(m.readVec(xLoc, x, xLen)), int(xLen))
+		gw := tensor.FromSlice(m.readVec(dstLoc, dst, size), int(gLen), int(xLen))
 		tensor.OuterAcc(gw, gT, xT)
 		if m.half {
 			tensor.RoundHalfSlice(gw.Data)
@@ -512,8 +519,8 @@ func (m *Machine) execWUpdate(ct *compTile, v []int64) (bool, Cycle) {
 	m.noteSFU(wLoc, size, end)
 	if m.Functional {
 		lr := float32(lrScaled) / float32(int64(1)<<isa.WUpdateLRShift)
-		wd := m.readVec(wLoc, w, size)
 		gd := m.readVec(dwLoc, dw, size)
+		wd := m.readVec(wLoc, w, size) // updated in place: taken last, as in VECMUL
 		for i := int64(0); i < size; i++ {
 			wd[i] -= lr * gd[i]
 		}

@@ -182,9 +182,9 @@ func auditHit(key string) bool {
 // extension of the §5d -verify-memo discipline. Any difference means the
 // key admitted a computation that is not actually equivalent (or the blob
 // was silently altered without breaking its CRC), and fails the sweep.
-func verifyStoredHit(job Job, key string, payload []byte, pool *machinePool) error {
+func verifyStoredHit(job Job, key string, payload []byte) error {
 	reg := telemetry.NewRegistry()
-	r, err := runJob(job, reg, pool, telemetry.TraceContext{})
+	r, err := runJob(job, reg, telemetry.TraceContext{})
 	if err != nil {
 		return fmt.Errorf("sweep: store verify of %s: %w", job.Name(), err)
 	}
