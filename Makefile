@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt vet race bench benchdiff
+.PHONY: build test check fmt vet race fuzz bench benchdiff
 
 build:
 	$(GO) build ./...
@@ -8,9 +8,9 @@ build:
 test: build
 	$(GO) test ./...
 
-# check is the pre-merge gate: formatting, static analysis, and the race
-# detector over the concurrency-sensitive packages.
-check: fmt vet race test
+# check is the pre-merge gate: formatting, static analysis, the race
+# detector over the concurrency-sensitive packages, and a bounded fuzz run.
+check: fmt vet race test fuzz
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -24,6 +24,12 @@ vet:
 race:
 	$(GO) test -race ./internal/telemetry/... ./internal/sim/... ./internal/sweep/... ./internal/cluster/... ./internal/par/... ./internal/tensor/... ./internal/store/... ./internal/server/...
 
+# fuzz runs the native fuzz target over the store blob decoder for a
+# bounded time; its seeds (a real encoded cell and a corrupted copy) also
+# run as ordinary tests under `go test`.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlob$$' -fuzztime 10s ./internal/sweep/
+
 # bench runs the tier-1 simulator benchmarks (the telemetry-off/on hot-path
 # pair among them: the nil-sink fast path must not cost anything when
 # disabled) and records the results as a test2json stream in BENCH_sim.json
@@ -34,12 +40,13 @@ race:
 # sdbenchdiff -ratio right after BENCH_sim.json is written. The sweep benchmark times the
 # same 8-job grid serially and sharded across GOMAXPROCS workers and records
 # the wall-clock ratio (speedup-x) in BENCH_sweep.json. The memo benchmark
-# runs a deliberately duplicated grid with cell memoization on and off and
-# records the wall-clock/allocs gap (memo-speedup-x) in BENCH_memo.json. The
-# tensor benchmarks time the naive reference kernels against the blocked
-# serial and blocked+parallel engine at MiniVGG GEMM/conv shapes and record
-# the naive-vs-engine ratio (speedup-x) in BENCH_tensor.json. The store
-# benchmark runs the same grid cold (simulate + persist), warm from a fresh
+# runs a deliberately duplicated grid both through RunGrid's cell classes
+# and simulated job by job, and records the wall-clock/allocs gap
+# (memo-speedup-x) in BENCH_memo.json. The tensor benchmarks time the naive
+# reference kernels against the blocked serial and blocked+parallel engine
+# at MiniVGG GEMM/conv shapes and record the naive-vs-engine ratio
+# (speedup-x) in BENCH_tensor.json. The store benchmark runs the same grid
+# cold (simulate + persist), warm from a fresh
 # process replaying disk blobs, and warm from the in-process memory tier,
 # and records the ratios (disk-speedup-x, mem-speedup-x) in BENCH_store.json.
 # The predict benchmarks time one cold exact cell simulation against the

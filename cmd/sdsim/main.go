@@ -51,8 +51,6 @@ func main() {
 	serveAddr := flag.String("serve", "", "serve /metrics, /trace, /profile and /debug/pprof/ on this address and stay up after the run")
 	batch := flag.String("batch", "", "comma-separated minibatch sizes to sweep instead of a single run")
 	parallel := flag.Int("parallel", 0, "batch-mode worker-pool size (0 = GOMAXPROCS)")
-	noMemo := flag.Bool("no-memo", false, "batch mode: disable the cell memo (duplicate grid cells are simulated separately)")
-	verifyMemo := flag.Bool("verify-memo", false, "batch mode: re-simulate one replica per memoized cell class and fail on divergence")
 	kernelWorkers := flag.Int("kernel-workers", 0, "tensor kernel worker-pool size for functional execution (0 = GOMAXPROCS); results are bit-identical at any value")
 	storeDir := flag.String("store-dir", "", "batch mode: persist results in a content-addressed store at this directory")
 	verifyStore := flag.Bool("verify-store", false, "batch mode: re-simulate a deterministic sample of store hits and fail on divergence")
@@ -69,7 +67,7 @@ func main() {
 	defer closeLog()
 
 	if *batch != "" {
-		runBatch(*batch, *parallel, *train, *iters, *metricsOut, *serveAddr, *noMemo, *verifyMemo, *storeDir, *verifyStore, logger)
+		runBatch(*batch, *parallel, *train, *iters, *metricsOut, *serveAddr, *storeDir, *verifyStore, logger)
 		return
 	}
 
@@ -244,7 +242,7 @@ func main() {
 // runBatch sweeps the listed minibatch sizes through the sharded sweep
 // engine and prints one table row per size. Rows come out in list order and
 // are byte-identical for any -parallel value.
-func runBatch(batch string, parallel int, train bool, iters int, metricsOut, serveAddr string, noMemo, verifyMemo bool, storeDir string, verifyStore bool, logger *slog.Logger) {
+func runBatch(batch string, parallel int, train bool, iters int, metricsOut, serveAddr, storeDir string, verifyStore bool, logger *slog.Logger) {
 	grid := sweep.Grid{
 		Workloads: []string{"simnet"},
 		Archs:     []string{"baseline"},
@@ -298,8 +296,6 @@ func runBatch(batch string, parallel int, train bool, iters int, metricsOut, ser
 	results, err := sweep.RunGrid(context.Background(), grid, sweep.Options{
 		Workers:     parallel,
 		Metrics:     metrics,
-		NoMemo:      noMemo,
-		VerifyMemo:  verifyMemo,
 		Store:       st,
 		VerifyStore: verifyStore,
 		Progress: func(done, total int) {

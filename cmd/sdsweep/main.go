@@ -9,15 +9,14 @@
 //	sdsweep [-workloads simnet,trainnet] [-archs baseline,half] \
 //	        [-mb 1,2,4] [-modes eval,train] [-iters N] [-parallel N] \
 //	        [-format text|csv|json] [-out table.csv] [-metrics-out m.json] \
-//	        [-progress] [-serve :6060] [-no-memo] [-verify-memo] \
+//	        [-progress] [-serve :6060] \
 //	        [-store-dir DIR] [-store-max-mb N] [-verify-store] \
 //	        [-predict model.json] \
 //	        [-trace-out trace.json] [-log-out PATH|-] [-log-level LEVEL]
 //
 // Duplicate grid cells (identical workload/arch/minibatch/mode points) are
 // simulated once and their results replicated — exact, because each job is a
-// deterministic function of its spec. -no-memo forces every job to run;
-// -verify-memo re-simulates one replica per class and fails on divergence.
+// deterministic function of its spec.
 //
 // With -store-dir, results persist in a content-addressed disk store across
 // runs: a repeated sweep replays from disk instead of simulating, with
@@ -80,8 +79,6 @@ func main() {
 	out := flag.String("out", "", "write the table to this file instead of stdout")
 	metricsOut := flag.String("metrics-out", "", "write the merged per-job metrics snapshot JSON file")
 	progress := flag.Bool("progress", false, "print per-job completion lines to stderr")
-	noMemo := flag.Bool("no-memo", false, "disable grid-cell memoization (simulate every job even when duplicated)")
-	verifyMemo := flag.Bool("verify-memo", false, "re-simulate one replicated job per memo class and fail on any divergence")
 	serveAddr := flag.String("serve", "", "serve /progress, /metrics and /debug/pprof/ on this address and stay up after the run")
 	kernelWorkers := flag.Int("kernel-workers", 0, "tensor kernel worker-pool size for functional execution (0 = GOMAXPROCS); results are bit-identical at any value")
 	storeDir := flag.String("store-dir", "", "persist results in a content-addressed store at this directory; repeated sweeps replay from it byte-identically")
@@ -165,8 +162,6 @@ func main() {
 	opts := sweep.Options{
 		Workers:     *parallel,
 		Metrics:     merged,
-		NoMemo:      *noMemo,
-		VerifyMemo:  *verifyMemo,
 		Store:       st,
 		VerifyStore: *verifyStore,
 		Trace:       jt,

@@ -105,8 +105,8 @@ func Release(n int) { release(n) }
 
 // seatPoll is how often AcquireSeat re-checks the budget. Tokens are
 // returned without notification (a lock-free counter), so waiting is a
-// poll; the interval is far below any simulation's cell time, so a freed
-// token is claimed promptly without measurable spin.
+// poll: a token returned for good — a For call finishing, a sweep ending
+// its lease — is claimed within one interval.
 const seatPoll = time.Millisecond
 
 // AcquireSeat blocks until one extra-worker token is free and takes it, or
@@ -116,8 +116,9 @@ const seatPoll = time.Millisecond
 // first worker in the shared budget, so the total number of live workers
 // across all jobs — implicit callers plus every token-borrowing For/lease —
 // never exceeds Workers(). Long-lived borrowers (the sweep engine's leased
-// cell workers) yield their tokens between work items, so a seat request
-// starves no longer than one cell.
+// cell workers) release their tokens between work items but take them
+// straight back, so the poll almost never sees those tokens free: a seat
+// request can wait until a running sweep has no cells left.
 func AcquireSeat(cancel <-chan struct{}) bool {
 	for {
 		if acquire(1) == 1 {

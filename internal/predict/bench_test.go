@@ -51,13 +51,13 @@ func benchFitted(b *testing.B) *Model {
 }
 
 // BenchmarkPredictCellExact is the baseline: one exact simulation of the
-// cell through RunGrid (NoMemo, no store — no result is reused). Its machine
+// cell through RunGrid (one cell, no store — no result is reused). Its machine
 // comes from the sweep engine's process-wide pool, as it does in sdserve.
 func BenchmarkPredictCellExact(b *testing.B) {
 	g := benchCellGrid()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := sweep.RunGrid(context.Background(), g, sweep.Options{Workers: 1, NoMemo: true}); err != nil {
+		if _, err := sweep.RunGrid(context.Background(), g, sweep.Options{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -101,7 +101,7 @@ func BenchmarkPredictSpeedup(b *testing.B) {
 	var exact, fast time.Duration
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		if _, err := sweep.RunGrid(context.Background(), g, sweep.Options{Workers: 1, NoMemo: true}); err != nil {
+		if _, err := sweep.RunGrid(context.Background(), g, sweep.Options{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 		exact += time.Since(t0)

@@ -162,19 +162,3 @@ func TestStoreHitsBeatPredictor(t *testing.T) {
 		}
 	}
 }
-
-// NoMemo means "run the exact simulator for everything": the predictor is
-// ignored across every tier.
-func TestNoMemoIgnoresPredictor(t *testing.T) {
-	m, _ := fittedModel(t)
-	g := queryGrid()
-	results, err := sweep.RunGrid(context.Background(), g, sweep.Options{NoMemo: true, Predictor: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
-		if r.Source != sweep.SourceExact {
-			t.Errorf("%s: NoMemo run produced a %s row", r.Name(), r.Source)
-		}
-	}
-}

@@ -381,13 +381,15 @@ func (s *Server) runLoop(ctx context.Context) {
 		s.mu.Unlock()
 
 		// Seat the candidate's implicit worker outside the lock: the wait can
-		// last a whole grid cell (leased sweep workers yield their tokens at
-		// cell boundaries), and handlers must stay responsive meanwhile. The
-		// wait re-checks admission every poll round — if the last running job
-		// finishes first, no seat is needed at all (on a one-core machine the
-		// budget is permanently empty, so this is the only way the next job
-		// ever starts); if the queue empties or a drain begins, admission is
-		// off. Either way the dispatcher loops back and re-evaluates.
+		// last until a running job's sweep has no cells left (its leased
+		// workers release their tokens at cell boundaries but take them back
+		// before this 1ms poll sees them free), and handlers must stay
+		// responsive meanwhile. The wait re-checks admission every poll
+		// round — if the last running job finishes first, no seat is needed
+		// at all (on a one-core machine the budget is permanently empty, so
+		// this is the only way the next job ever starts); if the queue
+		// empties or a drain begins, admission is off. Either way the
+		// dispatcher loops back and re-evaluates.
 		seat := 0
 		if needSeat {
 			for {

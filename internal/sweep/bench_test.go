@@ -55,36 +55,46 @@ func memoBenchGrid() Grid {
 }
 
 // BenchmarkSweepMemoOn / BenchmarkSweepMemoOff are the BENCH_memo.json pair:
-// the same duplicated grid with the cell memo engaged and bypassed. The
-// wall-clock and allocs/op gap between the two is the memoization win.
-func BenchmarkSweepMemoOn(b *testing.B)  { benchSweepMemo(b, false) }
-func BenchmarkSweepMemoOff(b *testing.B) { benchSweepMemo(b, true) }
+// the same duplicated grid through RunGrid's cell classes and simulated job
+// by job (directResults). The wall-clock and allocs/op gap between the two
+// is the memoization win.
+func BenchmarkSweepMemoOn(b *testing.B)  { benchSweepMemo(b, true) }
+func BenchmarkSweepMemoOff(b *testing.B) { benchSweepMemo(b, false) }
 
-func benchSweepMemo(b *testing.B, noMemo bool) {
+func benchSweepMemo(b *testing.B, memo bool) {
 	b.Helper()
-	g := memoBenchGrid()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunGrid(context.Background(), g, Options{Workers: 1, NoMemo: noMemo}); err != nil {
+		if err := runMemoBenchGrid(memo); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// runMemoBenchGrid runs memoBenchGrid serially, memoized or job by job.
+func runMemoBenchGrid(memo bool) error {
+	var err error
+	if memo {
+		_, err = RunGrid(context.Background(), memoBenchGrid(), Options{Workers: 1})
+	} else {
+		_, err = directResults(memoBenchGrid(), nil)
+	}
+	return err
 }
 
 // BenchmarkSweepMemoSpeedup runs the duplicated grid both ways per iteration
 // and reports the wall-clock ratio as memo-speedup-x, the headline number of
 // BENCH_memo.json.
 func BenchmarkSweepMemoSpeedup(b *testing.B) {
-	g := memoBenchGrid()
 	var full, memo time.Duration
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		if _, err := RunGrid(context.Background(), g, Options{Workers: 1, NoMemo: true}); err != nil {
+		if err := runMemoBenchGrid(false); err != nil {
 			b.Fatal(err)
 		}
 		full += time.Since(t0)
 		t0 = time.Now()
-		if _, err := RunGrid(context.Background(), g, Options{Workers: 1}); err != nil {
+		if err := runMemoBenchGrid(true); err != nil {
 			b.Fatal(err)
 		}
 		memo += time.Since(t0)

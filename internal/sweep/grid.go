@@ -160,8 +160,8 @@ func (j Job) cellKey() cellKey {
 
 // cellClasses groups jobs into equivalence classes in job order: members are
 // job indices sorted ascending, and classes are ordered by their first
-// member, so the memoized path visits work in the same order as the full
-// one.
+// member, so classes — and the trace lanes keyed by class index — follow
+// job order.
 func cellClasses(jobs []Job) [][]int {
 	var classes [][]int
 	index := map[cellKey]int{}
@@ -185,207 +185,60 @@ func cellClasses(jobs []Job) [][]int {
 //
 // Identical grid points (same workload, arch, minibatch, mode and effective
 // iterations — e.g. one workload swept against several duplicate axis
-// values, or eval cells at different Iterations settings) are memoized:
-// one representative per equivalence class is simulated and its result and
-// telemetry are replicated to the other members. Jobs are pure functions of
-// their spec — inputs come from a spec-seeded PRNG and the simulator is
-// deterministic — so replication is exact, and the rendered tables are
-// byte-identical with memoization on or off (opts.NoMemo). opts.VerifyMemo
-// re-simulates one replicated member per class and fails on any difference.
+// values, or eval cells at different Iterations settings) form one class,
+// answered once by resolveCell and replicated, result and telemetry, to the
+// other members. Jobs are pure functions of their spec — inputs come from a
+// spec-seeded PRNG and the simulator is deterministic — so replication is
+// exact: the rendered tables and merged metrics equal those of simulating
+// every job on its own.
 //
-// With opts.Store set, class representatives consult the persistent result
-// store before simulating (memory tier, then disk; see store.go and
-// DESIGN.md §5f) and write fresh results back, so a repeated sweep across
-// process restarts replays from disk with byte-identical tables and merged
-// metrics. opts.VerifyStore re-simulates a deterministic sample of hits
-// and byte-compares blobs.
+// With opts.Store set, a class consults the persistent result store before
+// simulating (memory tier, then disk; see store.go and DESIGN.md §5f) and
+// writes a fresh result back, so a repeated sweep across process restarts
+// replays from disk with byte-identical tables and merged metrics.
+// opts.VerifyStore re-simulates a deterministic sample of hits and
+// byte-compares blobs.
 func RunGrid(ctx context.Context, g Grid, opts Options) ([]Result, error) {
 	jobs, err := g.Jobs()
 	if err != nil {
 		return nil, err
 	}
-	// cellContext addresses one deterministic trace lane per unit of work
-	// (job index on the no-memo path, class index on the memo path) — each
-	// lane written only by the worker that owns the cell, so the assembled
-	// trace is independent of worker scheduling.
-	cellContext := func(lane int, job Job) telemetry.TraceContext {
-		if opts.Trace == nil {
-			return telemetry.TraceContext{}
-		}
-		return opts.Trace.Context(lane, "cell/"+job.Name())
-	}
-	if opts.NoMemo {
-		return Map(ctx, jobs, opts, func(ctx context.Context, _ int, job Job, reg *telemetry.Registry) (Result, error) {
-			tc := cellContext(job.Index, job)
-			end := tc.Begin("simulate")
-			r, err := runJob(job, reg, tc)
-			end(telemetry.Attr{Key: "outcome", Value: outcomeOf(err)})
-			if err == nil {
-				recordJobMetrics(reg, r)
-			}
-			return r, err
-		})
-	}
-
 	classes := cellClasses(jobs)
 	reps := make([]Job, len(classes))
 	for ci, members := range classes {
 		reps[ci] = jobs[members[0]]
 	}
 
-	// Representatives run through the ordinary pool, but with registry
-	// management held locally: each class's registry is merged into
-	// opts.Metrics once per member below, so the combined snapshot equals
-	// the no-memo merge. Progress is reported in expanded-job units.
+	// Classes run through the ordinary pool, but with registry and progress
+	// bookkeeping held here: each class's registry is merged into
+	// opts.Metrics once per member below, and progress is reported in
+	// expanded-job units.
 	inner := opts
 	inner.Metrics, inner.Progress = nil, nil
-	var repRegs []*telemetry.Registry
-	if opts.Metrics != nil {
-		repRegs = make([]*telemetry.Registry, len(classes))
-	}
+	regs := make([]*telemetry.Registry, len(classes))
 	var (
 		progMu   sync.Mutex
 		progDone int
 	)
-	advance := func(n int) {
-		if opts.Progress == nil {
-			return
-		}
-		progMu.Lock()
-		progDone += n
-		opts.Progress(progDone, len(jobs))
-		progMu.Unlock()
-	}
 	repResults, err := Map(ctx, reps, inner, func(ctx context.Context, ci int, job Job, _ *telemetry.Registry) (Result, error) {
-		tc := cellContext(ci, job)
-		// Disk tier: a representative whose cell is already stored skips
-		// simulation entirely. The blob carries the cell's telemetry
-		// snapshot, so hits and misses contribute identical metric merges.
-		var key string
-		if opts.Store != nil {
-			k, err := storeKey(job)
-			if err != nil {
-				return Result{}, err
-			}
-			key = k
-			endGet := tc.Begin("store.get")
-			payload, ok, err := opts.Store.Get(key)
-			if err != nil {
-				endGet(telemetry.Attr{Key: "outcome", Value: "error"})
-				return Result{}, err
-			}
-			if ok {
-				r, reg, derr := decodeBlob(job, payload)
-				if derr == nil {
-					endGet(telemetry.Attr{Key: "outcome", Value: "hit"})
-					if opts.VerifyStore && auditHit(key) {
-						endVerify := tc.Begin("store.verify")
-						verr := verifyStoredHit(job, key, payload)
-						endVerify(telemetry.Attr{Key: "outcome", Value: outcomeOf(verr)})
-						if verr != nil {
-							return Result{}, verr
-						}
-					}
-					if repRegs != nil {
-						repRegs[ci] = reg
-					}
-					advance(len(classes[ci]))
-					return r, nil
-				}
-				// Framing-valid but undecodable (e.g. a schema the key
-				// somehow admitted): quarantine and fall through to
-				// simulate.
-				endGet(telemetry.Attr{Key: "outcome", Value: "quarantined"})
-				if qerr := opts.Store.Quarantine(key); qerr != nil {
-					return Result{}, qerr
-				}
-			} else {
-				endGet(telemetry.Attr{Key: "outcome", Value: "miss"})
-			}
+		// One deterministic trace lane per class, written only by the
+		// worker that owns it, so the assembled trace is independent of
+		// worker scheduling.
+		var tc telemetry.TraceContext
+		if opts.Trace != nil {
+			tc = opts.Trace.Context(ci, "cell/"+job.Name())
 		}
-		// Learned fast path: consulted only after the store misses (an
-		// exact answer always beats a predicted one). A confident
-		// prediction skips simulation and store write-back entirely; a
-		// fallback continues on the exact path untouched.
-		if opts.Predictor != nil {
-			endPredict := tc.Begin("predict")
-			if r, ok := predictJob(opts.Predictor, job); ok {
-				endPredict(telemetry.Attr{Key: "outcome", Value: "hit"})
-				if repRegs != nil {
-					repRegs[ci] = telemetry.NewRegistry()
-				}
-				advance(len(classes[ci]))
-				return r, nil
-			}
-			endPredict(telemetry.Attr{Key: "outcome", Value: "fallback"})
-		}
-		if opts.Store != nil {
-			// The exact path runs under the store's single-flight layer:
-			// concurrent jobs racing on this key elect one leader to
-			// simulate and persist while the rest share the leader's bytes.
-			// A coalesced payload is decoded exactly like a store hit —
-			// decode(encode(x)) == x is the §5f round-trip property — so
-			// coalescing can change wall-clock time only, never a result.
-			var (
-				leadResult Result
-				leadReg    *telemetry.Registry
-			)
-			endFlight := tc.Begin("store.flight")
-			payload, outcome, err := opts.Store.GetOrCompute(ctx, key, func() ([]byte, error) {
-				// The blob always carries the cell's metrics snapshot so it
-				// serves future runs that do ask for metrics.
-				leadReg = telemetry.NewRegistry()
-				endSim := tc.Begin("simulate", telemetry.Attr{Key: "replicas", Value: fmt.Sprint(len(classes[ci]))})
-				r, err := runJob(job, leadReg, tc)
-				endSim(telemetry.Attr{Key: "outcome", Value: outcomeOf(err)})
-				if err != nil {
-					return nil, err
-				}
-				leadResult = r
-				p, err := encodeBlob(job, r, leadReg.Snapshot())
-				if err != nil {
-					return nil, err
-				}
-				endPut := tc.Begin("store.put")
-				err = opts.Store.Put(key, p)
-				endPut(telemetry.Attr{Key: "outcome", Value: outcomeOf(err)})
-				return p, err
-			})
-			if err != nil {
-				endFlight(telemetry.Attr{Key: "outcome", Value: "error"})
-				return Result{}, err
-			}
-			if outcome == store.FlightCoalesced {
-				endFlight(telemetry.Attr{Key: "outcome", Value: "coalesced"})
-				r, reg, derr := decodeBlob(job, payload)
-				if derr != nil {
-					return Result{}, derr
-				}
-				if repRegs != nil {
-					repRegs[ci] = reg
-				}
-				advance(len(classes[ci]))
-				return r, nil
-			}
-			endFlight(telemetry.Attr{Key: "outcome", Value: "computed"})
-			if repRegs != nil {
-				repRegs[ci] = leadReg
-			}
-			advance(len(classes[ci]))
-			return leadResult, nil
-		}
-		var reg *telemetry.Registry
-		if repRegs != nil {
-			reg = telemetry.NewRegistry()
-			repRegs[ci] = reg
-		}
-		endSim := tc.Begin("simulate", telemetry.Attr{Key: "replicas", Value: fmt.Sprint(len(classes[ci]))})
-		r, err := runJob(job, reg, tc)
-		endSim(telemetry.Attr{Key: "outcome", Value: outcomeOf(err)})
+		r, reg, err := resolveCell(ctx, job, tc, len(classes[ci]), opts)
 		if err != nil {
-			return r, err
+			return Result{}, err
 		}
-		advance(len(classes[ci]))
+		regs[ci] = reg
+		if opts.Progress != nil {
+			progMu.Lock()
+			progDone += len(classes[ci])
+			opts.Progress(progDone, len(jobs))
+			progMu.Unlock()
+		}
 		return r, nil
 	})
 	if err != nil {
@@ -393,29 +246,18 @@ func RunGrid(ctx context.Context, g Grid, opts Options) ([]Result, error) {
 	}
 
 	results := make([]Result, len(jobs))
+	jobRegs := make([]*telemetry.Registry, len(jobs))
 	for ci, members := range classes {
 		for _, ji := range members {
 			r := repResults[ci]
 			r.Job = jobs[ji] // identity differs; measurements are shared
 			results[ji] = r
+			jobRegs[ji] = regs[ci]
 		}
 	}
-
-	if opts.VerifyMemo {
-		if err := verifyMemo(ctx, jobs, classes, results, inner); err != nil {
-			return nil, err
-		}
-	}
-
 	if opts.Metrics != nil {
-		classOf := make([]int, len(jobs))
-		for ci, members := range classes {
-			for _, ji := range members {
-				classOf[ji] = ci
-			}
-		}
 		for ji, r := range results {
-			if err := opts.Metrics.MergeFrom(repRegs[classOf[ji]]); err != nil {
+			if err := opts.Metrics.MergeFrom(jobRegs[ji]); err != nil {
 				return nil, err
 			}
 			recordJobMetrics(opts.Metrics, r)
@@ -427,42 +269,120 @@ func RunGrid(ctx context.Context, g Grid, opts Options) ([]Result, error) {
 	return results, nil
 }
 
-// verifyMemo re-simulates one replicated (non-representative) member of
-// every multi-member class and compares the fresh result against the
-// memoized one field by field. Any difference means the memo key admitted
-// two jobs that are not actually equivalent — a soundness bug worth failing
-// the whole sweep over.
-func verifyMemo(ctx context.Context, jobs []Job, classes [][]int, results []Result, opts Options) error {
-	var checks []Job
-	for _, members := range classes {
-		// Predicted cells carry an estimate, not a measurement — there is
-		// nothing exact to compare a re-simulation against, and the label
-		// already declares the row approximate.
-		if len(members) > 1 && results[members[0]].Source != SourcePredicted {
-			checks = append(checks, jobs[members[1]])
+// resolveCell answers one cell class: a stored result (audited under
+// opts.VerifyStore), else a confident prediction, else exact simulation —
+// under the store's single-flight when opts.Store is set, so concurrent
+// jobs racing on the key simulate it once and share the leader's bytes.
+// Every step records its span on tc. The returned registry holds the cell's
+// telemetry; it is nil for predicted cells and for storeless runs that keep
+// no metrics.
+func resolveCell(ctx context.Context, job Job, tc telemetry.TraceContext, replicas int, opts Options) (Result, *telemetry.Registry, error) {
+	var key string
+	if opts.Store != nil {
+		var err error
+		if key, err = storeKey(job); err != nil {
+			return Result{}, nil, err
+		}
+		// The blob carries the cell's telemetry snapshot, so hits and
+		// misses contribute identical metric merges.
+		endGet := tc.Begin("store.get")
+		payload, ok, err := opts.Store.Get(key)
+		switch {
+		case err != nil:
+			endGet(outcome("error"))
+			return Result{}, nil, err
+		case !ok:
+			endGet(outcome("miss"))
+		default:
+			r, reg, derr := decodeBlob(job, payload)
+			if derr != nil {
+				// Framing-valid but undecodable (e.g. a schema the key
+				// somehow admitted): quarantine, then answer as a miss.
+				endGet(outcome("quarantined"))
+				if err := opts.Store.Quarantine(key); err != nil {
+					return Result{}, nil, err
+				}
+				break
+			}
+			endGet(outcome("hit"))
+			if opts.VerifyStore && auditHit(key) {
+				endVerify := tc.Begin("store.verify")
+				err := verifyStoredHit(job, key, payload)
+				endVerify(outcomeOf(err))
+				if err != nil {
+					return Result{}, nil, err
+				}
+			}
+			return r, reg, nil
 		}
 	}
-	if len(checks) == 0 {
-		return nil
+	// Learned fast path: consulted only after the store misses (an exact
+	// answer always beats a predicted one). A confident prediction skips
+	// simulation and store write-back; a fallback continues untouched.
+	if opts.Predictor != nil {
+		endPredict := tc.Begin("predict")
+		if r, ok := predictJob(opts.Predictor, job); ok {
+			endPredict(outcome("hit"))
+			return r, nil, nil
+		}
+		endPredict(outcome("fallback"))
 	}
-	fresh, err := Map(ctx, checks, opts, func(ctx context.Context, _ int, job Job, _ *telemetry.Registry) (Result, error) {
-		return runJob(job, nil, telemetry.TraceContext{})
+	if opts.Store == nil {
+		return simulate(job, tc, replicas, opts.Metrics != nil)
+	}
+	// A coalesced payload is decoded exactly like a store hit —
+	// decode(encode(x)) == x is the §5f round-trip property — so coalescing
+	// can change wall-clock time only, never a result.
+	var (
+		r   Result
+		reg *telemetry.Registry
+	)
+	endFlight := tc.Begin("store.flight")
+	payload, flight, err := opts.Store.GetOrCompute(ctx, key, func() ([]byte, error) {
+		// The blob always carries the cell's metrics snapshot so it serves
+		// future runs that do ask for metrics.
+		var err error
+		if r, reg, err = simulate(job, tc, replicas, true); err != nil {
+			return nil, err
+		}
+		p, err := encodeBlob(job, r, reg.Snapshot())
+		if err != nil {
+			return nil, err
+		}
+		endPut := tc.Begin("store.put")
+		err = opts.Store.Put(key, p)
+		endPut(outcomeOf(err))
+		return p, err
 	})
-	if err != nil {
-		return err
+	switch {
+	case err != nil:
+		endFlight(outcome("error"))
+		return Result{}, nil, err
+	case flight == store.FlightCoalesced:
+		endFlight(outcome("coalesced"))
+		return decodeBlob(job, payload)
 	}
-	for i, f := range fresh {
-		if got := results[f.Index]; f != got {
-			return fmt.Errorf("sweep: memo verification failed for %s: fresh run %+v != memoized %+v (check %d)",
-				f.Name(), f, got, i)
-		}
+	endFlight(outcome("computed"))
+	return r, reg, nil
+}
+
+// simulate runs the exact simulator on one cell under a "simulate" span
+// that records how many grid jobs share the result. The cell's registry is
+// nil unless metrics is set.
+func simulate(job Job, tc telemetry.TraceContext, replicas int, metrics bool) (Result, *telemetry.Registry, error) {
+	var reg *telemetry.Registry
+	if metrics {
+		reg = telemetry.NewRegistry()
 	}
-	return nil
+	end := tc.Begin("simulate", telemetry.Attr{Key: "replicas", Value: fmt.Sprint(replicas)})
+	r, err := runJob(job, reg, tc)
+	end(outcomeOf(err))
+	return r, reg, err
 }
 
 // recordJobMetrics adds the per-job labeled series derived from one result.
-// It runs outside runJob so the memoized path can attribute a replicated
-// result to the replica's own job label.
+// It runs outside runJob so a replicated result is attributed to the
+// replica's own job label.
 func recordJobMetrics(reg *telemetry.Registry, r Result) {
 	if reg == nil {
 		return
@@ -585,12 +505,15 @@ func chipFor(name string) (arch.ChipConfig, arch.Precision, error) {
 	return arch.ChipConfig{}, 0, fmt.Errorf("sweep: unknown arch %q (want %s)", name, strings.Join(Archs(), ", "))
 }
 
-// outcomeOf renders an error as a span outcome attribute value.
-func outcomeOf(err error) string {
+// outcome is a span's outcome attribute.
+func outcome(v string) telemetry.Attr { return telemetry.Attr{Key: "outcome", Value: v} }
+
+// outcomeOf renders an error as a span outcome attribute.
+func outcomeOf(err error) telemetry.Attr {
 	if err != nil {
-		return "error"
+		return outcome("error")
 	}
-	return "ok"
+	return outcome("ok")
 }
 
 // runJob compiles and simulates one grid point. Inputs are seeded from the

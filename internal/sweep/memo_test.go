@@ -35,35 +35,62 @@ func renderAll(t *testing.T, results []Result) []byte {
 	return buf.Bytes()
 }
 
+// directResults is the reference the class memo is checked against: every
+// job of g simulated on its own with runJob, in job order, its registry
+// merged into reg (when non-nil) the way RunGrid merges.
+func directResults(g Grid, reg *telemetry.Registry) ([]Result, error) {
+	jobs, err := g.Jobs()
+	if err != nil {
+		return nil, err
+	}
+	results := make([]Result, len(jobs))
+	for i, job := range jobs {
+		var jobReg *telemetry.Registry
+		if reg != nil {
+			jobReg = telemetry.NewRegistry()
+		}
+		if results[i], err = runJob(job, jobReg, telemetry.TraceContext{}); err != nil {
+			return nil, err
+		}
+		if reg != nil {
+			if err := reg.MergeFrom(jobReg); err != nil {
+				return nil, err
+			}
+			recordJobMetrics(reg, results[i])
+		}
+	}
+	return results, nil
+}
+
 // TestGridMemoByteIdenticalOutput is the sweep-level exactness guarantee:
 // for a grid with duplicate cells, the rendered tables (text, CSV and JSON)
-// and the merged metrics snapshot must be byte-identical with memoization
-// on and off, at any worker count.
+// and the merged metrics snapshot must be byte-identical to simulating
+// every job on its own, at any worker count.
 func TestGridMemoByteIdenticalOutput(t *testing.T) {
-	run := func(noMemo bool, workers int) ([]byte, []byte) {
-		reg := telemetry.NewRegistry()
-		results, err := RunGrid(context.Background(), memoGrid(), Options{
-			Workers: workers, Metrics: reg, NoMemo: noMemo,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	snapshot := func(reg *telemetry.Registry) []byte {
 		snap, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return renderAll(t, results), snap
+		return snap
 	}
-	wantTables, wantMetrics := run(true, 1) // full simulation, serial: the reference
+	refReg := telemetry.NewRegistry()
+	ref, err := directResults(memoGrid(), refReg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTables, wantMetrics := renderAll(t, ref), snapshot(refReg)
 	for _, workers := range []int{1, 4} {
-		for _, noMemo := range []bool{false, true} {
-			tables, metrics := run(noMemo, workers)
-			if !bytes.Equal(tables, wantTables) {
-				t.Errorf("tables diverge at workers=%d noMemo=%v:\n%s\nwant:\n%s", workers, noMemo, tables, wantTables)
-			}
-			if !bytes.Equal(metrics, wantMetrics) {
-				t.Errorf("metrics snapshot diverges at workers=%d noMemo=%v:\n%s\nwant:\n%s", workers, noMemo, metrics, wantMetrics)
-			}
+		reg := telemetry.NewRegistry()
+		results, err := RunGrid(context.Background(), memoGrid(), Options{Workers: workers, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tables := renderAll(t, results); !bytes.Equal(tables, wantTables) {
+			t.Errorf("tables diverge at workers=%d:\n%s\nwant:\n%s", workers, tables, wantTables)
+		}
+		if metrics := snapshot(reg); !bytes.Equal(metrics, wantMetrics) {
+			t.Errorf("metrics snapshot diverges at workers=%d:\n%s\nwant:\n%s", workers, metrics, wantMetrics)
 		}
 	}
 }
@@ -96,33 +123,56 @@ func TestGridMemoActuallyMemoizes(t *testing.T) {
 	}
 }
 
-// TestGridVerifyMemoZoo runs verification mode over the full workload
-// catalog with duplicated cells: every memo class gets one replica
-// re-simulated and compared, so an unsound cell key fails here.
-func TestGridVerifyMemoZoo(t *testing.T) {
-	g := Grid{
-		Workloads:   append(Workloads(), Workloads()...), // every workload, twice
-		Archs:       []string{"baseline"},
-		Minibatches: []int{1},
-		Modes:       []string{"eval", "train"},
-	}
-	if _, err := RunGrid(context.Background(), g, Options{Workers: 4, VerifyMemo: true}); err != nil {
+// checkReplicasMatchDirect checks the class memo's key on g: every
+// replicated row — each class member after the first — must equal a direct
+// simulation of its own job, so an unsound cell key fails here. g must list
+// every cell exactly twice, so half its rows are replicas.
+func checkReplicasMatchDirect(t *testing.T, g Grid, workers int) {
+	t.Helper()
+	results, err := RunGrid(context.Background(), g, Options{Workers: workers})
+	if err != nil {
 		t.Fatal(err)
+	}
+	jobs, _ := g.Jobs()
+	replicas := 0
+	for _, members := range cellClasses(jobs) {
+		for _, ji := range members[1:] {
+			replicas++
+			fresh, err := runJob(jobs[ji], nil, telemetry.TraceContext{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if results[ji] != fresh {
+				t.Errorf("%s: replicated row %+v != direct simulation %+v", fresh.Name(), results[ji], fresh)
+			}
+		}
+	}
+	if replicas != len(jobs)/2 {
+		t.Fatalf("%d replicated rows in %d jobs, want half", replicas, len(jobs))
 	}
 }
 
-// TestGridEvalItersNormalized: eval cells ignore Iterations, so two grids
-// differing only in Iterations must memoize eval cells identically — and a
-// mixed grid must still verify.
+// TestGridVerifyMemoZoo verifies the class memo over the whole catalogue:
+// every workload listed twice × both archs × minibatch 1, 2 × eval and
+// train, each replicated row compared with a direct simulation of its job.
+func TestGridVerifyMemoZoo(t *testing.T) {
+	checkReplicasMatchDirect(t, Grid{
+		Workloads:   append(Workloads(), Workloads()...), // every workload, twice
+		Archs:       Archs(),
+		Minibatches: []int{1, 2},
+		Modes:       []string{"eval", "train"},
+	}, 4)
+}
+
+// TestGridEvalItersNormalized: eval cells ignore Iterations, so their key
+// normalizes it out — and a mixed eval/train grid at Iterations 2 must
+// still replicate only rows equal to a direct simulation.
 func TestGridEvalItersNormalized(t *testing.T) {
-	g := Grid{
+	checkReplicasMatchDirect(t, Grid{
 		Workloads:   []string{"fcnet"},
 		Archs:       []string{"baseline"},
 		Minibatches: []int{1, 1},
 		Modes:       []string{"eval", "train"},
 		Iterations:  2,
-	}
-	if _, err := RunGrid(context.Background(), g, Options{Workers: 2, VerifyMemo: true}); err != nil {
-		t.Fatal(err)
-	}
+	}, 2)
 }

@@ -92,9 +92,9 @@ func predictJob(p Predictor, job Job) (Result, bool) {
 }
 
 // recordPredictMetrics folds the run's predictor outcome counters into the
-// merged registry, in expanded-job units (replicated members count like the
-// no-memo path would). Counting happens once, after the pool drains, so the
-// totals are independent of worker scheduling.
+// merged registry, in expanded-job units (each replicated member counts
+// once). Counting happens once, after the pool drains, so the totals are
+// independent of worker scheduling.
 func recordPredictMetrics(reg *telemetry.Registry, results []Result) {
 	if reg == nil {
 		return

@@ -178,10 +178,11 @@ func auditHit(key string) bool {
 }
 
 // verifyStoredHit re-simulates an audited cell from scratch and
-// byte-compares the re-encoded blob against the stored payload — the disk
-// extension of the §5d -verify-memo discipline. Any difference means the
-// key admitted a computation that is not actually equivalent (or the blob
-// was silently altered without breaking its CRC), and fails the sweep.
+// byte-compares the re-encoded blob against the stored payload, keeping the
+// exact simulator the oracle for bytes read back from disk. Any difference
+// means the key admitted a computation that is not actually equivalent (or
+// the blob was silently altered without breaking its CRC), and fails the
+// sweep.
 func verifyStoredHit(job Job, key string, payload []byte) error {
 	reg := telemetry.NewRegistry()
 	r, err := runJob(job, reg, telemetry.TraceContext{})

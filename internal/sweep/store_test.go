@@ -300,16 +300,75 @@ func TestStoreSchemaMismatchQuarantined(t *testing.T) {
 	}
 }
 
-// TestNoMemoBypassesStore: -no-memo means simulate everything; the store
-// must be neither read nor written.
-func TestNoMemoBypassesStore(t *testing.T) {
-	g := Grid{Workloads: []string{"simnet"}, Archs: []string{"baseline"},
-		Minibatches: []int{1}, Modes: []string{"eval"}}
-	s := openStore(t, t.TempDir())
-	if _, err := RunGrid(context.Background(), g, Options{Store: s, NoMemo: true}); err != nil {
+// swapOpCycleBounds returns payload with the first two bucket bounds of
+// its first sim.op.cycles histogram swapped: CRC-valid once stored, and
+// well-formed JSON, but the bounds are no longer ascending.
+func swapOpCycleBounds(t testing.TB, payload []byte) []byte {
+	t.Helper()
+	var blob resultBlob
+	if err := json.Unmarshal(payload, &blob); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st != (store.Stats{}) {
-		t.Fatalf("stats %+v: NoMemo touched the store", st)
+	for i, h := range blob.Metrics.Histograms {
+		if h.Name == "sim.op.cycles" && len(h.Buckets) > 2 {
+			b := blob.Metrics.Histograms[i].Buckets
+			b[0].LE, b[1].LE = b[1].LE, b[0].LE
+			bad, err := json.Marshal(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return bad
+		}
+	}
+	t.Fatal("blob has no sim.op.cycles histogram with two bounds")
+	return nil
+}
+
+// TestStoreSwappedBoundsQuarantined plants a blob whose histogram bounds
+// are out of order: restoring it must fail as a decode error, so the sweep
+// quarantines the blob and re-simulates the cell instead of panicking.
+func TestStoreSwappedBoundsQuarantined(t *testing.T) {
+	g := Grid{Workloads: []string{"simnet"}, Archs: []string{"baseline"},
+		Minibatches: []int{1}, Modes: []string{"eval"}}
+	dir := t.TempDir()
+	ctx := context.Background()
+	s := openStore(t, dir)
+	coldReg := telemetry.NewRegistry()
+	coldResults, err := RunGrid(ctx, g, Options{Store: s, Metrics: coldReg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := s.Keys()
+	if len(keys) != 1 {
+		t.Fatalf("want 1 blob, got %d", len(keys))
+	}
+	payload, ok, err := s.Get(keys[0])
+	if err != nil || !ok {
+		t.Fatal("stored key vanished")
+	}
+	if err := s.Put(keys[0], swapOpCycleBounds(t, payload)); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	s2 := openStore(t, dir)
+	warmReg := telemetry.NewRegistry()
+	results, err := RunGrid(ctx, g, Options{Store: s2, Metrics: warmReg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.Stats(); st.Puts != 1 {
+		t.Fatalf("stats %+v: want the cell re-simulated and stored once", st)
+	}
+	if !reflect.DeepEqual(coldResults, results) {
+		t.Fatal("re-simulated results differ from the cold run")
+	}
+	coldSnap, _ := json.Marshal(coldReg.Snapshot())
+	warmSnap, _ := json.Marshal(warmReg.Snapshot())
+	if !bytes.Equal(coldSnap, warmSnap) {
+		t.Fatal("merged metrics differ from the cold run")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", keys[0])); err != nil {
+		t.Fatalf("blob with swapped bounds not quarantined: %v", err)
 	}
 }

@@ -51,44 +51,32 @@ type Options struct {
 	// argument; when Metrics is nil no per-job registries are allocated and
 	// fn receives nil.
 	Metrics *telemetry.Registry
-	// NoMemo disables grid-cell memoization: RunGrid simulates every job
-	// even when several jobs are semantically identical. The default (memo
-	// on) simulates one representative per equivalence class and replicates
-	// its result, which is exact because jobs are deterministic functions of
-	// their spec (see RunGrid).
-	NoMemo bool
-	// VerifyMemo re-simulates one replicated job per multi-member class
-	// after a memoized RunGrid and fails the sweep if the fresh result
-	// differs from the memoized one — the self-check mode behind -verify-memo.
-	VerifyMemo bool
-	// Store, when non-nil, adds a persistent tier under the cell memo:
-	// RunGrid consults memory (in-run classes, then the store's in-process
-	// map), then disk, and only simulates on a miss, writing the result
-	// back for the next run. Ignored when NoMemo is set — -no-memo means
-	// "simulate everything", across every tier.
+	// Store, when non-nil, adds a persistent tier under the in-run cell
+	// classes: RunGrid consults the store's in-process map, then disk, and
+	// only simulates on a miss, writing the result back for the next run.
 	Store *store.Store
 	// VerifyStore re-simulates a deterministic ~25% sample of store hits
 	// and byte-compares the stored blob against a fresh encoding, failing
-	// the sweep on any difference — the disk extension of VerifyMemo.
+	// the sweep on any difference.
 	VerifyStore bool
 	// Predictor, when non-nil, adds the learned fast path above the exact
 	// simulator: a cell the predictor is confident about gets a labeled
 	// predicted result (Result.Source = SourcePredicted) in microseconds
 	// instead of a simulation; everything else — store hits included, which
-	// always win — runs exactly as without a predictor, byte for byte.
-	// Ignored when NoMemo is set, which means "run the exact simulator for
-	// everything" across every tier. See predict.go and DESIGN.md §5h.
+	// always win — runs exactly as without a predictor, byte for byte. See
+	// predict.go and DESIGN.md §5h.
 	Predictor Predictor
 	// BudgetWorkers leases this run's extra workers from the machine-wide
 	// internal/par token budget instead of spawning Workers goroutines
 	// unconditionally: the calling goroutine always works (so every run
-	// makes progress), extra workers run only while a token is held, and
-	// each leased worker yields its token between cells so concurrent runs
-	// — and the job scheduler's seats for additional concurrent jobs —
-	// re-arbitrate at cell granularity. sdserve sets this for every job so
-	// N concurrent jobs carve one core budget instead of oversubscribing
-	// the machine N-fold. Worker count never affects results (see Run), so
-	// the leasing changes wall-clock behavior only.
+	// makes progress) and extra workers run only while a token is held.
+	// sdserve sets this for every job so N concurrent jobs carve one core
+	// budget instead of oversubscribing the machine N-fold. A leased worker
+	// releases its token between cells but re-acquires it at once, which
+	// nearly always beats a job scheduler polling for a seat, so a run
+	// usually keeps its leased workers until its cells run out. Worker
+	// count never affects results (see Run), so the leasing changes
+	// wall-clock behavior only.
 	BudgetWorkers bool
 	// Trace, when non-nil, collects one job-scoped span timeline across the
 	// whole sweep: per-cell store-lookup/simulate/store-write spans plus the
@@ -135,11 +123,12 @@ func Run(ctx context.Context, n int, opts Options, fn func(ctx context.Context, 
 	}
 	// worker claims and runs cells until the index space or the context is
 	// exhausted. A leased worker (BudgetWorkers) owns one par token while it
-	// works and yields it between cells, so a concurrent run — or a job
-	// scheduler seating another job — can win the token at cell granularity;
-	// when the re-acquire loses, the worker retires and its remaining cells
-	// drain through the survivors. Cell results are keyed by index either
-	// way, so worker attrition never affects output.
+	// works; it releases the token between cells and re-acquires it at once.
+	// Only when that re-acquire loses — to an Acquire or For that lands in
+	// the same instant, rarely to a scheduler polling for a seat — does the
+	// worker retire, its remaining cells draining through the survivors.
+	// Cell results are keyed by index either way, so worker attrition never
+	// affects output.
 	worker := func(leased bool) {
 		for {
 			i := int(next.Add(1)) - 1

@@ -441,6 +441,10 @@ func labelsFromMap(m map[string]string) []Label {
 // one per cached simulation): MergeFrom on a restored registry reproduces
 // exactly the merge the original live registry would have contributed, so
 // a cache hit and a fresh simulation yield byte-identical merged metrics.
+// A snapshot no Registry could have produced — histogram bounds that are not
+// finite and strictly ascending (apart from a last +Inf bucket), or one
+// histogram series listed twice — is an error, never a panic: persisted
+// snapshots are read back from disk.
 func (s Snapshot) Restore() (*Registry, error) {
 	r := NewRegistry()
 	for _, c := range s.Counters {
@@ -464,13 +468,19 @@ func (s Snapshot) Restore() (*Registry, error) {
 				continue
 			}
 			v, err := strconv.ParseFloat(b.LE, 64)
-			if err != nil {
+			if err != nil || math.IsInf(v, 0) || math.IsNaN(v) {
 				return nil, fmt.Errorf("telemetry: restore of histogram %q: bad bound %q", hs.Name, b.LE)
+			}
+			if n := len(bounds); n > 0 && v <= bounds[n-1] {
+				return nil, fmt.Errorf("telemetry: restore of histogram %q: bound %q not above %v", hs.Name, b.LE, bounds[n-1])
 			}
 			bounds = append(bounds, v)
 		}
-		h := r.Histogram(hs.Name, bounds, labelsFromMap(hs.Labels)...)
-		h.AddBatch(counts, hs.Sum, hs.Count)
+		labels := labelsFromMap(hs.Labels)
+		if _, dup := r.histograms[metricKey(hs.Name, labels)]; dup {
+			return nil, fmt.Errorf("telemetry: restore of histogram %q: series listed twice", hs.Name)
+		}
+		r.Histogram(hs.Name, bounds, labels...).AddBatch(counts, hs.Sum, hs.Count)
 	}
 	return r, nil
 }

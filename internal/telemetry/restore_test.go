@@ -54,19 +54,32 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestoreRejectsMalformed: a snapshot read back from disk can
+// hold anything, and Registry.Histogram panics on bounds that are not
+// strictly ascending, so Restore must reject every shape no Registry
+// could have written with an error.
 func TestSnapshotRestoreRejectsMalformed(t *testing.T) {
-	bad := Snapshot{Histograms: []HistogramSnap{{
-		Name:    "h",
-		Buckets: []BucketSnap{{LE: "+Inf"}, {LE: "1"}},
-	}}}
-	if _, err := bad.Restore(); err == nil {
-		t.Fatal("out-of-place +Inf bucket accepted")
+	for name, les := range map[string][]string{
+		"+Inf not last": {"+Inf", "1"},
+		"unparseable":   {"wat", "+Inf"},
+		"swapped":       {"4", "1", "16", "+Inf"},
+		"repeated":      {"1", "1", "+Inf"},
+		"nan":           {"1", "NaN", "+Inf"},
+		"inf":           {"1", "Inf", "+Inf"},
+		"-inf":          {"-Inf", "1", "+Inf"},
+		"overflow":      {"1", "1e400", "+Inf"},
+	} {
+		var buckets []BucketSnap
+		for _, le := range les {
+			buckets = append(buckets, BucketSnap{LE: le, Count: 1})
+		}
+		bad := Snapshot{Histograms: []HistogramSnap{{Name: "h", Buckets: buckets, Count: int64(len(les))}}}
+		if _, err := bad.Restore(); err == nil {
+			t.Errorf("%s bounds %v accepted", name, les)
+		}
 	}
-	bad = Snapshot{Histograms: []HistogramSnap{{
-		Name:    "h",
-		Buckets: []BucketSnap{{LE: "wat"}, {LE: "+Inf"}},
-	}}}
-	if _, err := bad.Restore(); err == nil {
-		t.Fatal("unparseable bound accepted")
+	h := HistogramSnap{Name: "h", Buckets: []BucketSnap{{LE: "1"}, {LE: "+Inf"}}}
+	if _, err := (Snapshot{Histograms: []HistogramSnap{h, h}}).Restore(); err == nil {
+		t.Error("histogram listed twice accepted")
 	}
 }
