@@ -43,12 +43,12 @@ fuzz:
 # runs a deliberately duplicated grid both through RunGrid's cell classes
 # and simulated job by job, and records the wall-clock/allocs gap
 # (memo-speedup-x) in BENCH_memo.json. The tensor benchmarks time the naive
-# reference kernels against the blocked serial and blocked+parallel engine
-# at MiniVGG GEMM/conv shapes and record the naive-vs-engine ratio
-# (speedup-x) in BENCH_tensor.json. The store benchmark runs the same grid
-# cold (simulate + persist), warm from a fresh
-# process replaying disk blobs, and warm from the in-process memory tier,
-# and records the ratios (disk-speedup-x, mem-speedup-x) in BENCH_store.json.
+# reference kernels against the blocked engine at MiniVGG GEMM/conv shapes
+# and record the naive-vs-engine ratio (speedup-x) in BENCH_tensor.json.
+# The store benchmark runs the same grid cold (simulate + persist), warm
+# from a fresh process replaying disk blobs, and warm from the in-process
+# memory tier, and records the ratios (disk-speedup-x, mem-speedup-x) in
+# BENCH_store.json.
 # The predict benchmarks time one cold exact cell simulation against the
 # learned fast path answering the same cell (features + confidence gate +
 # dot products) and record the per-cell gap (predict-speedup-x) in

@@ -9,7 +9,7 @@
 //	sdserve [-addr :6060] [-store-dir DIR] [-store-max-mb N] \
 //	        [-queue N] [-rate R] [-burst N] [-max-clients N] \
 //	        [-max-concurrent N] [-parallel N] \
-//	        [-verify-store] [-kernel-workers N] [-predict model.json] \
+//	        [-verify-store] [-predict model.json] \
 //	        [-log-out PATH|-] [-log-level LEVEL] [-max-jobs N] [-flight N]
 //
 // API:
@@ -31,11 +31,13 @@
 //
 // Jobs run concurrently: up to -max-concurrent at a time (default
 // min(4, cores); 1 restores the serial scheduler), dequeued highest
-// priority first. All concurrent jobs carve their sweep and kernel
-// workers out of one machine-wide worker budget, so concurrency never
-// oversubscribes the cores, and jobs racing on the same grid cell coalesce
-// through the store's single-flight layer — one simulates, the rest share
-// its exact bytes. Results are byte-identical at any -max-concurrent.
+// priority first. Each running job holds one token of a machine-wide
+// budget of GOMAXPROCS tokens and leases its extra sweep workers from it,
+// so concurrency never oversubscribes the cores, and a job waiting to
+// start takes over a leased worker's token at that worker's next cell
+// boundary. Jobs racing on the same grid cell coalesce through the store's
+// single-flight layer — one simulates, the rest share its exact bytes.
+// Results are byte-identical at any -max-concurrent.
 //
 // With -predict, the server loads a learned cycle-predictor model (fit
 // with sdpredict) and offers it to jobs that set "predict": true in their
@@ -75,7 +77,6 @@ import (
 	"scaledeep/internal/store"
 	"scaledeep/internal/sweep"
 	"scaledeep/internal/telemetry"
-	"scaledeep/internal/tensor"
 )
 
 func main() {
@@ -89,14 +90,12 @@ func main() {
 	parallel := flag.Int("parallel", 0, "per-job sweep worker-pool size (0 = GOMAXPROCS)")
 	verifyStore := flag.Bool("verify-store", false, "re-simulate a deterministic sample of store hits and fail jobs on divergence")
 	predictPath := flag.String("predict", "", "learned fast-path model file (fit with sdpredict); jobs that set \"predict\": true answer confident cells from it instead of simulating")
-	kernelWorkers := flag.Int("kernel-workers", 0, "tensor kernel worker-pool size (0 = GOMAXPROCS)")
 	maxClients := flag.Int("max-clients", 0, "per-client rate-limit table bound; least-recently-seen clients evicted past it (0 = 1024)")
 	logOut := flag.String("log-out", "", "structured JSON log destination (path, - for stderr, empty = off)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
 	maxJobs := flag.Int("max-jobs", 0, "in-memory job table bound; oldest terminal jobs evicted past it (0 = 256)")
 	flightN := flag.Int("flight", 0, "flight-recorder capacity for /statusz (0 = 64)")
 	flag.Parse()
-	tensor.SetKernelWorkers(*kernelWorkers)
 
 	logger, closeLog, err := telemetry.OpenLogger(*logOut, *logLevel)
 	if err != nil {

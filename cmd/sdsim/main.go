@@ -51,13 +51,11 @@ func main() {
 	serveAddr := flag.String("serve", "", "serve /metrics, /trace, /profile and /debug/pprof/ on this address and stay up after the run")
 	batch := flag.String("batch", "", "comma-separated minibatch sizes to sweep instead of a single run")
 	parallel := flag.Int("parallel", 0, "batch-mode worker-pool size (0 = GOMAXPROCS)")
-	kernelWorkers := flag.Int("kernel-workers", 0, "tensor kernel worker-pool size for functional execution (0 = GOMAXPROCS); results are bit-identical at any value")
 	storeDir := flag.String("store-dir", "", "batch mode: persist results in a content-addressed store at this directory")
 	verifyStore := flag.Bool("verify-store", false, "batch mode: re-simulate a deterministic sample of store hits and fail on divergence")
 	logOut := flag.String("log-out", "", "structured JSON log destination (path, - for stderr, empty = off)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
 	flag.Parse()
-	tensor.SetKernelWorkers(*kernelWorkers)
 
 	logger, closeLog, err := telemetry.OpenLogger(*logOut, *logLevel)
 	if err != nil {

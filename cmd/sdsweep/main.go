@@ -57,7 +57,6 @@ import (
 	"scaledeep/internal/store"
 	"scaledeep/internal/sweep"
 	"scaledeep/internal/telemetry"
-	"scaledeep/internal/tensor"
 )
 
 // predictorOrNil avoids handing RunGrid a typed-nil interface.
@@ -80,7 +79,6 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write the merged per-job metrics snapshot JSON file")
 	progress := flag.Bool("progress", false, "print per-job completion lines to stderr")
 	serveAddr := flag.String("serve", "", "serve /progress, /metrics and /debug/pprof/ on this address and stay up after the run")
-	kernelWorkers := flag.Int("kernel-workers", 0, "tensor kernel worker-pool size for functional execution (0 = GOMAXPROCS); results are bit-identical at any value")
 	storeDir := flag.String("store-dir", "", "persist results in a content-addressed store at this directory; repeated sweeps replay from it byte-identically")
 	storeMaxMB := flag.Int("store-max-mb", 0, "result-store size bound in MiB (0 = 256 MiB default)")
 	verifyStore := flag.Bool("verify-store", false, "re-simulate a deterministic sample of store hits and fail on any divergence")
@@ -89,7 +87,6 @@ func main() {
 	logOut := flag.String("log-out", "", "structured JSON log destination (path, - for stderr, empty = off)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
 	flag.Parse()
-	tensor.SetKernelWorkers(*kernelWorkers)
 
 	logger, closeLog, err := telemetry.OpenLogger(*logOut, *logLevel)
 	if err != nil {

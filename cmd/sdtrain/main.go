@@ -41,12 +41,10 @@ func main() {
 	serveAddr := flag.String("serve", "", "serve /metrics, /trace, /profile and /debug/pprof/ on this address and stay up after the run")
 	batch := flag.String("batch", "", "comma-separated iteration counts: run the equivalence check once per count via the sweep engine")
 	parallel := flag.Int("parallel", 0, "batch-mode worker-pool size (0 = GOMAXPROCS)")
-	kernelWorkers := flag.Int("kernel-workers", 0, "tensor kernel worker-pool size for functional execution (0 = GOMAXPROCS); results are bit-identical at any value")
 	storeDir := flag.String("store-dir", "", "batch mode: persist equivalence-check results in a content-addressed store at this directory")
 	logOut := flag.String("log-out", "", "structured JSON log destination (path, - for stderr, empty = off)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
 	flag.Parse()
-	tensor.SetKernelWorkers(*kernelWorkers)
 	const mb = 2
 	const lr = float32(0.03125)
 

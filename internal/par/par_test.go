@@ -1,130 +1,175 @@
 package par
 
 import (
-	"sync/atomic"
+	"runtime"
+	"sync"
 	"testing"
 )
 
-// TestForCoversRangeExactlyOnce checks the static partition: every index in
-// [0, n) is visited exactly once, for a grid of sizes and worker counts
-// including w > n and n == 0.
-func TestForCoversRangeExactlyOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 7, 16, 33, 100} {
-		for _, w := range []int{1, 2, 3, 8, 64} {
-			prev := SetWorkers(w)
-			visits := make([]int32, n+1)
-			For(n, 1, func(lo, hi int) {
-				if lo > hi || lo < 0 || hi > n {
-					t.Errorf("n=%d w=%d: bad block [%d,%d)", n, w, lo, hi)
-				}
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&visits[i], 1)
-				}
-			})
-			SetWorkers(prev)
-			for i := 0; i < n; i++ {
-				if visits[i] != 1 {
-					t.Fatalf("n=%d w=%d: index %d visited %d times", n, w, i, visits[i])
-				}
+// withBudget sets the budget width to n for one test. At cleanup it
+// requires that nobody is left waiting and that a fresh acquire sees the
+// full budget, so a test that loses or leaks a token fails.
+func withBudget(t *testing.T, n int) {
+	t.Helper()
+	prev := SetWorkers(n)
+	t.Cleanup(func() {
+		defer SetWorkers(prev)
+		if q := Waiting(); q != 0 {
+			t.Fatalf("%d waiters still queued", q)
+		}
+		for i := 0; i < n; i++ {
+			if !TryAcquire() {
+				t.Fatalf("budget leaked: took %d of %d tokens", i, n)
 			}
 		}
-	}
-}
-
-// TestForBlocksAreOrderedAndContiguous checks that blocks tile the range in
-// ascending order without gaps — the property the kernels rely on to keep
-// the serial iteration order inside each block.
-func TestForBlocksAreOrderedAndContiguous(t *testing.T) {
-	prev := SetWorkers(4)
-	defer SetWorkers(prev)
-	type blk struct{ lo, hi int }
-	blocks := make(chan blk, 16)
-	For(10, 1, func(lo, hi int) { blocks <- blk{lo, hi} })
-	close(blocks)
-	seen := make([]blk, 0, 4)
-	for b := range blocks {
-		seen = append(seen, b)
-	}
-	covered := make([]bool, 10)
-	for _, b := range seen {
-		for i := b.lo; i < b.hi; i++ {
-			if covered[i] {
-				t.Fatalf("index %d covered twice", i)
-			}
-			covered[i] = true
+		if TryAcquire() {
+			t.Fatalf("took %d tokens from a budget of %d", n+1, n)
 		}
-	}
-	for i, c := range covered {
-		if !c {
-			t.Fatalf("index %d not covered", i)
-		}
-	}
-}
-
-// TestForMinGrainKeepsSmallWorkSerial verifies that n/minGrain caps the
-// worker count, so tiny kernels do not pay goroutine overhead.
-func TestForMinGrainKeepsSmallWorkSerial(t *testing.T) {
-	prev := SetWorkers(8)
-	defer SetWorkers(prev)
-	calls := 0
-	For(16, 16, func(lo, hi int) { calls++ }) // 16/16 = 1 worker → serial, no races on calls
-	if calls != 1 {
-		t.Fatalf("expected 1 serial block, got %d", calls)
-	}
-}
-
-// TestNestedCallsShareBudget verifies the token-budget rule: an outer For
-// that borrowed the whole budget leaves nothing for inner calls, so nested
-// For runs serial instead of oversubscribing; the combined goroutine count
-// never exceeds Workers().
-func TestNestedCallsShareBudget(t *testing.T) {
-	prev := SetWorkers(4)
-	defer SetWorkers(prev)
-	var innerBlocks, inFlight, peak atomic.Int64
-	For(4, 1, func(lo, hi int) {
-		cur := inFlight.Add(1)
-		for {
-			p := peak.Load()
-			if cur <= p || peak.CompareAndSwap(p, cur) {
-				break
-			}
-		}
-		For(8, 1, func(ilo, ihi int) {
-			innerBlocks.Add(1)
-		})
-		inFlight.Add(-1)
-	})
-	if got := peak.Load(); got > 4 {
-		t.Fatalf("outer blocks in flight peaked at %d, budget is 4", got)
-	}
-	// With the outer call holding every token, each inner call must have
-	// collapsed to exactly one serial block.
-	if got := innerBlocks.Load(); got != 4 {
-		t.Fatalf("expected 4 serial inner calls, got %d", got)
-	}
-	if got := borrowed.Load(); got != 0 {
-		t.Fatalf("%d tokens still on loan after For returned", got)
-	}
-}
-
-// TestForPanicPropagates verifies worker panics surface on the caller after
-// all workers have stopped and the borrowed tokens are returned.
-func TestForPanicPropagates(t *testing.T) {
-	prev := SetWorkers(4)
-	defer SetWorkers(prev)
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("expected panic to propagate")
-		}
-		if got := borrowed.Load(); got != 0 {
-			t.Fatalf("%d tokens leaked after panic", got)
-		}
-	}()
-	For(4, 1, func(lo, hi int) {
-		if lo == 0 {
-			panic("kernel fault")
+		for i := 0; i < n; i++ {
+			Release()
 		}
 	})
+}
+
+// waitQueued yields until n Acquire calls are waiting. It counts waiters,
+// not time, so a slow scheduler only makes it spin longer.
+func waitQueued(n int) {
+	for Waiting() != n {
+		runtime.Gosched()
+	}
+}
+
+// TestAcquireGrantsInArrivalOrder queues waiters one at a time behind a
+// full budget and requires each release to wake the oldest one.
+func TestAcquireGrantsInArrivalOrder(t *testing.T) {
+	withBudget(t, 1)
+	if !TryAcquire() {
+		t.Fatal("fresh budget refused a token")
+	}
+	const n = 5
+	order := make(chan int, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if !Acquire(nil) {
+				t.Error("Acquire without cancel returned false")
+				return
+			}
+			order <- i
+			Release()
+		}(i)
+		waitQueued(i + 1)
+	}
+	Release()
+	wg.Wait()
+	close(order)
+	want := 0
+	for got := range order {
+		if got != want {
+			t.Fatalf("grant %d went to waiter %d", want, got)
+		}
+		want++
+	}
+	if want != n {
+		t.Fatalf("%d of %d waiters were granted", want, n)
+	}
+}
+
+// TestTryAcquireLosesToQueuedWaiter is the leased sweep worker's cell
+// boundary: a holder that releases its token and tries to take it straight
+// back must lose it to the waiter queued meanwhile.
+func TestTryAcquireLosesToQueuedWaiter(t *testing.T) {
+	withBudget(t, 2)
+	if !TryAcquire() || !TryAcquire() {
+		t.Fatal("fresh budget refused a token")
+	}
+	granted := make(chan bool)
+	go func() { granted <- Acquire(nil) }()
+	waitQueued(1)
+	if TryAcquire() {
+		t.Fatal("TryAcquire took a token from a full budget")
+	}
+	Release()
+	if TryAcquire() {
+		t.Fatal("TryAcquire took back a token a waiter was queued for")
+	}
+	if !<-granted {
+		t.Fatal("queued waiter was not granted the released token")
+	}
+	Release() // the waiter's token
+	Release() // the token still held since the start
+}
+
+// TestCancelledWaiterTakesNoToken cancels a waiter before any grant: it
+// must return false, leave the queue, and not hold up the waiter behind it.
+func TestCancelledWaiterTakesNoToken(t *testing.T) {
+	withBudget(t, 1)
+	if !TryAcquire() {
+		t.Fatal("fresh budget refused a token")
+	}
+	cancel := make(chan struct{})
+	first := make(chan bool)
+	go func() { first <- Acquire(cancel) }()
+	waitQueued(1)
+	second := make(chan bool)
+	go func() { second <- Acquire(nil) }()
+	waitQueued(2)
+
+	close(cancel)
+	if <-first {
+		t.Fatal("cancelled waiter reported a token")
+	}
+	if q := Waiting(); q != 1 {
+		t.Fatalf("%d waiters queued after the cancel, want 1", q)
+	}
+	Release()
+	if !<-second {
+		t.Fatal("waiter behind a cancelled one was not granted")
+	}
+	Release()
+}
+
+// TestGrantRacingCancelIsPassedOn closes a waiter's cancel channel and
+// grants it the token in one critical section, so the waiter wakes with
+// both ready. Whichever it picks, the token must not be lost: either the
+// waiter reports it, or it passes it on to the next waiter. The race is
+// repeated until the pass-on branch has run.
+func TestGrantRacingCancelIsPassedOn(t *testing.T) {
+	withBudget(t, 1)
+	if !TryAcquire() {
+		t.Fatal("fresh budget refused a token")
+	}
+	passedOn := 0
+	for round := 0; round < 1000 && passedOn < 3; round++ {
+		cancel := make(chan struct{})
+		racer := make(chan bool)
+		go func() { racer <- Acquire(cancel) }()
+		waitQueued(1)
+		next := make(chan bool)
+		go func() { next <- Acquire(nil) }()
+		waitQueued(2)
+
+		mu.Lock()
+		close(cancel)
+		releaseLocked() // grants the racer, which cannot have left the queue
+		mu.Unlock()
+		if <-racer {
+			Release() // the racer kept the token; hand it on by hand
+		} else {
+			passedOn++
+		}
+		if !<-next {
+			t.Fatal("the token granted to a cancelled waiter was lost")
+		}
+		// next holds the token now; it stands in for the one taken at the
+		// start for the following round.
+	}
+	Release()
+	if passedOn == 0 {
+		t.Fatal("the pass-on branch never ran in 1000 rounds")
+	}
 }
 
 // TestSetWorkersRoundTrip checks SetWorkers returns the previous value and

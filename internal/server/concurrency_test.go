@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -373,4 +375,38 @@ func TestDrainWaitsForAllRunning(t *testing.T) {
 			t.Errorf("job %s state %q after Drain, want terminal", id, st)
 		}
 	}
+}
+
+// TestOneTokenServesEveryQueuedJob pins the one-core path: with a single
+// budget token and more scheduler slots than tokens, three multi-cell jobs
+// queued before the dispatcher starts must each get the token in turn and
+// reach done, and Drain must return instead of leaving a job waiting for a
+// token that never comes back.
+func TestOneTokenServesEveryQueuedJob(t *testing.T) {
+	prev := par.SetWorkers(1)
+	t.Cleanup(func() { par.SetWorkers(prev) })
+
+	s := New(Config{MaxConcurrent: 4, Burst: 32})
+	ts := httptest.NewServer(s.Mux())
+	t.Cleanup(ts.Close)
+	var ids []string
+	for _, w := range []string{"simnet", "fcnet", "trainnet"} {
+		sp := Spec{Workloads: []string{w}, Archs: []string{"baseline"},
+			Minibatches: []int{1, 2}, Modes: []string{"eval"}, Format: "csv"}
+		resp, doc := submit(t, ts, sp, "one-core")
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %s: %d", w, resp.StatusCode)
+		}
+		ids = append(ids, doc["id"].(string))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+	t.Cleanup(s.Drain) // a failed check below must not leave jobs holding the token
+	for _, id := range ids {
+		if doc := waitDone(t, ts, id); doc.State != "done" {
+			t.Fatalf("job %s ended %q (%s)", id, doc.State, doc.Error)
+		}
+	}
+	s.Drain()
 }

@@ -12,10 +12,9 @@
 //     per client with a token bucket (429 past the burst).
 //   - Jobs execute up to MaxConcurrent at a time (default min(4, cores);
 //     1 restores the strictly serial scheduler), dequeued highest priority
-//     first (FIFO within a priority). Every job's sweep and kernel
-//     workers — and the scheduler's own admission of each concurrent job
-//     past the first — are carved out of the single machine-wide
-//     internal/par token budget, so N concurrent jobs split the cores
+//     first (FIFO within a priority). Each running job holds one token of
+//     the machine-wide internal/par budget and leases its extra sweep
+//     workers from the same budget, so N concurrent jobs split the cores
 //     instead of oversubscribing them N-fold. Results are byte-identical
 //     at every MaxConcurrent.
 //   - Repeated configurations — the bulk of production traffic — hit the
@@ -91,15 +90,16 @@ type Config struct {
 	MaxQueue int
 	// MaxConcurrent is the number of jobs the scheduler runs simultaneously;
 	// 0 means min(4, NumCPU) and 1 restores the strictly serial scheduler.
-	// Every job past the first must additionally seat its implicit worker in
-	// the shared internal/par budget before it starts, so the effective
-	// concurrency never oversubscribes the machine even when MaxConcurrent
-	// exceeds the core count. Results are byte-identical at every setting.
+	// Each job also takes a token of the shared internal/par budget before
+	// it starts and holds it until it ends, so the effective concurrency
+	// never exceeds par.Workers() even when MaxConcurrent does. Results are
+	// byte-identical at every setting.
 	MaxConcurrent int
 	// SweepWorkers is the per-job sweep pool size each job *requests*; 0
-	// means GOMAXPROCS. Workers beyond each job's first are leased from the
-	// shared internal/par budget (sweep.Options.BudgetWorkers), so
-	// concurrent jobs split the pool instead of stacking it.
+	// means GOMAXPROCS. Workers beyond each job's first lease tokens from the
+	// shared internal/par budget (sweep.Options.BudgetWorkers) and hand them
+	// to a job waiting to start at their next cell boundary, so concurrent
+	// jobs split the pool instead of stacking it.
 	SweepWorkers int
 	// RatePerSec refills each client's submission bucket; 0 means 1/s.
 	RatePerSec float64
@@ -170,7 +170,7 @@ type Server struct {
 	nextSeq     int64
 	running     int // jobs currently executing (scheduler slots in use)
 	drain       bool
-	drainCh     chan struct{} // closed when draining begins (unblocks seat waits)
+	drainCh     chan struct{} // closed when draining begins (cancels token waits)
 	runWG       sync.WaitGroup
 }
 
@@ -328,7 +328,7 @@ func (s *Server) drainLocked() {
 		return
 	}
 	s.drain = true
-	close(s.drainCh) // wakes the dispatcher out of any par-seat wait
+	close(s.drainCh) // cancels the dispatcher's wait for a budget token
 	for {
 		job := s.queue.dequeue()
 		if job == nil {
@@ -357,13 +357,11 @@ func (s *Server) Drain() {
 }
 
 // runLoop is the scheduler's dispatcher: it admits queued jobs into up to
-// MaxConcurrent running slots, highest priority first. The first running
-// job rides the machine's implicit worker for free; every additional
-// concurrent job must first seat its own implicit worker by winning a token
-// from the shared internal/par budget (par.AcquireSeat), so total live
-// workers across all jobs never exceed par.Workers() — the scheduler and
-// the sweep pools arbitrate over one budget instead of stacking pools.
-// The seat is released when the job finishes (runJob).
+// MaxConcurrent running slots, highest priority first. Each job first takes
+// one token of the shared internal/par budget for its sweep's first worker
+// and holds it until the job ends (runJob), so the live workers of all
+// running jobs never exceed par.Workers(): the scheduler and the sweep
+// pools draw on one budget instead of stacking pools.
 func (s *Server) runLoop(ctx context.Context) {
 	defer s.runWG.Done()
 	for {
@@ -371,56 +369,23 @@ func (s *Server) runLoop(ctx context.Context) {
 		for (s.queue.Len() == 0 || s.running >= s.cfg.MaxConcurrent) && !s.drain {
 			s.cond.Wait()
 		}
-		if s.drain {
-			// drainLocked already cancelled the queued jobs; running jobs
-			// drain through runWG.
-			s.mu.Unlock()
-			return
-		}
-		needSeat := s.running > 0
 		s.mu.Unlock()
 
-		// Seat the candidate's implicit worker outside the lock: the wait can
-		// last until a running job's sweep has no cells left (its leased
-		// workers release their tokens at cell boundaries but take them back
-		// before this 1ms poll sees them free), and handlers must stay
-		// responsive meanwhile. The wait re-checks admission every poll
-		// round — if the last running job finishes first, no seat is needed
-		// at all (on a one-core machine the budget is permanently empty, so
-		// this is the only way the next job ever starts); if the queue
-		// empties or a drain begins, admission is off. Either way the
-		// dispatcher loops back and re-evaluates.
-		seat := 0
-		if needSeat {
-			for {
-				if par.Acquire(1) == 1 {
-					seat = 1
-					break
-				}
-				select {
-				case <-s.drainCh:
-				case <-time.After(time.Millisecond):
-				}
-				s.mu.Lock()
-				changed := s.drain || s.queue.Len() == 0 ||
-					s.running == 0 || s.running >= s.cfg.MaxConcurrent
-				s.mu.Unlock()
-				if changed {
-					break
-				}
-			}
-			if seat == 0 {
-				continue // conditions changed; re-evaluate from the top
-			}
+		// Wait for the token outside the lock so handlers stay responsive.
+		// It comes when a running job ends or one of its leased sweep
+		// workers finishes a cell. Only a drain can change the admission
+		// check meanwhile — the dispatcher alone dequeues jobs and raises
+		// s.running — and a drain closes drainCh, which cancels the wait.
+		// drainLocked has already cancelled the queued jobs; running jobs
+		// drain through runWG.
+		if !par.Acquire(s.drainCh) {
+			return
 		}
-
 		s.mu.Lock()
-		// Re-validate under the lock: a drain may have started or the queue
-		// may have emptied while this goroutine waited for a seat.
-		if s.drain || s.queue.Len() == 0 || s.running >= s.cfg.MaxConcurrent {
+		if s.drain {
 			s.mu.Unlock()
-			par.Release(seat)
-			continue
+			par.Release()
+			return
 		}
 		job := s.queue.dequeue()
 		job.state = "running"
@@ -437,17 +402,17 @@ func (s *Server) runLoop(ctx context.Context) {
 			"cells", job.gridJobs,
 			"queue_ms", job.dequeued.Sub(job.submitted).Milliseconds())
 		s.runWG.Add(1)
-		go s.runJob(ctx, job, seat)
+		go s.runJob(ctx, job)
 		s.mu.Unlock()
 	}
 }
 
-// runJob executes one admitted job and returns its scheduler slot (and par
-// seat, if it held one) when done.
-func (s *Server) runJob(ctx context.Context, job *JobState, seat int) {
+// runJob executes one admitted job and returns its scheduler slot and its
+// budget token when done.
+func (s *Server) runJob(ctx context.Context, job *JobState) {
 	defer s.runWG.Done()
 	s.execute(ctx, job)
-	par.Release(seat)
+	par.Release()
 	s.mu.Lock()
 	s.running--
 	s.reg.Gauge("server.jobs.running").Set(float64(s.running))
@@ -465,8 +430,8 @@ func (s *Server) execute(ctx context.Context, job *JobState) {
 	}
 	opts := sweep.Options{
 		Workers: s.cfg.SweepWorkers,
-		// Lease extra sweep workers from the shared par budget so concurrent
-		// jobs split one core budget (see the runLoop comment).
+		// The job's token covers the sweep's first worker; extra workers
+		// lease tokens from the same budget (see the runLoop comment).
 		BudgetWorkers: true,
 		Metrics:       reg,
 		Store:         s.cfg.Store,

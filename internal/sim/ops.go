@@ -11,12 +11,12 @@ import (
 // This file implements the functional semantics and timing of the coarse-
 // grained, offload and transfer instructions. Functional execution runs on
 // the blocked tensor kernel engine (tensor.MatVecInto, tensor.Conv2DInto,
-// ...), which is bit-identical to the naive reference at any kernel worker
-// count, so simulator output matches the golden model exactly for identical
-// operation orders (and within float tolerance under tracker-permuted
-// accumulation orders). Kernel outputs are staged in the per-op arena and
-// the im2col panel lives in the machine-persistent convScratch, so the
-// functional hot loop stays allocation-free.
+// ...), which is bit-identical to the naive reference, so simulator output
+// matches the golden model exactly for identical operation orders (and
+// within float tolerance under tracker-permuted accumulation orders).
+// Kernel outputs are staged in the per-op arena and the im2col panel lives
+// in the machine-persistent convScratch, so the functional hot loop stays
+// allocation-free.
 
 func (m *Machine) readVec(loc location, addr, size int64) []float32 {
 	if loc.mem != nil {

@@ -13,8 +13,7 @@ import (
 
 // TestBudgetWorkersNoOversubscription is the scheduler's core invariant at
 // the sweep layer: N concurrent BudgetWorkers runs — each admitted the way
-// sdserve admits jobs, the first riding the machine's implicit worker and
-// every additional one seating its implicit worker in the par budget — keep
+// sdserve admits jobs, holding one par token for its first worker — keep
 // the total number of live cell workers at or below par.Workers(), no
 // matter how many workers each run requests.
 func TestBudgetWorkersNoOversubscription(t *testing.T) {
@@ -50,19 +49,15 @@ func TestBudgetWorkersNoOversubscription(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			seat := 0
-			if r > 0 {
-				// Concurrent runs past the first seat their implicit worker,
-				// exactly as the sdserve scheduler does per admitted job.
-				if !par.AcquireSeat(make(chan struct{})) {
-					t.Error("AcquireSeat returned without a token")
-					return
-				}
-				seat = 1
+			// Every run, the first included, holds a seat for its first
+			// worker, exactly as the sdserve scheduler does per admitted job.
+			if !par.Acquire(nil) {
+				t.Error("Acquire returned without a token")
+				return
 			}
 			errs[r] = Run(context.Background(), cells,
 				Options{Workers: budget, BudgetWorkers: true}, fn)
-			par.Release(seat)
+			par.Release()
 		}(r)
 	}
 	wg.Wait()
@@ -74,12 +69,15 @@ func TestBudgetWorkersNoOversubscription(t *testing.T) {
 	if got := peak.Load(); got > budget {
 		t.Fatalf("peak live workers %d exceeded the %d-token machine budget", got, budget)
 	}
-	// Every leased token must have come back: a fresh acquire can see the
-	// full budget again.
-	if got := par.Acquire(budget - 1); got != budget-1 {
-		t.Fatalf("budget leaked: re-acquired %d of %d tokens", got, budget-1)
+	// Every token must have come back: a fresh acquire sees the full budget.
+	for i := 0; i < budget; i++ {
+		if !par.TryAcquire() {
+			t.Fatalf("budget leaked: re-acquired %d of %d tokens", i, budget)
+		}
 	}
-	par.Release(budget - 1)
+	for i := 0; i < budget; i++ {
+		par.Release()
+	}
 }
 
 // TestBudgetWorkersMatchesUnbudgeted: leasing changes scheduling only —

@@ -67,16 +67,14 @@ type Options struct {
 	// predict.go and DESIGN.md §5h.
 	Predictor Predictor
 	// BudgetWorkers leases this run's extra workers from the machine-wide
-	// internal/par token budget instead of spawning Workers goroutines
-	// unconditionally: the calling goroutine always works (so every run
-	// makes progress) and extra workers run only while a token is held.
-	// sdserve sets this for every job so N concurrent jobs carve one core
-	// budget instead of oversubscribing the machine N-fold. A leased worker
-	// releases its token between cells but re-acquires it at once, which
-	// nearly always beats a job scheduler polling for a seat, so a run
-	// usually keeps its leased workers until its cells run out. Worker
-	// count never affects results (see Run), so the leasing changes
-	// wall-clock behavior only.
+	// internal/par budget instead of spawning Workers goroutines
+	// unconditionally. The calling goroutine is the first worker and runs
+	// on a token its caller already holds (sdserve takes one per job);
+	// each extra worker runs only while it holds a token of its own. A
+	// leased worker releases its token after every cell and takes it back
+	// only if no one is waiting for one, so a job waiting for a token gets
+	// it within about one cell. Worker count never affects results (see
+	// Run), so the leasing changes wall-clock behavior only.
 	BudgetWorkers bool
 	// Trace, when non-nil, collects one job-scoped span timeline across the
 	// whole sweep: per-cell store-lookup/simulate/store-write spans plus the
@@ -123,18 +121,17 @@ func Run(ctx context.Context, n int, opts Options, fn func(ctx context.Context, 
 	}
 	// worker claims and runs cells until the index space or the context is
 	// exhausted. A leased worker (BudgetWorkers) owns one par token while it
-	// works; it releases the token between cells and re-acquires it at once.
-	// Only when that re-acquire loses — to an Acquire or For that lands in
-	// the same instant, rarely to a scheduler polling for a seat — does the
-	// worker retire, its remaining cells draining through the survivors.
-	// Cell results are keyed by index either way, so worker attrition never
-	// affects output.
+	// works. It releases the token between cells, which hands it to the
+	// oldest waiting Acquire if there is one, and retires when it cannot
+	// take a token back; its remaining cells drain through the other
+	// workers. Cell results are keyed by index either way, so worker
+	// attrition never affects output.
 	worker := func(leased bool) {
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n || ctx.Err() != nil {
 				if leased {
-					par.Release(1)
+					par.Release()
 				}
 				return
 			}
@@ -154,25 +151,23 @@ func Run(ctx context.Context, n int, opts Options, fn func(ctx context.Context, 
 				mu.Unlock()
 			}
 			if leased {
-				par.Release(1)
-				if par.Acquire(1) == 0 {
+				par.Release()
+				if !par.TryAcquire() {
 					return
 				}
 			}
 		}
 	}
 	if opts.BudgetWorkers {
-		extra := par.Acquire(opts.workers(n) - 1)
-		for w := 0; w < extra; w++ {
+		for w := 1; w < opts.workers(n) && par.TryAcquire(); w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				worker(true)
 			}()
 		}
-		// The calling goroutine is the run's implicit first worker: it holds
-		// no token (the scheduler admitting this job accounted for it), so
-		// every run progresses even with the budget exhausted.
+		// The calling goroutine is the run's first worker, on its caller's
+		// token, so every run progresses even with the budget exhausted.
 		worker(false)
 	} else {
 		for w := 0; w < opts.workers(n); w++ {

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// Kernel-engine benchmarks: naive reference vs blocked serial vs blocked
-// parallel, at the GEMM/conv shapes the MiniVGG reference workload actually
+// Kernel-engine benchmarks: naive reference vs the blocked engine, at the
+// GEMM/conv shapes the MiniVGG reference workload actually
 // executes (3×16×16 input; conv GEMMs are cout × cin·k² × oh·ow). `make
 // bench` writes these as BENCH_tensor.json; each Speedup benchmark reports
 // naive-vs-engine wall-clock ratios the same way BenchmarkGridSpeedup does.
@@ -37,16 +37,6 @@ func BenchmarkKernelGEMM(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("blocked/%dx%dx%d", m, k, n), func(b *testing.B) {
-			prev := SetKernelWorkers(1)
-			defer SetKernelWorkers(prev)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				MatMulInto(dst, a, bb)
-			}
-		})
-		b.Run(fmt.Sprintf("parallel/%dx%dx%d", m, k, n), func(b *testing.B) {
-			prev := SetKernelWorkers(0)
-			defer SetKernelWorkers(prev)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				MatMulInto(dst, a, bb)
@@ -55,8 +45,8 @@ func BenchmarkKernelGEMM(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelGEMMSpeedup reports the blocked+parallel engine's
-// wall-clock advantage over the naive serial reference at MiniVGG shapes.
+// BenchmarkKernelGEMMSpeedup reports the blocked engine's wall-clock
+// advantage over the naive serial reference at MiniVGG shapes.
 func BenchmarkKernelGEMMSpeedup(b *testing.B) {
 	type sized struct{ a, bb, dst *Tensor }
 	cases := make([]sized, len(benchGEMMShapes))
@@ -67,8 +57,6 @@ func BenchmarkKernelGEMMSpeedup(b *testing.B) {
 		rng.FillUniform(cases[i].bb, 1)
 	}
 	var naive, engine time.Duration
-	prev := SetKernelWorkers(0)
-	defer SetKernelWorkers(prev)
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
 		for _, c := range cases {
@@ -114,16 +102,6 @@ func BenchmarkKernelConvFwd(b *testing.B) {
 			}
 		})
 		b.Run("blocked/"+name, func(b *testing.B) {
-			prev := SetKernelWorkers(1)
-			defer SetKernelWorkers(prev)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Conv2DInto(dst, in, w, bias, p, &scratch)
-			}
-		})
-		b.Run("parallel/"+name, func(b *testing.B) {
-			prev := SetKernelWorkers(0)
-			defer SetKernelWorkers(prev)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				Conv2DInto(dst, in, w, bias, p, &scratch)
@@ -151,8 +129,6 @@ func BenchmarkKernelConvSpeedup(b *testing.B) {
 	}
 	var scratch ConvScratch
 	var naive, engine time.Duration
-	prev := SetKernelWorkers(0)
-	defer SetKernelWorkers(prev)
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
 		for _, c := range cases {

@@ -1,16 +1,12 @@
 package tensor
 
-import (
-	"fmt"
-
-	"scaledeep/internal/par"
-)
+import "fmt"
 
 // Fast convolution kernels: forward and backward-weights are lowered onto
 // the blocked GEMM over a buffer-reused im2col panel; backward-data keeps a
 // direct loop (a GEMM lowering would re-associate its per-element sums) with
-// hoisted tap bounds and worker partitioning over input channels. The direct
-// loops in conv.go remain the reference oracle.
+// hoisted tap bounds. The direct loops in conv.go remain the reference
+// oracle.
 //
 // Determinism: the im2col panel holds exact zeros at padding taps, so the
 // GEMM adds a ±0 product exactly where the oracle skips a tap — a bitwise
@@ -102,7 +98,6 @@ func Im2colInto(dst []float32, input *Tensor, p ConvParams) []float32 {
 // dst (Cout·OH·OW elements, overwritten) via im2col + blocked GEMM, with the
 // bias seeded into dst first so the accumulation order matches the oracle's
 // `acc := bias` start. scratch may be nil (a temporary panel is allocated).
-// Output rows (output channels) are partitioned across the kernel workers.
 // Returns dst.
 func Conv2DInto(dst, input, weights, bias *Tensor, p ConvParams, scratch *ConvScratch) *Tensor {
 	cin, h, w := input.Shape[0], input.Shape[1], input.Shape[2]
@@ -136,17 +131,14 @@ func Conv2DInto(dst, input, weights, bias *Tensor, p ConvParams, scratch *ConvSc
 			}
 		}
 	}
-	par.For(cout, rowGrain(2*ckk*ohw), func(o0, o1 int) {
-		gemmAccRows(out, weights.Data, cols, o0, o1, ckk, ohw)
-	})
+	gemmAcc(out, weights.Data, cols, cout, ckk, ohw)
 	return dst
 }
 
 // Conv2DBackwardDataInto computes the input gradient of Conv2DBackwardData
-// into caller-owned dst (Cin·inH·inW elements, overwritten), partitioned
-// over disjoint input-channel blocks. Within a block the loop order is the
-// oracle's (oc,oy,ox,ky,kx) program order with the tap-validity checks
-// hoisted out of the inner loops. Returns dst.
+// into caller-owned dst (Cin·inH·inW elements, overwritten). The loop order
+// is the oracle's (oc,oy,ox,ky,kx) program order with the tap-validity
+// checks hoisted out of the inner loops. Returns dst.
 func Conv2DBackwardDataInto(dst, gradOut, weights *Tensor, p ConvParams, inH, inW int) *Tensor {
 	cout, oh, ow := gradOut.Shape[0], gradOut.Shape[1], gradOut.Shape[2]
 	cin := weights.Shape[1]
@@ -162,46 +154,44 @@ func Conv2DBackwardDataInto(dst, gradOut, weights *Tensor, p ConvParams, inH, in
 		gin[i] = 0
 	}
 	gd, wd := gradOut.Data, weights.Data
-	par.For(cin, rowGrain(2*cout*oh*ow*p.KH*p.KW), func(ic0, ic1 int) {
-		for oc := 0; oc < cout; oc++ {
-			for oy := 0; oy < oh; oy++ {
-				iy0 := oy*p.StrideH - p.PadH
-				kyLo, kyHi := 0, p.KH
-				if iy0 < 0 {
-					kyLo = -iy0
+	for oc := 0; oc < cout; oc++ {
+		for oy := 0; oy < oh; oy++ {
+			iy0 := oy*p.StrideH - p.PadH
+			kyLo, kyHi := 0, p.KH
+			if iy0 < 0 {
+				kyLo = -iy0
+			}
+			if iy0+p.KH > inH {
+				kyHi = inH - iy0
+			}
+			if kyLo >= kyHi {
+				continue
+			}
+			for ox := 0; ox < ow; ox++ {
+				g := gd[(oc*oh+oy)*ow+ox]
+				ix0 := ox*p.StrideW - p.PadW
+				kxLo, kxHi := 0, p.KW
+				if ix0 < 0 {
+					kxLo = -ix0
 				}
-				if iy0+p.KH > inH {
-					kyHi = inH - iy0
+				if ix0+p.KW > inW {
+					kxHi = inW - ix0
 				}
-				if kyLo >= kyHi {
+				if kxLo >= kxHi {
 					continue
 				}
-				for ox := 0; ox < ow; ox++ {
-					g := gd[(oc*oh+oy)*ow+ox]
-					ix0 := ox*p.StrideW - p.PadW
-					kxLo, kxHi := 0, p.KW
-					if ix0 < 0 {
-						kxLo = -ix0
-					}
-					if ix0+p.KW > inW {
-						kxHi = inW - ix0
-					}
-					if kxLo >= kxHi {
-						continue
-					}
-					for ic := ic0; ic < ic1; ic++ {
-						for ky := kyLo; ky < kyHi; ky++ {
-							grow := gin[(ic*inH+iy0+ky)*inW+ix0+kxLo : (ic*inH+iy0+ky)*inW+ix0+kxHi]
-							wrow := wd[((oc*cin+ic)*p.KH+ky)*p.KW+kxLo : ((oc*cin+ic)*p.KH+ky)*p.KW+kxHi]
-							for t := range grow {
-								grow[t] += g * wrow[t]
-							}
+				for ic := 0; ic < cin; ic++ {
+					for ky := kyLo; ky < kyHi; ky++ {
+						grow := gin[(ic*inH+iy0+ky)*inW+ix0+kxLo : (ic*inH+iy0+ky)*inW+ix0+kxHi]
+						wrow := wd[((oc*cin+ic)*p.KH+ky)*p.KW+kxLo : ((oc*cin+ic)*p.KH+ky)*p.KW+kxHi]
+						for t := range grow {
+							grow[t] += g * wrow[t]
 						}
 					}
 				}
 			}
 		}
-	})
+	}
 	return dst
 }
 
@@ -209,8 +199,7 @@ func Conv2DBackwardDataInto(dst, gradOut, weights *Tensor, p ConvParams, inH, in
 // Conv2DBackwardWeights into gradW via im2col: gradW[oc,r] gains the dot
 // product of gradOut row oc with im2col row r, with the (oy,ox) terms added
 // in the oracle's ascending order starting from the existing gradW value.
-// Output channels are partitioned across the kernel workers; scratch may be
-// nil.
+// scratch may be nil.
 func Conv2DBackwardWeightsInto(input, gradOut, gradW *Tensor, p ConvParams, scratch *ConvScratch) {
 	cin, h, w := input.Shape[0], input.Shape[1], input.Shape[2]
 	cout, oh, ow := gradOut.Shape[0], gradOut.Shape[1], gradOut.Shape[2]
@@ -228,33 +217,31 @@ func Conv2DBackwardWeightsInto(input, gradOut, gradW *Tensor, p ConvParams, scra
 	}
 	cols := Im2colInto(scratch.take(ckk*ohw), input, p)
 	gd, wd := gradOut.Data, gradW.Data
-	par.For(cout, rowGrain(2*ckk*ohw), func(o0, o1 int) {
-		for oc := o0; oc < o1; oc++ {
-			grow := gd[oc*ohw : oc*ohw+ohw]
-			base := oc * ckk
-			r := 0
-			for ; r+3 < ckk; r += 4 {
-				c0 := cols[r*ohw : r*ohw+ohw]
-				c1 := cols[(r+1)*ohw : (r+1)*ohw+ohw]
-				c2 := cols[(r+2)*ohw : (r+2)*ohw+ohw]
-				c3 := cols[(r+3)*ohw : (r+3)*ohw+ohw]
-				a0, a1, a2, a3 := wd[base+r], wd[base+r+1], wd[base+r+2], wd[base+r+3]
-				for col, gv := range grow {
-					a0 += gv * c0[col]
-					a1 += gv * c1[col]
-					a2 += gv * c2[col]
-					a3 += gv * c3[col]
-				}
-				wd[base+r], wd[base+r+1], wd[base+r+2], wd[base+r+3] = a0, a1, a2, a3
+	for oc := 0; oc < cout; oc++ {
+		grow := gd[oc*ohw : oc*ohw+ohw]
+		base := oc * ckk
+		r := 0
+		for ; r+3 < ckk; r += 4 {
+			c0 := cols[r*ohw : r*ohw+ohw]
+			c1 := cols[(r+1)*ohw : (r+1)*ohw+ohw]
+			c2 := cols[(r+2)*ohw : (r+2)*ohw+ohw]
+			c3 := cols[(r+3)*ohw : (r+3)*ohw+ohw]
+			a0, a1, a2, a3 := wd[base+r], wd[base+r+1], wd[base+r+2], wd[base+r+3]
+			for col, gv := range grow {
+				a0 += gv * c0[col]
+				a1 += gv * c1[col]
+				a2 += gv * c2[col]
+				a3 += gv * c3[col]
 			}
-			for ; r < ckk; r++ {
-				crow := cols[r*ohw : r*ohw+ohw]
-				acc := wd[base+r]
-				for col, gv := range grow {
-					acc += gv * crow[col]
-				}
-				wd[base+r] = acc
-			}
+			wd[base+r], wd[base+r+1], wd[base+r+2], wd[base+r+3] = a0, a1, a2, a3
 		}
-	})
+		for ; r < ckk; r++ {
+			crow := cols[r*ohw : r*ohw+ohw]
+			acc := wd[base+r]
+			for col, gv := range grow {
+				acc += gv * crow[col]
+			}
+			wd[base+r] = acc
+		}
+	}
 }

@@ -3,16 +3,14 @@ package tensor
 import (
 	"fmt"
 	"sync"
-
-	"scaledeep/internal/par"
 )
 
 // Kernel engine: cache-blocked, panel-packed float32 kernels with
 // destination-passing (`Into`) entry points that reuse caller-owned buffers.
 //
 // Determinism contract (DESIGN.md, "Kernel engine"): every kernel produces
-// output bit-identical to the naive serial reference at any worker count.
-// The rules that make this hold:
+// output bit-identical to the naive serial reference. The rules that make
+// this hold:
 //
 //   - Per output element, contributions are accumulated in exactly the naive
 //     order (k ascending for GEMM, (oc,oy,ox,ky,kx) program order for the
@@ -20,9 +18,6 @@ import (
 //     pre-summed into temporaries, never re-associated.
 //   - Blocking over output rows/columns and over the k dimension only
 //     regroups *loop traversal*; the per-element add chain is unchanged.
-//   - Parallelism partitions kernels over disjoint output blocks (par.For);
-//     each block runs the identical serial code, so worker count is
-//     invisible in the results.
 //   - Panel packing copies operand values exactly (no conversion), so packed
 //     and unpacked paths multiply the same bits.
 //   - Kernels are value-oblivious: no data-dependent skips. (The old
@@ -36,29 +31,7 @@ import (
 const (
 	gemmKBlock = 240
 	gemmNBlock = 512
-	// rowGrainFlops is the minimum per-worker flop count worth a goroutine
-	// when partitioning a kernel over output rows.
-	rowGrainFlops = 1 << 15
 )
-
-// SetKernelWorkers bounds the kernel worker pool (0 restores GOMAXPROCS).
-// It returns the previous setting. Exposed on the CLIs as -kernel-workers.
-func SetKernelWorkers(n int) int { return par.SetWorkers(n) }
-
-// KernelWorkers reports the effective kernel worker-pool width.
-func KernelWorkers() int { return par.Workers() }
-
-// rowGrain converts a per-row flop cost into a minimum row grain for par.For.
-func rowGrain(flopsPerRow int) int {
-	if flopsPerRow <= 0 {
-		return 1
-	}
-	g := rowGrainFlops / flopsPerRow
-	if g < 1 {
-		g = 1
-	}
-	return g
-}
 
 // packPool recycles B-panel pack buffers across GEMM calls.
 var packPool = sync.Pool{New: func() any { return new([]float32) }}
@@ -66,8 +39,8 @@ var packPool = sync.Pool{New: func() any { return new([]float32) }}
 // MatMulInto computes dst = A·B for A (m,k), B (k,n) into caller-owned dst,
 // which must hold m·n elements; dst's previous contents are overwritten.
 // It returns dst. The kernel is blocked over k (so each output element is
-// revisited few times), packs B panels when n spans multiple column blocks,
-// and partitions output rows across the kernel worker pool.
+// revisited few times) and packs B panels when n spans multiple column
+// blocks.
 func MatMulInto(dst, a, b *Tensor) *Tensor {
 	m, k := a.Shape[0], a.Shape[1]
 	k2, n := b.Shape[0], b.Shape[1]
@@ -82,17 +55,15 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 	for i := range c {
 		c[i] = 0
 	}
-	par.For(m, rowGrain(2*k*n), func(i0, i1 int) {
-		gemmAccRows(c, a.Data, b.Data, i0, i1, k, n)
-	})
+	gemmAcc(c, a.Data, b.Data, m, k, n)
 	return dst
 }
 
-// gemmAccRows accumulates rows [i0,i1) of C += A·B. C must hold the desired
+// gemmAcc accumulates C += A·B for A (m,k), B (k,n). C must hold the desired
 // starting values (zeros for a plain product, the bias for a seeded conv).
 // Per element C[i,j] the contribution order is p ascending — k-blocking and
 // the 2×4 microkernel only change how many times the C row is traversed.
-func gemmAccRows(c, a, b []float32, i0, i1, k, n int) {
+func gemmAcc(c, a, b []float32, m, k, n int) {
 	var packBuf []float32
 	packed := n > gemmNBlock
 	if packed {
@@ -126,13 +97,13 @@ func gemmAccRows(c, a, b []float32, i0, i1, k, n int) {
 				panel = packBuf
 				pStride, pOff = jb, -p0*jb
 			}
-			for i := i0; i+1 < i1; i += 2 {
+			for i := 0; i+1 < m; i += 2 {
 				gemm2x4(c[i*n+j0:i*n+j1], c[(i+1)*n+j0:(i+1)*n+j1],
 					a[i*k:i*k+k], a[(i+1)*k:(i+1)*k+k],
 					panel, pStride, pOff, p0, p1)
 			}
-			if (i1-i0)%2 != 0 {
-				i := i1 - 1
+			if m%2 != 0 {
+				i := m - 1
 				gemm1x4(c[i*n+j0:i*n+j1], a[i*k:i*k+k], panel, pStride, pOff, p0, p1)
 			}
 		}
@@ -210,8 +181,7 @@ func gemm1x4(c0, a0, b []float32, stride, off, p0, p1 int) {
 // MatVecInto computes dst = W·x (+ bias) for W (rows, cols) into caller-owned
 // dst of length rows and returns dst. Four output rows are computed per pass
 // — four independent dot-product chains that break the FP-add latency chain
-// of the naive single-row loop — and rows are partitioned across workers.
-// Each row's own chain is the naive sequential order, so results are
+// of the naive single-row loop. Each row's own chain is the naive sequential order, so results are
 // bit-identical to MatVec.
 func MatVecInto(dst, w, x, bias *Tensor) *Tensor {
 	rows, cols := w.Shape[0], w.Shape[1]
@@ -227,47 +197,45 @@ func MatVecInto(dst, w, x, bias *Tensor) *Tensor {
 	if bias != nil {
 		bd = bias.Data
 	}
-	par.For(rows, rowGrain(2*cols), func(r0, r1 int) {
-		r := r0
-		for ; r+3 < r1; r += 4 {
-			w0 := wd[r*cols : r*cols+cols]
-			w1 := wd[(r+1)*cols : (r+1)*cols+cols]
-			w2 := wd[(r+2)*cols : (r+2)*cols+cols]
-			w3 := wd[(r+3)*cols : (r+3)*cols+cols]
-			var a0, a1, a2, a3 float32
-			for c, xv := range xd {
-				a0 += w0[c] * xv
-				a1 += w1[c] * xv
-				a2 += w2[c] * xv
-				a3 += w3[c] * xv
-			}
-			if bd != nil {
-				a0 += bd[r]
-				a1 += bd[r+1]
-				a2 += bd[r+2]
-				a3 += bd[r+3]
-			}
-			out[r], out[r+1], out[r+2], out[r+3] = a0, a1, a2, a3
+	r := 0
+	for ; r+3 < rows; r += 4 {
+		w0 := wd[r*cols : r*cols+cols]
+		w1 := wd[(r+1)*cols : (r+1)*cols+cols]
+		w2 := wd[(r+2)*cols : (r+2)*cols+cols]
+		w3 := wd[(r+3)*cols : (r+3)*cols+cols]
+		var a0, a1, a2, a3 float32
+		for c, xv := range xd {
+			a0 += w0[c] * xv
+			a1 += w1[c] * xv
+			a2 += w2[c] * xv
+			a3 += w3[c] * xv
 		}
-		for ; r < r1; r++ {
-			row := wd[r*cols : r*cols+cols]
-			var acc float32
-			for c, xv := range xd {
-				acc += row[c] * xv
-			}
-			if bd != nil {
-				acc += bd[r]
-			}
-			out[r] = acc
+		if bd != nil {
+			a0 += bd[r]
+			a1 += bd[r+1]
+			a2 += bd[r+2]
+			a3 += bd[r+3]
 		}
-	})
+		out[r], out[r+1], out[r+2], out[r+3] = a0, a1, a2, a3
+	}
+	for ; r < rows; r++ {
+		row := wd[r*cols : r*cols+cols]
+		var acc float32
+		for c, xv := range xd {
+			acc += row[c] * xv
+		}
+		if bd != nil {
+			acc += bd[r]
+		}
+		out[r] = acc
+	}
 	return dst
 }
 
 // MatVecTInto computes dst = Wᵀ·g for W (rows, cols) into caller-owned dst of
 // length cols and returns dst. The r dimension is unrolled by 4 with one
 // sequential add chain per output element (dst[c] gets r-ascending adds, as
-// in the naive loop); columns are partitioned across workers.
+// in the naive loop).
 func MatVecTInto(dst, w, g *Tensor) *Tensor {
 	rows, cols := w.Shape[0], w.Shape[1]
 	if g.Len() != rows {
@@ -281,39 +249,35 @@ func MatVecTInto(dst, w, g *Tensor) *Tensor {
 	for i := range out {
 		out[i] = 0
 	}
-	par.For(cols, rowGrain(2*rows), func(c0, c1 int) {
-		seg := out[c0:c1]
-		r := 0
-		for ; r+3 < rows; r += 4 {
-			g0, g1, g2, g3 := gd[r], gd[r+1], gd[r+2], gd[r+3]
-			w0 := wd[r*cols+c0 : r*cols+c1]
-			w1 := wd[(r+1)*cols+c0 : (r+1)*cols+c1]
-			w2 := wd[(r+2)*cols+c0 : (r+2)*cols+c1]
-			w3 := wd[(r+3)*cols+c0 : (r+3)*cols+c1]
-			for j := range seg {
-				s := seg[j]
-				s += w0[j] * g0
-				s += w1[j] * g1
-				s += w2[j] * g2
-				s += w3[j] * g3
-				seg[j] = s
-			}
+	r := 0
+	for ; r+3 < rows; r += 4 {
+		g0, g1, g2, g3 := gd[r], gd[r+1], gd[r+2], gd[r+3]
+		w0 := wd[r*cols : r*cols+cols]
+		w1 := wd[(r+1)*cols : (r+1)*cols+cols]
+		w2 := wd[(r+2)*cols : (r+2)*cols+cols]
+		w3 := wd[(r+3)*cols : (r+3)*cols+cols]
+		for j := range out {
+			s := out[j]
+			s += w0[j] * g0
+			s += w1[j] * g1
+			s += w2[j] * g2
+			s += w3[j] * g3
+			out[j] = s
 		}
-		for ; r < rows; r++ {
-			gv := gd[r]
-			row := wd[r*cols+c0 : r*cols+c1]
-			for j := range seg {
-				seg[j] += row[j] * gv
-			}
+	}
+	for ; r < rows; r++ {
+		gv := gd[r]
+		row := wd[r*cols : r*cols+cols]
+		for j := range out {
+			out[j] += row[j] * gv
 		}
-	})
+	}
 	return dst
 }
 
-// OuterAccInto accumulates the outer product g⊗x into gradW (rows, cols),
-// partitioning output rows across workers. Each gradW element receives
-// exactly one add per call, so the result is bit-identical to the serial
-// loop at any worker count.
+// OuterAccInto accumulates the outer product g⊗x into gradW (rows, cols).
+// Each gradW element receives exactly one add per call, as in the naive
+// loop.
 func OuterAccInto(gradW, g, x *Tensor) {
 	rows, cols := gradW.Shape[0], gradW.Shape[1]
 	if g.Len() != rows || x.Len() != cols {
@@ -321,13 +285,11 @@ func OuterAccInto(gradW, g, x *Tensor) {
 	}
 	kstats.outerAcc.count(2 * int64(rows) * int64(cols))
 	wd, gd, xd := gradW.Data, g.Data, x.Data[:cols]
-	par.For(rows, rowGrain(2*cols), func(r0, r1 int) {
-		for r := r0; r < r1; r++ {
-			gv := gd[r]
-			row := wd[r*cols : r*cols+cols]
-			for c, xv := range xd {
-				row[c] += gv * xv
-			}
+	for r := 0; r < rows; r++ {
+		gv := gd[r]
+		row := wd[r*cols : r*cols+cols]
+		for c, xv := range xd {
+			row[c] += gv * xv
 		}
-	})
+	}
 }

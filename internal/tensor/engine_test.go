@@ -6,20 +6,6 @@ import (
 	"testing"
 )
 
-// workerCounts is the grid every bitwise property test runs under: serial,
-// an even split, and more workers than most test shapes have rows.
-var workerCounts = []int{1, 2, 8}
-
-// withWorkers runs fn once per worker count, restoring the previous setting.
-func withWorkers(t *testing.T, fn func(t *testing.T, workers int)) {
-	t.Helper()
-	for _, w := range workerCounts {
-		prev := SetKernelWorkers(w)
-		fn(t, w)
-		SetKernelWorkers(prev)
-	}
-}
-
 // bitsEqual fails unless a and b match element-for-element in their IEEE
 // bit patterns (so +0 vs -0 and differing NaN payloads fail too — the
 // determinism contract is bit-identity, not numeric closeness).
@@ -37,8 +23,8 @@ func bitsEqual(t *testing.T, ctx string, got, want []float32) {
 }
 
 // TestMatMulIntoBitwiseMatchesNaive sweeps a shape grid (including odd and
-// degenerate sizes, and k/n spanning the blocking boundaries) × worker
-// counts and requires exact bit equality with the naive reference.
+// degenerate sizes, and k/n spanning the blocking boundaries) and requires
+// exact bit equality with the naive reference.
 func TestMatMulIntoBitwiseMatchesNaive(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1}, {1, 7, 3}, {3, 1, 5}, {2, 3, 2}, {5, 5, 5},
@@ -55,16 +41,14 @@ func TestMatMulIntoBitwiseMatchesNaive(t *testing.T) {
 		rng.FillUniform(a, 1)
 		rng.FillUniform(b, 1)
 		want := naiveMatMul(a, b)
-		withWorkers(t, func(t *testing.T, w int) {
-			got := MatMulInto(New(m, n), a, b)
-			bitsEqual(t, fmt.Sprintf("MatMul %dx%dx%d workers=%d", m, k, n, w), got.Data, want.Data)
-		})
+		got := MatMulInto(New(m, n), a, b)
+		bitsEqual(t, fmt.Sprintf("MatMul %dx%dx%d", m, k, n), got.Data, want.Data)
 	}
 }
 
 // TestMatVecKernelsBitwiseMatchNaive covers MatVecInto (with and without
 // bias), MatVecTInto and OuterAccInto (accumulating onto a non-zero start)
-// across odd shapes × worker counts.
+// across odd shapes.
 func TestMatVecKernelsBitwiseMatchNaive(t *testing.T) {
 	shapes := [][2]int{{1, 1}, {1, 9}, {3, 7}, {4, 4}, {5, 160}, {10, 160}, {13, 33}, {64, 17}, {129, 65}}
 	for _, s := range shapes {
@@ -87,15 +71,13 @@ func TestMatVecKernelsBitwiseMatchNaive(t *testing.T) {
 		wantOuter := seed.Clone()
 		naiveOuterAcc(wantOuter, g, x)
 
-		withWorkers(t, func(t *testing.T, wk int) {
-			ctx := fmt.Sprintf("%dx%d workers=%d", rows, cols, wk)
-			bitsEqual(t, "MatVec "+ctx, MatVecInto(New(rows), w, x, nil).Data, wantMV.Data)
-			bitsEqual(t, "MatVec+bias "+ctx, MatVecInto(New(rows), w, x, bias).Data, wantMVB.Data)
-			bitsEqual(t, "MatVecT "+ctx, MatVecTInto(New(cols), w, g).Data, wantMVT.Data)
-			got := seed.Clone()
-			OuterAccInto(got, g, x)
-			bitsEqual(t, "OuterAcc "+ctx, got.Data, wantOuter.Data)
-		})
+		ctx := fmt.Sprintf("%dx%d", rows, cols)
+		bitsEqual(t, "MatVec "+ctx, MatVecInto(New(rows), w, x, nil).Data, wantMV.Data)
+		bitsEqual(t, "MatVec+bias "+ctx, MatVecInto(New(rows), w, x, bias).Data, wantMVB.Data)
+		bitsEqual(t, "MatVecT "+ctx, MatVecTInto(New(cols), w, g).Data, wantMVT.Data)
+		got := seed.Clone()
+		OuterAccInto(got, g, x)
+		bitsEqual(t, "OuterAcc "+ctx, got.Data, wantOuter.Data)
 	}
 }
 
@@ -117,7 +99,7 @@ var convCases = []convCase{
 
 // TestConv2DIntoBitwiseMatchesOracle checks the im2col+GEMM forward path
 // against the Conv2D direct-loop oracle, with and without bias, across the
-// shape grid × worker counts, with a shared scratch reused between calls.
+// shape grid, with a shared scratch reused between calls.
 func TestConv2DIntoBitwiseMatchesOracle(t *testing.T) {
 	var scratch ConvScratch
 	for _, c := range convCases {
@@ -133,17 +115,15 @@ func TestConv2DIntoBitwiseMatchesOracle(t *testing.T) {
 
 		for _, b := range []*Tensor{nil, bias} {
 			want := Conv2D(in, w, b, p)
-			withWorkers(t, func(t *testing.T, wk int) {
-				got := Conv2DInto(New(c.cout, oh, ow), in, w, b, p, &scratch)
-				bitsEqual(t, fmt.Sprintf("Conv2DInto %+v bias=%v workers=%d", c, b != nil, wk), got.Data, want.Data)
-			})
+			got := Conv2DInto(New(c.cout, oh, ow), in, w, b, p, &scratch)
+			bitsEqual(t, fmt.Sprintf("Conv2DInto %+v bias=%v", c, b != nil), got.Data, want.Data)
 		}
 	}
 }
 
 // TestConvBackwardIntoBitwiseMatchesOracle checks the fast backward-data and
 // backward-weights kernels against the direct-loop oracles (backward-weights
-// accumulating onto a non-zero start) across the shape grid × worker counts.
+// accumulating onto a non-zero start) across the shape grid.
 func TestConvBackwardIntoBitwiseMatchesOracle(t *testing.T) {
 	var scratch ConvScratch
 	for _, c := range convCases {
@@ -163,14 +143,12 @@ func TestConvBackwardIntoBitwiseMatchesOracle(t *testing.T) {
 		wantW := seed.Clone()
 		Conv2DBackwardWeights(in, gout, wantW, p)
 
-		withWorkers(t, func(t *testing.T, wk int) {
-			ctx := fmt.Sprintf("%+v workers=%d", c, wk)
-			gotData := Conv2DBackwardDataInto(New(c.cin, c.h, c.w), gout, w, p, c.h, c.w)
-			bitsEqual(t, "BackwardData "+ctx, gotData.Data, wantData.Data)
-			gotW := seed.Clone()
-			Conv2DBackwardWeightsInto(in, gout, gotW, p, &scratch)
-			bitsEqual(t, "BackwardWeights "+ctx, gotW.Data, wantW.Data)
-		})
+		ctx := fmt.Sprintf("%+v", c)
+		gotData := Conv2DBackwardDataInto(New(c.cin, c.h, c.w), gout, w, p, c.h, c.w)
+		bitsEqual(t, "BackwardData "+ctx, gotData.Data, wantData.Data)
+		gotW := seed.Clone()
+		Conv2DBackwardWeightsInto(in, gout, gotW, p, &scratch)
+		bitsEqual(t, "BackwardWeights "+ctx, gotW.Data, wantW.Data)
 	}
 }
 
