@@ -21,7 +21,8 @@
 //	GET  /jobs/{id}       one job's status + progress
 //	GET  /jobs/{id}/result  the rendered table once the job is done
 //	GET  /jobs/{id}/trace   the job's Perfetto-loadable span timeline
-//	GET  /results/{key}   a raw content-addressed result blob
+//	GET  /results/{key}   a raw content-addressed result blob (binary,
+//	                      application/octet-stream)
 //	GET  /store           persistent store statistics
 //	GET  /statusz         recent-job flight recorder (JSON, or HTML table)
 //	GET  /metrics /trace /profile /debug/pprof/  standard observability

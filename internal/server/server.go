@@ -891,7 +891,7 @@ func (s *Server) handleResultBlob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such result")
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(payload)
 }
 

@@ -231,6 +231,9 @@ func TestServerSecondPassHitsStore(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/results/%s: status %d", keys[0], resp.StatusCode)
 	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Errorf("/results/%s: Content-Type %q, want application/octet-stream", keys[0], ct)
+	}
 	payload, ok, err := st.Get(keys[0])
 	if err != nil || !ok {
 		t.Fatalf("store.Get(%s): ok=%v err=%v", keys[0], ok, err)

@@ -279,13 +279,15 @@ func RunGrid(ctx context.Context, g Grid, opts Options) ([]Result, error) {
 func resolveCell(ctx context.Context, job Job, tc telemetry.TraceContext, replicas int, opts Options) (Result, *telemetry.Registry, error) {
 	var key string
 	if opts.Store != nil {
+		// The span covers key derivation as well as the lookup. The blob
+		// carries the cell's telemetry, so hits and misses contribute
+		// identical metric merges.
+		endGet := tc.Begin("store.get")
 		var err error
 		if key, err = storeKey(job); err != nil {
+			endGet(outcome("error"))
 			return Result{}, nil, err
 		}
-		// The blob carries the cell's telemetry snapshot, so hits and
-		// misses contribute identical metric merges.
-		endGet := tc.Begin("store.get")
 		payload, ok, err := opts.Store.Get(key)
 		switch {
 		case err != nil:
@@ -339,16 +341,13 @@ func resolveCell(ctx context.Context, job Job, tc telemetry.TraceContext, replic
 	)
 	endFlight := tc.Begin("store.flight")
 	payload, flight, err := opts.Store.GetOrCompute(ctx, key, func() ([]byte, error) {
-		// The blob always carries the cell's metrics snapshot so it serves
-		// future runs that do ask for metrics.
+		// The blob always carries the cell's metrics so it serves future
+		// runs that do ask for metrics.
 		var err error
 		if r, reg, err = simulate(job, tc, replicas, true); err != nil {
 			return nil, err
 		}
-		p, err := encodeBlob(job, r, reg.Snapshot())
-		if err != nil {
-			return nil, err
-		}
+		p := encodeBlob(r, reg)
 		endPut := tc.Begin("store.put")
 		err = opts.Store.Put(key, p)
 		endPut(outcomeOf(err))
