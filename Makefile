@@ -24,11 +24,13 @@ vet:
 race:
 	$(GO) test -race ./internal/telemetry/... ./internal/sim/... ./internal/sweep/... ./internal/cluster/... ./internal/par/... ./internal/tensor/... ./internal/store/... ./internal/server/...
 
-# fuzz runs the native fuzz target over the store blob decoder for a
-# bounded time; its seeds (a real encoded cell and a corrupted copy) also
-# run as ordinary tests under `go test`.
+# fuzz runs each native fuzz target for a bounded time: the store blob
+# decoder and the ISA assembler. Their seeds (a real encoded cell and a
+# corrupted copy; the package's test programs) also run as ordinary tests
+# under `go test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlob$$' -fuzztime 10s ./internal/sweep/
+	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 10s ./internal/isa/
 
 # bench runs the tier-1 simulator benchmarks (the telemetry-off/on hot-path
 # pair among them: the nil-sink fast path must not cost anything when

@@ -125,6 +125,11 @@ type tileProgram struct {
 	prologueTags []int
 	imageTags    []int
 	batchTags    []int
+
+	// arming holds the tile's DMAMEMTRACK blocks (armBlockLen instructions
+	// each) in arming order; finalize lays them down ahead of the prologue,
+	// last armed first.
+	arming []isa.Instr
 }
 
 // untaggedLayer marks instructions that belong to no network layer (loop
@@ -146,27 +151,6 @@ func newEmitter(a *allocator) *emitter {
 // setLayer switches the layer tag for subsequently emitted instructions.
 func (e *emitter) setLayer(idx int) { e.layer = idx }
 
-// tagBuf returns the tag slice parallel to the current section's buffer.
-func (e *emitter) tagBuf(k progKey) *[]int {
-	tp := e.at(k)
-	switch e.sec {
-	case secPrologue:
-		return &tp.prologueTags
-	case secIter:
-		return &tp.imageTags
-	default:
-		return &tp.batchTags
-	}
-}
-
-// tag appends n copies of the current layer tag for tile k's section.
-func (e *emitter) tag(k progKey, n int) {
-	tags := e.tagBuf(k)
-	for i := 0; i < n; i++ {
-		*tags = append(*tags, e.layer)
-	}
-}
-
 func (e *emitter) at(k progKey) *tileProgram {
 	tp := e.progs[k]
 	if tp == nil {
@@ -176,15 +160,17 @@ func (e *emitter) at(k progKey) *tileProgram {
 	return tp
 }
 
-func (e *emitter) buf(k progKey) *[]isa.Instr {
+// bufs returns tile k's instruction buffer for the current section and the
+// layer-tag slice parallel to it.
+func (e *emitter) bufs(k progKey) (*[]isa.Instr, *[]int) {
 	tp := e.at(k)
 	switch e.sec {
 	case secPrologue:
-		return &tp.prologue
+		return &tp.prologue, &tp.prologueTags
 	case secIter:
-		return &tp.image
+		return &tp.image, &tp.imageTags
 	default:
-		return &tp.batch
+		return &tp.batch, &tp.batchTags
 	}
 }
 
@@ -226,7 +212,7 @@ func wr(r *region) regAccess { return regAccess{r: r, write: true} }
 // op emits one coarse/offload/transfer/track instruction on tile k, staging
 // constant operands through scratch registers, and records its accesses.
 func (e *emitter) op(k progKey, opcode isa.Opcode, operands []opr, accs ...regAccess) {
-	buf := e.buf(k)
+	buf, tags := e.bufs(k)
 	n0 := len(*buf)
 	regs := make([]isa.Reg, len(operands))
 	next := isa.Reg(regScratch)
@@ -246,21 +232,17 @@ func (e *emitter) op(k progKey, opcode isa.Opcode, operands []opr, accs ...regAc
 		}
 	}
 	*buf = append(*buf, isa.WithArgs(opcode, regs...))
-	e.tag(k, len(*buf)-n0)
+	for range len(*buf) - n0 {
+		*tags = append(*tags, e.layer)
+	}
 	for _, a := range accs {
 		e.touch(k, a.r, a.write)
 	}
 }
 
-// raw emits scalar instructions verbatim.
-func (e *emitter) raw(k progKey, ins ...isa.Instr) {
-	buf := e.buf(k)
-	*buf = append(*buf, ins...)
-	e.tag(k, len(ins))
-}
-
 // finalize assembles each tile's program:
 //
+//	arming blocks, last armed first
 //	prologue
 //	LDRI iter
 //	iterLoop: <per-iteration body: all minibatch images, unrolled>
@@ -271,14 +253,21 @@ func (e *emitter) raw(k progKey, ins ...isa.Instr) {
 // per-instruction layer-tag slice for each program (the profiler's
 // program→layer binding).
 func (e *emitter) finalize(iterations int) (map[progKey]*isa.Program, map[progKey][]int, []sim.TrackerSpec) {
-	// Derive trackers first: it also prepends the DMAMEMTRACK arming
-	// instructions to program prologues.
+	// Derive trackers first: it also collects each tile's DMAMEMTRACK
+	// arming blocks.
 	trackers := e.trackerManifest()
-	progs := map[progKey]*isa.Program{}
-	layerTags := map[progKey][]int{}
+	progs := make(map[progKey]*isa.Program, len(e.progs))
+	layerTags := make(map[progKey][]int, len(e.progs))
 	for k, tp := range e.progs {
-		var ins []isa.Instr
-		var tags []int
+		n := len(tp.arming) + len(tp.prologue) + 1 + len(tp.image) + len(tp.batch) + 3
+		ins := make([]isa.Instr, 0, n)
+		tags := make([]int, 0, n)
+		for end := len(tp.arming); end > 0; end -= armBlockLen {
+			ins = append(ins, tp.arming[end-armBlockLen:end]...)
+		}
+		for range tp.arming {
+			tags = append(tags, untaggedLayer)
+		}
 		ins = append(ins, tp.prologue...)
 		tags = append(tags, tp.prologueTags...)
 		ins = append(ins, isa.Ldri(regIter, int32(iterations)))
@@ -292,9 +281,9 @@ func (e *emitter) finalize(iterations int) (map[progKey]*isa.Program, map[progKe
 		ins = append(ins, isa.Bgtz(regIter, int32(iterTop-(len(ins)+1))))
 		ins = append(ins, isa.Halt())
 		tags = append(tags, untaggedLayer, untaggedLayer, untaggedLayer)
-		if len(tags) != len(ins) {
-			panic(fmt.Sprintf("compiler: layer tags out of sync on %v: %d tags for %d instrs",
-				k, len(tags), len(ins)))
+		if len(tags) != len(ins) || len(ins) != n {
+			panic(fmt.Sprintf("compiler: program out of sync on %v: %d tags for %d instrs, %d expected",
+				k, len(tags), len(ins), n))
 		}
 		progs[k] = &isa.Program{
 			Tile:   fmt.Sprintf("r%d.c%d.%s", k.Row, k.CCol, k.Step),
@@ -364,8 +353,13 @@ func (e *emitter) trackerManifest() []sim.TrackerSpec {
 	return specs
 }
 
-// emitTrackInstr prepends a DMAMEMTRACK to the prologue of the region's
-// lowest-ordered touching tile.
+// armBlockLen is the length of one tracker's arming block: five LDRIs
+// staging its operands, then the DMAMEMTRACK.
+const armBlockLen = 6
+
+// emitTrackInstr adds a DMAMEMTRACK arming block for the region to its
+// lowest-ordered touching tile. The block lands ahead of that tile's
+// prologue at finalize.
 func (e *emitter) emitTrackInstr(r *region, spec sim.TrackerSpec) {
 	var best progKey
 	first := true
@@ -375,19 +369,12 @@ func (e *emitter) emitTrackInstr(r *region, spec sim.TrackerSpec) {
 		}
 	}
 	tp := e.at(best)
-	var ins []isa.Instr
 	regs := []isa.Reg{regScratch, regScratch + 1, regScratch + 2, regScratch + 3, regScratch + 4}
 	vals := []int64{isa.AbsTile(spec.MemTile), spec.Addr, spec.Size, int64(spec.NumUpdates), int64(spec.NumReads)}
 	for i, v := range vals {
-		ins = append(ins, isa.Ldri(regs[i], int32(v)))
+		tp.arming = append(tp.arming, isa.Ldri(regs[i], int32(v)))
 	}
-	ins = append(ins, isa.WithArgs(isa.DMAMEMTRACK, regs...))
-	tp.prologue = append(ins, tp.prologue...)
-	pre := make([]int, len(ins), len(ins)+len(tp.prologueTags))
-	for i := range pre {
-		pre[i] = untaggedLayer
-	}
-	tp.prologueTags = append(pre, tp.prologueTags...)
+	tp.arming = append(tp.arming, isa.WithArgs(isa.DMAMEMTRACK, regs...))
 }
 
 func lessKey(a, b progKey) bool {

@@ -35,8 +35,13 @@ func (i Instr) Validate() error {
 	if len(i.Args) != info.numArgs {
 		return fmt.Errorf("isa: %s needs %d args, got %d", i.Op, info.numArgs, len(i.Args))
 	}
-	for _, r := range append([]Reg{i.Dst, i.Src1, i.Src2}, i.Args...) {
-		if int(r) >= NumRegs {
+	for _, r := range [...]Reg{i.Dst, i.Src1, i.Src2} {
+		if r >= NumRegs {
+			return fmt.Errorf("isa: %s uses register %d ≥ %d", i.Op, r, NumRegs)
+		}
+	}
+	for _, r := range i.Args {
+		if r >= NumRegs {
 			return fmt.Errorf("isa: %s uses register %d ≥ %d", i.Op, r, NumRegs)
 		}
 	}

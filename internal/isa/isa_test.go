@@ -138,15 +138,17 @@ func TestBackwardBranchValid(t *testing.T) {
 	}
 }
 
-func TestAssembleIgnoresCommentsAndPrefixes(t *testing.T) {
-	src := `
+// commentedSource mixes comments, a header line and pc prefixes.
+const commentedSource = `
 # a comment
 --- Program for x ---
  0:  LDRI r1, 42
 ; another comment
  1:  HALT
 `
-	p, err := Assemble("x", src)
+
+func TestAssembleIgnoresCommentsAndPrefixes(t *testing.T) {
+	p, err := Assemble("x", commentedSource)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +157,16 @@ func TestAssembleIgnoresCommentsAndPrefixes(t *testing.T) {
 	}
 }
 
+// badSources are sources Assemble must reject.
+var badSources = []string{
+	"FNORD r1",
+	"LDRI r1",           // missing imm
+	"LDRI r99, 1\nHALT", // bad register
+	"ADDR r1, r2",       // missing src2
+}
+
 func TestAssembleErrors(t *testing.T) {
-	for _, src := range []string{
-		"FNORD r1",
-		"LDRI r1",           // missing imm
-		"LDRI r99, 1\nHALT", // bad register
-		"ADDR r1, r2",       // missing src2
-	} {
+	for _, src := range badSources {
 		if _, err := Assemble("x", src); err == nil {
 			t.Errorf("accepted %q", src)
 		}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"scaledeep/internal/arch"
 	"scaledeep/internal/isa"
@@ -160,6 +161,12 @@ type Machine struct {
 	// per-tile counters, flushed to the registry once per Run.
 	spans   telemetry.SpanSink
 	spanBuf []telemetry.Span // per-Run span batch, flushed by flushSpans
+	// spanRoom is how many spans this Run may buffer, read from a
+	// telemetry.SpanBudgetSink at its start (unbounded for other sinks);
+	// spansPastRoom counts the spans past it, which are never built.
+	spanRoom      int
+	spansPastRoom int64
+
 	metrics *telemetry.Registry
 	opHists opHistSet
 	pub     pubScratch
@@ -338,6 +345,10 @@ func (m *Machine) Run() (Stats, error) {
 		return Stats{}, fmt.Errorf("sim: no programs loaded")
 	}
 	m.finished = 0
+	m.spanRoom = math.MaxInt
+	if bs, ok := m.spans.(telemetry.SpanBudgetSink); ok {
+		m.spanRoom = bs.SpanRoom()
+	}
 	m.drainEvents()
 	m.flushSpans()
 	if m.finished < active {
@@ -428,6 +439,7 @@ func (m *Machine) Reset() {
 	m.opQueueWait, m.opBytes = 0, 0
 	m.tracing, m.trace, m.traceLimit, m.traceDropped = false, nil, 0, 0
 	m.spans, m.spanBuf = nil, m.spanBuf[:0]
+	m.spanRoom, m.spansPastRoom = 0, 0
 	m.SetMetrics(nil)
 }
 

@@ -140,6 +140,17 @@ func (m *Machine) declareOpHists(d *decodedProg) {
 	m.pub.hists = hs[:0]
 }
 
+// spanFits reports whether the run's next span fits the sink's room. A span
+// that does not is only counted, for flushSpans to report as dropped: the
+// sink would drop it anyway, so it is never built.
+func (m *Machine) spanFits() bool {
+	if len(m.spanBuf) < m.spanRoom {
+		return true
+	}
+	m.spansPastRoom++
+	return false
+}
+
 // emitSpan buffers one op/stall span; Run flushes the batch to the sink in
 // one call (flushSpans), so the hot path never takes the sink's lock.
 func (m *Machine) emitSpan(track, name string, start, end Cycle, attrs ...telemetry.Attr) {
@@ -150,20 +161,28 @@ func (m *Machine) emitSpan(track, name string, start, end Cycle, attrs ...teleme
 }
 
 // flushSpans delivers the run's buffered spans to the attached sink, in
-// bulk when the sink supports it. Called on every Run exit path so a
-// deadlocked run still surfaces the spans leading up to the stall.
+// bulk when the sink supports it, then reports the spans past its room as
+// dropped. Called on every Run exit path so a deadlocked run still surfaces
+// the spans leading up to the stall.
 func (m *Machine) flushSpans() {
-	if m.spans == nil || len(m.spanBuf) == 0 {
+	if m.spans == nil {
 		return
 	}
-	if bs, ok := m.spans.(telemetry.SpanBatchSink); ok {
-		bs.RecordSpans(m.spanBuf)
-	} else {
-		for _, s := range m.spanBuf {
-			m.spans.RecordSpan(s)
+	if len(m.spanBuf) > 0 {
+		if bs, ok := m.spans.(telemetry.SpanBatchSink); ok {
+			bs.RecordSpans(m.spanBuf)
+		} else {
+			for _, s := range m.spanBuf {
+				m.spans.RecordSpan(s)
+			}
 		}
+		m.spanBuf = m.spanBuf[:0]
 	}
-	m.spanBuf = m.spanBuf[:0]
+	if m.spansPastRoom > 0 {
+		// Only a SpanBudgetSink sets a finite room.
+		m.spans.(telemetry.SpanBudgetSink).DropSpans(m.spansPastRoom)
+		m.spansPastRoom = 0
+	}
 }
 
 // addLinkBytes accrues traffic on one link class against the issuing tile.

@@ -44,7 +44,7 @@ func (m *Machine) Trace() []TraceEvent { return m.trace }
 func (m *Machine) TraceDropped() int { return m.traceDropped }
 
 func (m *Machine) traceOp(ct *compTile, ins *dinstr, start, end Cycle) {
-	if m.spans != nil {
+	if m.spans != nil && m.spanFits() {
 		m.emitSpan(ct.name(), ins.name, start, end)
 	}
 	if m.metrics != nil {
@@ -61,11 +61,12 @@ func (m *Machine) traceOp(ct *compTile, ins *dinstr, start, end Cycle) {
 }
 
 func (m *Machine) traceStall(ct *compTile, t *tracker, desc string) {
-	if m.spans == nil && !m.tracing {
+	span := m.spans != nil && m.spanFits()
+	if !span && !m.tracing {
 		return
 	}
 	note := desc + " on " + t.String()
-	if m.spans != nil {
+	if span {
 		m.emitSpan(ct.name(), "STALL", ct.time, ct.time, telemetry.Attr{Key: "note", Value: note})
 	}
 	if !m.tracing {

@@ -1,0 +1,110 @@
+package sweep
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"sort"
+	"testing"
+
+	"scaledeep/internal/compiler"
+	"scaledeep/internal/isa"
+)
+
+// zoo48ProgramsSHA256 is the digest of every zoo48 cell's compiled programs,
+// layer tags and tracker manifest (see programsDigest). Cycles and
+// instruction counts are pinned by zoo48.golden.csv; this pins the program
+// text itself, which can change without moving a cycle: arming is
+// idempotent and the manifest pre-arms every tracker, so a reordered
+// DMAMEMTRACK block is invisible to the simulator. A deliberate change to
+// code generation updates it.
+const zoo48ProgramsSHA256 = "665dc14dba808a42cca44e4a7d2411500fc73a1f9f964e5de089465b07652d09"
+
+// TestCompiledProgramsPinned compiles every zoo48 cell exactly as runJob
+// does and compares the digest of the result with the pinned one.
+func TestCompiledProgramsPinned(t *testing.T) {
+	jobs, err := Grid{
+		Workloads:   Workloads(),
+		Archs:       Archs(),
+		Minibatches: []int{1, 2, 4},
+		Modes:       []string{"eval", "train"},
+	}.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, job := range jobs {
+		net, err := buildWorkload(job.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chip, _, err := chipFor(job.Arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		train := job.Mode == "train"
+		iters := 1
+		if train {
+			iters = job.Iters
+		}
+		c, err := compiler.Compile(net, chip, compiler.Options{
+			Minibatch: job.Minibatch, Iterations: iters, Training: train, LR: 0.0625,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", job.Name(), err)
+		}
+		writeString(h, job.Name())
+		programsDigest(h, c)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != zoo48ProgramsSHA256 {
+		t.Fatalf("zoo48 programs digest %s, pinned %s", got, zoo48ProgramsSHA256)
+	}
+}
+
+// programsDigest writes one compiled cell into h: its programs in tile-name
+// order (name, encoded instructions, layer tags), then its tracker manifest
+// in manifest order. Every variable-length field is length-prefixed.
+func programsDigest(h hash.Hash, c *compiler.Compiled) {
+	type tile struct {
+		prog *isa.Program
+		tags []int
+	}
+	tiles := make([]tile, 0, len(c.Programs))
+	for k, p := range c.Programs {
+		tiles = append(tiles, tile{p, c.LayerTags[k]})
+	}
+	sort.Slice(tiles, func(i, j int) bool { return tiles[i].prog.Tile < tiles[j].prog.Tile })
+	writeInt(h, int64(len(tiles)))
+	for _, tl := range tiles {
+		writeString(h, tl.prog.Tile)
+		code := isa.EncodeProgram(tl.prog)
+		writeInt(h, int64(len(code)))
+		h.Write(code)
+		writeInt(h, int64(len(tl.tags)))
+		for _, tag := range tl.tags {
+			writeInt(h, int64(tag))
+		}
+	}
+	writeInt(h, int64(len(c.Trackers)))
+	for _, s := range c.Trackers {
+		pre := int64(0)
+		if s.Preloaded {
+			pre = 1
+		}
+		for _, v := range []int64{int64(s.MemTile), s.Addr, s.Size, int64(s.NumUpdates), int64(s.NumReads), pre} {
+			writeInt(h, v)
+		}
+	}
+}
+
+func writeInt(h hash.Hash, v int64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(v))
+	h.Write(b[:])
+}
+
+func writeString(h hash.Hash, s string) {
+	writeInt(h, int64(len(s)))
+	h.Write([]byte(s))
+}

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -113,5 +114,76 @@ func TestRunGridTraceDeterministicAcrossWorkers(t *testing.T) {
 			t.Errorf("assembled trace at %d workers differs from serial (%d vs %d bytes)",
 				workers, len(got), len(one))
 		}
+	}
+}
+
+// batchOnlySink hides a lane's SpanBudgetSink methods, so the simulator
+// builds every span and the lane's own bound drops the overflow.
+type batchOnlySink struct{ lane telemetry.TraceContext }
+
+func (b batchOnlySink) RecordSpan(s telemetry.Span)        { b.lane.RecordSpan(s) }
+func (b batchOnlySink) RecordSpans(spans []telemetry.Span) { b.lane.RecordSpans(spans) }
+
+// countingSink is a lane that counts the spans it is handed.
+type countingSink struct {
+	telemetry.TraceContext
+	handed *int
+}
+
+func (c countingSink) RecordSpan(s telemetry.Span) {
+	*c.handed++
+	c.TraceContext.RecordSpan(s)
+}
+
+func (c countingSink) RecordSpans(spans []telemetry.Span) {
+	*c.handed += len(spans)
+	c.TraceContext.RecordSpans(spans)
+}
+
+// TestSimulatorSpanBudgetMatchesFullLane runs one cell whose op spans
+// overflow its lane and one whose spans fit, each into a lane the machine
+// can ask for room and into one it cannot. The assembled traces and drop
+// counts must be equal, and the budgeted machine must hand the lane no more
+// spans than it had room for.
+func TestSimulatorSpanBudgetMatchesFullLane(t *testing.T) {
+	for _, c := range []struct {
+		job      Job
+		overflow bool
+	}{
+		{Job{Workload: "minivgg", Arch: "half", Minibatch: 8, Mode: "train", Iters: 1}, true},
+		{Job{Workload: "simnet", Arch: "baseline", Minibatch: 1, Mode: "eval", Iters: 1}, false},
+	} {
+		run := func(sink func(telemetry.TraceContext) telemetry.SpanSink) *telemetry.JobTrace {
+			jt := telemetry.NewJobTrace("job", 0, fixedClock())
+			lane := jt.Context(0, "cell/"+c.job.Name())
+			lane.Begin("store.get")() // a lifecycle span already in the lane
+			end := lane.Begin("simulate")
+			_, err := runJob(c.job, nil, sink(lane))
+			end(outcomeOf(err))
+			if err != nil {
+				t.Fatalf("%s: %v", c.job.Name(), err)
+			}
+			return jt
+		}
+		full := run(func(lane telemetry.TraceContext) telemetry.SpanSink { return batchOnlySink{lane} })
+		var room, handed int
+		budgeted := run(func(lane telemetry.TraceContext) telemetry.SpanSink {
+			room = lane.SpanRoom()
+			return countingSink{lane, &handed}
+		})
+		name := c.job.Name()
+		if got, want := budgeted.Dropped(), full.Dropped(); got != want {
+			t.Errorf("%s: budgeted run dropped %d spans, full lane %d", name, got, want)
+		}
+		if got, want := budgeted.Assemble(), full.Assemble(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: budgeted trace has %d spans, full lane %d, or they differ", name, len(got), len(want))
+		}
+		if handed > room {
+			t.Errorf("%s: machine handed the lane %d spans with room for %d", name, handed, room)
+		}
+		if dropped := full.Dropped(); (dropped > 0) != c.overflow {
+			t.Errorf("%s: lane dropped %d spans, overflow expected: %v", name, dropped, c.overflow)
+		}
+		t.Logf("%s: room %d, handed %d, dropped %d", name, room, handed, budgeted.Dropped())
 	}
 }

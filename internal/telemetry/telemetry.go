@@ -58,3 +58,16 @@ type SpanBatchSink interface {
 	SpanSink
 	RecordSpans([]Span)
 }
+
+// SpanBudgetSink is the optional bounded extension of SpanBatchSink: a sink
+// that keeps only so many more spans says how many (SpanRoom), and takes
+// the count of spans a producer did not build because they fell past that
+// room (DropSpans), so its drop accounting reads exactly as if it had been
+// handed them. A producer reads SpanRoom once before a stretch of emission
+// that nothing else records into the sink during (TraceContext's lane has a
+// single owning goroutine); the simulator does so once per Run.
+type SpanBudgetSink interface {
+	SpanBatchSink
+	SpanRoom() int
+	DropSpans(n int64)
+}

@@ -29,7 +29,9 @@ import (
 // Assemble surfaces, so a truncated trace is detectable instead of silently
 // misleading (see ChromeTraceMeta / trace.dropped_spans). Lifecycle spans
 // (Begin/Interval) are a fixed handful per cell and always kept, even in a
-// lane the op spans have filled.
+// lane the op spans have filled. The simulator asks a lane for its
+// SpanRoom before a run and reports the spans past it through DropSpans
+// instead of building spans the bound would drop.
 
 // LaneJob is the reserved lane for job-lifecycle spans (queue-wait, sweep,
 // render, merge); it sorts before every cell lane.
@@ -146,6 +148,22 @@ func (jt *JobTrace) record(lane int, prefix string, bounded bool, spans ...Span)
 	jt.lanes[lane] = buf
 }
 
+// room reports how many more bounded spans lane keeps before it drops:
+// lifecycle spans count against the bound but are never dropped, so a lane
+// they pushed past it has no room.
+func (jt *JobTrace) room(lane int) int {
+	jt.mu.Lock()
+	defer jt.mu.Unlock()
+	return max(jt.limit-len(jt.lanes[lane]), 0)
+}
+
+// drop counts n spans discarded by a lane's bound without recording them.
+func (jt *JobTrace) drop(n int64) {
+	jt.mu.Lock()
+	jt.dropped += n
+	jt.mu.Unlock()
+}
+
 // Dropped reports how many spans were discarded by per-lane bounds.
 func (jt *JobTrace) Dropped() int64 {
 	jt.mu.Lock()
@@ -198,6 +216,8 @@ type TraceContext struct {
 	prefix string
 }
 
+var _ SpanBudgetSink = TraceContext{}
+
 // Enabled reports whether spans recorded through this context go anywhere.
 func (tc TraceContext) Enabled() bool { return tc.jt != nil }
 
@@ -223,6 +243,26 @@ func (tc TraceContext) RecordSpans(spans []Span) {
 		return
 	}
 	tc.jt.record(tc.Lane, tc.prefix, true, spans...)
+}
+
+// SpanRoom reports how many more spans RecordSpan/RecordSpans keep in the
+// lane before the per-lane bound drops them (SpanBudgetSink); 0 when the
+// context is disabled.
+func (tc TraceContext) SpanRoom() int {
+	if tc.jt == nil {
+		return 0
+	}
+	return tc.jt.room(tc.Lane)
+}
+
+// DropSpans counts n spans a producer left unbuilt because the lane had no
+// room for them, exactly as recording and dropping them would have
+// (SpanBudgetSink).
+func (tc TraceContext) DropSpans(n int64) {
+	if tc.jt == nil || n <= 0 {
+		return
+	}
+	tc.jt.drop(n)
 }
 
 // Begin opens a wall-clock span at the current offset from the job base and

@@ -140,6 +140,72 @@ func TestJobTraceBoundKeepsLifecycleSpans(t *testing.T) {
 	}
 }
 
+// TestSpanRoomCountsLifecycleSpans: lifecycle spans already in a lane count
+// against its room, and a producer that records only SpanRoom() spans and
+// reports the rest through DropSpans leaves the same trace and drop count
+// as one that records them all.
+func TestSpanRoomCountsLifecycleSpans(t *testing.T) {
+	ops := make([]Span, 7)
+	for i := range ops {
+		ops[i] = Span{Track: "comp", Name: fmt.Sprintf("op%d", i), Start: int64(i)}
+	}
+	build := func(budgeted bool) *JobTrace {
+		jt := NewJobTrace("job-1", 4, newFakeClock(time.Millisecond).Now)
+		tc := jt.Context(0, "cell")
+		tc.Begin("compile")()
+		tc.RecordSpans(ops[:1])
+		if budgeted {
+			room := tc.SpanRoom()
+			if room != 2 {
+				t.Fatalf("SpanRoom = %d with 2 of 4 spans held, want 2", room)
+			}
+			tc.RecordSpans(ops[1 : 1+room])
+			tc.DropSpans(int64(len(ops) - 1 - room))
+			if got := tc.SpanRoom(); got != 0 {
+				t.Errorf("SpanRoom after filling the lane = %d, want 0", got)
+			}
+		} else {
+			tc.RecordSpans(ops[1:])
+		}
+		tc.Interval("store.put", time.Unix(1_700_000_000, 0), time.Unix(1_700_000_001, 0))
+		return jt
+	}
+	full, budgeted := build(false), build(true)
+	if got, want := budgeted.Dropped(), full.Dropped(); got != want || got != 4 {
+		t.Errorf("dropped = %d budgeted, %d recorded in full, want 4", got, want)
+	}
+	if got, want := budgeted.Assemble(), full.Assemble(); !reflect.DeepEqual(got, want) {
+		t.Errorf("budgeted trace\n%v\nrecorded in full\n%v", got, want)
+	}
+}
+
+// TestSpanRoomZero: a lane its lifecycle spans have pushed past the bound,
+// a lane its op spans have filled and a disabled context all have no room;
+// DropSpans on them only counts.
+func TestSpanRoomZero(t *testing.T) {
+	jt := NewJobTrace("job-1", 2, nil)
+	life := jt.Context(0, "cell")
+	for _, name := range []string{"compile", "install", "simulate"} {
+		life.Begin(name)()
+	}
+	ops := jt.Context(1, "cell")
+	ops.RecordSpans([]Span{{Name: "op"}, {Name: "op"}})
+	for _, tc := range []TraceContext{life, ops, {}} {
+		if got := tc.SpanRoom(); got != 0 {
+			t.Errorf("lane %d: SpanRoom = %d, want 0", tc.Lane, got)
+		}
+	}
+	life.DropSpans(5)
+	ops.DropSpans(3)
+	TraceContext{}.DropSpans(1)
+	if got := jt.Dropped(); got != 8 {
+		t.Errorf("dropped = %d, want 8", got)
+	}
+	if got := len(jt.Assemble()); got != 5 {
+		t.Errorf("assembled spans = %d, want 5", got)
+	}
+}
+
 func TestTraceContextBeginUsesClock(t *testing.T) {
 	clk := newFakeClock(time.Millisecond)
 	jt := NewJobTrace("job-1", 0, clk.Now) // base consumes one tick

@@ -212,3 +212,31 @@ func BenchmarkKernelMatVec(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkKernelRoundHalfSlice times quantizing a 4096-element slice
+// through binary16, as the half-precision simulator does after every
+// datapath write: the field-by-field conversion against RoundHalfSlice's
+// direct bit path.
+func BenchmarkKernelRoundHalfSlice(b *testing.B) {
+	rng := NewRNG(5)
+	src := New(4096)
+	rng.FillUniform(src, 1)
+	dst := make([]float32, len(src.Data))
+
+	b.Run("conversion", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			copy(dst, src.Data)
+			for j, v := range dst {
+				dst[j] = FromHalfBits(ToHalfBits(v))
+			}
+		}
+	})
+	b.Run("direct", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			copy(dst, src.Data)
+			RoundHalfSlice(dst)
+		}
+	})
+}

@@ -75,13 +75,46 @@ func FromHalfBits(h uint16) float32 {
 	}
 }
 
-// RoundHalf rounds a float32 through binary16 (the value a half-precision
-// datapath would store).
-func RoundHalf(f float32) float32 { return FromHalfBits(ToHalfBits(f)) }
+// Float32 bit bounds of RoundHalf's direct path: |f| from the smallest
+// normal binary16 (2^-14) up to, but excluding, 65520 — the midpoint
+// between the largest finite half (65504) and 65536, which rounds to even
+// and so overflows to Inf.
+const (
+	halfNormalMinBits = 0x38800000
+	halfOverflowBits  = 0x477FF000
+)
 
-// RoundHalfSlice rounds a slice in place.
+// roundHalfDirect rounds float32 bits b that stay normal in binary16: round
+// to nearest even at bit 13, the lowest mantissa bit binary16 keeps, then
+// clear the 13 bits below it (a carry out of the mantissa bumps the
+// exponent, which is correct). ok is false for every other input.
+func roundHalfDirect(b uint32) (r uint32, ok bool) {
+	if a := b &^ (1 << 31); a-halfNormalMinBits >= halfOverflowBits-halfNormalMinBits {
+		return 0, false
+	}
+	return (b + 0x0FFF + (b >> 13 & 1)) &^ 0x1FFF, true
+}
+
+// RoundHalf rounds a float32 through binary16 (the value a half-precision
+// datapath would store). Values that stay normal in binary16 round directly
+// on the float32 bits (roundHalfDirect); subnormal, overflowing, Inf and
+// NaN inputs go through FromHalfBits(ToHalfBits(f)), which
+// TestRoundHalfMatchesConversion checks the direct path against.
+func RoundHalf(f float32) float32 {
+	if r, ok := roundHalfDirect(math.Float32bits(f)); ok {
+		return math.Float32frombits(r)
+	}
+	return FromHalfBits(ToHalfBits(f))
+}
+
+// RoundHalfSlice rounds a slice in place. It takes the direct path inline,
+// since RoundHalf itself is too large for the compiler to inline.
 func RoundHalfSlice(vals []float32) {
 	for i, v := range vals {
-		vals[i] = RoundHalf(v)
+		if r, ok := roundHalfDirect(math.Float32bits(v)); ok {
+			vals[i] = math.Float32frombits(r)
+		} else {
+			vals[i] = RoundHalf(v)
+		}
 	}
 }

@@ -93,3 +93,38 @@ func TestHalfBitsRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundHalfMatchesConversion checks RoundHalf's direct bit path bit for
+// bit against the field-by-field conversion FromHalfBits(ToHalfBits(f)).
+// It covers every sign, exponent and top-10-mantissa-bit combination (the
+// bits binary16 keeps) with the low 13 bits set to each rounding case:
+// zero, just above zero, just below, at and just above the halfway point,
+// and all ones, plus neighbours of each (2^19 × 12 inputs); then signed
+// zeros, infinities, NaN payloads and the largest finite half with its
+// rounding neighbours.
+func TestRoundHalfMatchesConversion(t *testing.T) {
+	check := func(b uint32) {
+		f := math.Float32frombits(b)
+		got, want := math.Float32bits(RoundHalf(f)), math.Float32bits(FromHalfBits(ToHalfBits(f)))
+		if got != want {
+			t.Fatalf("RoundHalf(%#08x) = %#08x, conversion gives %#08x", b, got, want)
+		}
+	}
+	lows := []uint32{0, 1, 2, 0x0800, 0x0FFE, 0x0FFF, 0x1000, 0x1001, 0x1002, 0x1800, 0x1FFE, 0x1FFF}
+	for hi := uint32(0); hi < 1<<19; hi++ {
+		for _, lo := range lows {
+			check(hi<<13 | lo)
+		}
+	}
+	for _, b := range []uint32{
+		0x00000000, 0x80000000, // ±0
+		0x7F800000, 0xFF800000, // ±Inf
+		0x7FC00000, 0xFFC00000, 0x7F800001, 0x7FBFFFFF, 0x7FFFFFFF, 0xFFFFFFFF, // NaNs
+		0x477FE000, 0x477FDFFF, 0x477FE001, // 65504 and its float32 neighbours
+		0x477FEFFF, 0x477FF000, 0x477FF001, // around 65520, the overflow tie
+		0x47800000, 0xC77FE000, 0xC77FF000, // 65536, -65504, -65520
+		0x38800000, 0x387FFFFF, 0x387FF000, 0x387FEFFF, // around 2^-14, the smallest normal
+	} {
+		check(b)
+	}
+}
