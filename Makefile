@@ -25,12 +25,14 @@ race:
 	$(GO) test -race ./internal/telemetry/... ./internal/sim/... ./internal/sweep/... ./internal/cluster/... ./internal/par/... ./internal/tensor/... ./internal/store/... ./internal/server/...
 
 # fuzz runs each native fuzz target for a bounded time: the store blob
-# decoder and the ISA assembler. Their seeds (a real encoded cell and a
-# corrupted copy; the package's test programs) also run as ordinary tests
-# under `go test`.
+# decoder, the ISA assembler and the store's key handling. Their seeds (a
+# real encoded cell and a corrupted copy; the package's test programs; the
+# rejected keys of TestInvalidKeysRejected and one valid key) also run as
+# ordinary tests under `go test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlob$$' -fuzztime 10s ./internal/sweep/
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 10s ./internal/isa/
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreKey$$' -fuzztime 10s ./internal/store/
 
 # bench runs the tier-1 simulator benchmarks (the telemetry-off/on hot-path
 # pair among them: the nil-sink fast path must not cost anything when

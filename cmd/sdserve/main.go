@@ -61,7 +61,7 @@
 //
 // SIGINT/SIGTERM drains gracefully: the listener stops accepting, queued
 // jobs are cancelled, running jobs finish, in-flight responses complete,
-// and the store index is flushed.
+// and the store is closed, recording its LRU order for the next start.
 package main
 
 import (

@@ -11,11 +11,13 @@ package main
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -220,22 +222,38 @@ func main() {
 }
 
 // trainCheck is one batch-mode equivalence result; with -store-dir it is
-// also the persisted payload (wrapped in trainBlob), so a repeated batch
+// also the persisted payload (encodeTrainBlob), so a repeated batch
 // replays cycles, divergence and metrics from disk.
 type trainCheck struct {
-	Iters  int     `json:"iters"`
-	Cycles int64   `json:"cycles"`
-	Worst  float64 `json:"worst"`
+	Iters  int
+	Cycles int64
+	Worst  float64
 }
 
-// trainBlob is the store payload for one equivalence check.
-type trainBlob struct {
-	Schema  int                `json:"schema"`
-	Check   trainCheck         `json:"check"`
-	Metrics telemetry.Snapshot `json:"metrics"`
+const trainBlobSchema = 2
+
+// encodeTrainBlob serializes one check and its telemetry registry: Iters
+// and Cycles as varints, Worst as little-endian float64 bits, then the
+// registry in telemetry's binary form (Registry.AppendEncoding).
+func encodeTrainBlob(c trainCheck, reg *telemetry.Registry) []byte {
+	b := binary.AppendVarint(nil, int64(c.Iters))
+	b = binary.AppendVarint(b, c.Cycles)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.Worst))
+	return reg.AppendEncoding(b)
 }
 
-const trainBlobSchema = 1
+// decodeTrainBlob is encodeTrainBlob's inverse. A payload it did not write,
+// truncated or with bytes left over, is an error.
+func decodeTrainBlob(payload []byte) (trainCheck, *telemetry.Registry, error) {
+	iters, n := binary.Varint(payload)
+	cycles, m := binary.Varint(payload[max(n, 0):])
+	if n <= 0 || m <= 0 || len(payload) < n+m+8 {
+		return trainCheck{}, nil, errors.New("sdtrain: stored check truncated or malformed")
+	}
+	worst := math.Float64frombits(binary.LittleEndian.Uint64(payload[n+m:]))
+	reg, err := telemetry.DecodeRegistry(payload[n+m+8:])
+	return trainCheck{Iters: int(iters), Cycles: cycles, Worst: worst}, reg, err
+}
 
 // trainKey derives the content address of one equivalence check. Everything
 // that determines the result is baked in: payload schema and Go layout, the
@@ -244,7 +262,7 @@ const trainBlobSchema = 1
 func trainKey(iters int) string {
 	return store.NewKey().
 		Int("schema", trainBlobSchema).
-		Str("layout", store.LayoutHash(trainBlob{})).
+		Str("layout", store.LayoutHash(trainCheck{})).
 		Str("runner", "sdtrain-batch/v1 net=trainnet chip=3x6 mb=2 lr=0.03125 seed=3/42 nobias").
 		Int("iters", int64(iters)).
 		Sum()
@@ -290,12 +308,9 @@ func runBatch(batch string, parallel int, metricsOut, storeDir string, logger *s
 					return trainCheck{}, err
 				}
 				if ok {
-					var blob trainBlob
-					if jerr := json.Unmarshal(payload, &blob); jerr == nil && blob.Schema == trainBlobSchema {
-						if restored, rerr := blob.Metrics.Restore(); rerr == nil {
-							reg.MergeFrom(restored)
-							return blob.Check, nil
-						}
+					if c, stored, derr := decodeTrainBlob(payload); derr == nil {
+						reg.MergeFrom(stored)
+						return c, nil
 					}
 					// Undecodable despite a valid checksum: quarantine and
 					// fall through to a fresh simulation.
@@ -310,11 +325,7 @@ func runBatch(batch string, parallel int, metricsOut, storeDir string, logger *s
 			}
 			c := trainCheck{Iters: iters, Cycles: cycles, Worst: worst}
 			if st != nil {
-				payload, err := json.Marshal(trainBlob{Schema: trainBlobSchema, Check: c, Metrics: reg.Snapshot()})
-				if err != nil {
-					return trainCheck{}, err
-				}
-				if err := st.Put(key, payload); err != nil {
+				if err := st.Put(key, encodeTrainBlob(c, reg)); err != nil {
 					return trainCheck{}, err
 				}
 			}

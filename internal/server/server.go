@@ -652,8 +652,7 @@ func clientID(r *http.Request) string {
 // touchClientLocked returns the client's rate-limit bucket, creating it on
 // first sight and stamping it with the access clock. The table is bounded:
 // creating a bucket at cfg.MaxClients first evicts the least-recently-seen
-// client (smallest clock — the same access-clock scheme the result store
-// uses for its memory tier), so an open population of submitters can never
+// client (smallest clock), so an open population of submitters can never
 // grow the map without bound. Callers hold s.mu.
 func (s *Server) touchClientLocked(client string) *bucket {
 	b := s.clients[client]

@@ -62,13 +62,13 @@ func (s *Store) GetOrCompute(ctx context.Context, key string, compute func() ([]
 		// instead of recomputing. (Checked before leading, so the window
 		// between a completed flight and a new caller never forks a second
 		// computation.)
-		if payload, ok := s.mem[key]; ok {
-			if e := s.entries[key]; e != nil {
-				s.touchLocked(e)
+		if el := s.entries[key]; el != nil {
+			if payload := el.Value.(*entry).payload; payload != nil {
+				s.lru.MoveToFront(el)
+				s.stats.Coalesced++
+				s.mu.Unlock()
+				return payload, FlightCoalesced, nil
 			}
-			s.stats.Coalesced++
-			s.mu.Unlock()
-			return payload, FlightCoalesced, nil
 		}
 		if f := s.flights[key]; f != nil {
 			s.mu.Unlock()

@@ -213,7 +213,7 @@ func TestGetOrComputeContextCancel(t *testing.T) {
 
 // TestStoreConcurrentStress hammers one shared store from many goroutines
 // mixing Get, Put and GetOrCompute over a small hot key space — the
-// concurrent-reader/writer audit for the index mutex, access clock and LRU
+// concurrent-reader/writer audit for the store mutex, the LRU table and its
 // eviction, run under `go test -race` by make race. The size bound is set
 // low enough that eviction churns continuously while flights are in
 // progress.

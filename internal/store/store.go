@@ -4,52 +4,64 @@
 // KeyBuilder, including a schema version and a LayoutHash of the serialized
 // structs); values are opaque payload bytes the caller serializes.
 //
+// The blobs directory is the store's only state: one framed file per key,
+// named by the key. Open lists it once into an in-memory LRU table, oldest
+// modification time first, and every operation after that keeps the table
+// and the directory in step.
+//
 // Durability and safety model, in order:
 //
 //   - Atomic blobs. A blob is written to a temp file in the blobs directory
 //     and renamed into place, so a reader never observes a half-written
-//     blob under its final name. The payload is framed with a magic, a
-//     length and a CRC32, so truncation or bit rot is detected on read.
+//     blob under its final name, and Open never lists a temp file. The
+//     payload is framed with a magic, a length and a CRC32, so truncation
+//     or bit rot is detected on read.
 //   - Corruption is a miss. A blob that fails framing checks is moved to
 //     the quarantine directory and forgotten; the caller re-computes and
 //     overwrites. The store never returns bytes that failed the checksum.
 //   - Bounded size. Total blob bytes are capped; Put evicts
-//     least-recently-used blobs (persisted access ordering) until the new
-//     blob fits. The newest blob is never evicted by its own Put.
-//   - Two tiers. Payloads read or written in this process are also kept in
-//     an in-memory map, so repeated Gets skip the disk entirely (the
-//     "warm-memory" tier); the map mirrors the disk contents and is
-//     evicted alongside it.
-//
-// The index file records sizes and access ordering. It is rewritten
-// atomically after mutations and on Close; if it is missing or stale the
-// store rebuilds it by scanning the blobs directory (adopted blobs sort
-// oldest), so a crash between a blob rename and an index write loses no
-// data.
+//     least-recently-used blobs until the new blob fits. The newest blob is
+//     never evicted by its own Put.
+//   - Recency is a hint. Close stamps the blobs this process read or wrote
+//     with strictly increasing modification times in LRU order, so a clean
+//     restart resumes the exact order. A crash before Close loses only that
+//     process's recency, never data.
+//   - Two tiers. A payload read or written in this process stays in its
+//     table entry, so repeated Gets skip the disk entirely (the
+//     "warm-memory" tier); eviction drops it with the blob.
 package store
 
 import (
+	"container/list"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
+	"time"
 )
 
 // DefaultMaxBytes is the disk budget when Options.MaxBytes is zero.
 const DefaultMaxBytes = 256 << 20 // 256 MiB
 
-// indexSchema versions the index file format itself.
-const indexSchema = 1
-
 // Blob framing: magic, payload length, CRC32 (IEEE) of the payload.
 var blobMagic = [4]byte{'S', 'D', 'B', '1'}
 
 const blobHeaderLen = 4 + 4 + 4
+
+// stampStep separates the modification times Close writes. It is above the
+// resolution of the usual Linux filesystems (ext4, xfs, btrfs, tmpfs), so
+// consecutive stamps stay distinct on disk.
+const stampStep = time.Microsecond
+
+// writeBlob writes a blob's framed bytes to its temp file. Tests replace it
+// to fail a write part-way, as a full disk does.
+var writeBlob = (*os.File).Write
 
 // Options configure Open.
 type Options struct {
@@ -69,58 +81,76 @@ type Stats struct {
 	Coalesced int64 // payloads shared from a concurrent GetOrCompute leader
 }
 
+// entry is one blob in the LRU table.
 type entry struct {
-	Key    string `json:"key"`
-	Size   int64  `json:"size"`   // payload bytes (framing excluded)
-	Access int64  `json:"access"` // LRU clock value of the last touch
-}
-
-type indexFile struct {
-	Schema  int     `json:"schema"`
-	Seq     int64   `json:"seq"`
-	Entries []entry `json:"entries"`
+	key     string
+	size    int64  // payload bytes (framing excluded)
+	payload []byte // nil until the blob is read or written in this process
 }
 
 // Store is safe for concurrent use by multiple goroutines.
 type Store struct {
 	dir      string
 	maxBytes int64
+	newest   time.Time // the latest modification time Open listed
 
 	mu      sync.Mutex
-	entries map[string]*entry
-	mem     map[string][]byte
-	flights map[string]*flight // in-progress GetOrCompute leaders by key
-	seq     int64
+	lru     list.List                // *entry values, most recently used first
+	entries map[string]*list.Element // lru's elements by key
+	flights map[string]*flight       // in-progress GetOrCompute leaders by key
 	size    int64
 	stats   Stats
 }
 
-// Open opens (or creates) a store rooted at dir.
+// Open opens (or creates) a store rooted at dir. One listing of the blobs
+// directory fills the LRU table, least recently used (oldest modification
+// time, then lowest key) last.
 func Open(dir string, opts Options) (*Store, error) {
-	max := opts.MaxBytes
-	if max == 0 {
-		max = DefaultMaxBytes
+	s := &Store{dir: dir, maxBytes: opts.MaxBytes}
+	if s.maxBytes == 0 {
+		s.maxBytes = DefaultMaxBytes
 	}
 	for _, sub := range []string{blobsDir(dir), quarantineDir(dir)} {
 		if err := os.MkdirAll(sub, 0o755); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 	}
-	s := &Store{
-		dir:      dir,
-		maxBytes: max,
-		entries:  map[string]*entry{},
-		mem:      map[string][]byte{},
+	dirents, err := os.ReadDir(blobsDir(dir))
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	if err := s.loadIndex(); err != nil {
-		return nil, err
+	type blob struct {
+		e     *entry
+		mtime time.Time
+	}
+	blobs := make([]blob, 0, len(dirents))
+	for _, de := range dirents {
+		if !validKey(de.Name()) {
+			continue // a temp file or foreign debris; never served
+		}
+		info, err := de.Info()
+		if err != nil {
+			continue
+		}
+		blobs = append(blobs, blob{&entry{key: de.Name(), size: max(info.Size()-blobHeaderLen, 0)}, info.ModTime()})
+	}
+	slices.SortFunc(blobs, func(a, b blob) int {
+		if c := a.mtime.Compare(b.mtime); c != 0 {
+			return c
+		}
+		return strings.Compare(a.e.key, b.e.key)
+	})
+	s.entries = make(map[string]*list.Element, len(blobs))
+	for _, b := range blobs {
+		s.entries[b.e.key] = s.lru.PushFront(b.e)
+		s.size += b.e.size
+		s.newest = b.mtime
 	}
 	return s, nil
 }
 
 func blobsDir(dir string) string      { return filepath.Join(dir, "blobs") }
 func quarantineDir(dir string) string { return filepath.Join(dir, "quarantine") }
-func indexPath(dir string) string     { return filepath.Join(dir, "index.json") }
 
 func (s *Store) blobPath(key string) string { return filepath.Join(blobsDir(s.dir), key) }
 
@@ -138,95 +168,6 @@ func validKey(key string) bool {
 		}
 	}
 	return true
-}
-
-// loadIndex reads the index file and reconciles it with the blobs on disk:
-// indexed entries whose blob vanished are dropped; blobs the index missed
-// (crash between rename and index write) are adopted with the oldest
-// access, sized by stat.
-func (s *Store) loadIndex() error {
-	var idx indexFile
-	if data, err := os.ReadFile(indexPath(s.dir)); err == nil {
-		if jerr := json.Unmarshal(data, &idx); jerr != nil || idx.Schema != indexSchema {
-			idx = indexFile{} // stale or corrupt index: rebuild from the blobs
-		}
-	}
-	onDisk := map[string]int64{}
-	dirents, err := os.ReadDir(blobsDir(s.dir))
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	for _, de := range dirents {
-		name := de.Name()
-		if !validKey(name) {
-			continue // temp file or foreign debris; never indexed
-		}
-		info, err := de.Info()
-		if err != nil {
-			continue
-		}
-		size := info.Size() - blobHeaderLen
-		if size < 0 {
-			size = 0
-		}
-		onDisk[name] = size
-	}
-	for i := range idx.Entries {
-		e := idx.Entries[i]
-		if _, ok := onDisk[e.Key]; !ok {
-			continue
-		}
-		delete(onDisk, e.Key)
-		ne := e
-		s.entries[e.Key] = &ne
-		s.size += e.Size
-		if e.Access >= s.seq {
-			s.seq = e.Access + 1
-		}
-	}
-	// Adopt stray blobs in sorted order so reconciliation is deterministic.
-	strays := make([]string, 0, len(onDisk))
-	for key := range onDisk {
-		strays = append(strays, key)
-	}
-	sort.Strings(strays)
-	for _, key := range strays {
-		s.entries[key] = &entry{Key: key, Size: onDisk[key], Access: 0}
-		s.size += onDisk[key]
-	}
-	return nil
-}
-
-// writeIndexLocked atomically rewrites the index file. Callers hold s.mu.
-func (s *Store) writeIndexLocked() error {
-	idx := indexFile{Schema: indexSchema, Seq: s.seq}
-	idx.Entries = make([]entry, 0, len(s.entries))
-	for _, e := range s.entries {
-		idx.Entries = append(idx.Entries, *e)
-	}
-	sort.Slice(idx.Entries, func(i, j int) bool { return idx.Entries[i].Key < idx.Entries[j].Key })
-	data, err := json.Marshal(idx)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	tmp, err := os.CreateTemp(s.dir, ".index-*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), indexPath(s.dir)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
 }
 
 // frame wraps payload in the on-disk blob format.
@@ -267,21 +208,22 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[key]
+	el, ok := s.entries[key]
 	if !ok {
 		s.stats.Misses++
 		return nil, false, nil
 	}
-	if payload, ok := s.mem[key]; ok {
+	e := el.Value.(*entry)
+	if e.payload != nil {
 		s.stats.MemHits++
-		s.touchLocked(e)
-		return payload, true, nil
+		s.lru.MoveToFront(el)
+		return e.payload, true, nil
 	}
 	buf, err := os.ReadFile(s.blobPath(key))
 	if err != nil {
-		// The index promised a blob that is gone — treat like corruption
+		// The table promised a blob that is gone — treat like corruption
 		// minus the quarantine move.
-		s.dropLocked(key)
+		s.dropLocked(el)
 		s.stats.Corrupt++
 		s.stats.Misses++
 		return nil, false, nil
@@ -293,9 +235,9 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 		s.stats.Misses++
 		return nil, false, nil
 	}
-	s.mem[key] = payload
+	e.payload = payload
 	s.stats.DiskHits++
-	s.touchLocked(e)
+	s.lru.MoveToFront(el)
 	return payload, true, nil
 }
 
@@ -305,17 +247,15 @@ func (s *Store) Put(key string, payload []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
 	}
-	framed := frame(payload)
 	tmp, err := os.CreateTemp(blobsDir(s.dir), ".put-*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if _, err := tmp.Write(framed); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
+	_, err = writeBlob(tmp, frame(payload))
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
 	}
@@ -325,68 +265,40 @@ func (s *Store) Put(key string, payload []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
 	}
-	if old, ok := s.entries[key]; ok {
-		s.size -= old.Size
-		old.Size = int64(len(payload))
-		s.size += old.Size
-		s.touchLocked(old)
-	} else {
-		e := &entry{Key: key, Size: int64(len(payload)), Access: s.seq}
-		s.seq++
-		s.entries[key] = e
-		s.size += e.Size
+	el, ok := s.entries[key]
+	if !ok {
+		el = s.lru.PushFront(&entry{key: key})
+		s.entries[key] = el
 	}
-	s.mem[key] = payload
+	e := el.Value.(*entry)
+	s.size += int64(len(payload)) - e.size
+	e.size, e.payload = int64(len(payload)), payload
+	s.lru.MoveToFront(el)
 	s.stats.Puts++
-	s.evictLocked(key)
-	return s.writeIndexLocked()
-}
-
-// touchLocked bumps the entry to most-recently-used.
-func (s *Store) touchLocked(e *entry) {
-	e.Access = s.seq
-	s.seq++
-}
-
-// evictLocked removes least-recently-used blobs until the size budget
-// holds, never evicting keep (the blob just written).
-func (s *Store) evictLocked(keep string) {
-	if s.maxBytes < 0 {
-		return
-	}
-	for s.size > s.maxBytes && len(s.entries) > 1 {
-		var victim *entry
-		for _, e := range s.entries {
-			if e.Key == keep {
-				continue
-			}
-			if victim == nil || e.Access < victim.Access ||
-				(e.Access == victim.Access && e.Key < victim.Key) {
-				victim = e
-			}
-		}
-		if victim == nil {
-			return
-		}
-		s.dropLocked(victim.Key)
-		os.Remove(s.blobPath(victim.Key))
+	// The blob just written is at the front and the loop keeps one entry,
+	// so a Put never evicts its own blob.
+	for s.maxBytes >= 0 && s.size > s.maxBytes && s.lru.Len() > 1 {
+		victim := s.dropLocked(s.lru.Back())
+		os.Remove(s.blobPath(victim.key))
 		s.stats.Evictions++
 	}
+	return nil
 }
 
-// dropLocked forgets an entry (index + memory tier) without touching disk.
-func (s *Store) dropLocked(key string) {
-	if e, ok := s.entries[key]; ok {
-		s.size -= e.Size
-		delete(s.entries, key)
-	}
-	delete(s.mem, key)
+// dropLocked forgets a table entry without touching disk and returns it.
+func (s *Store) dropLocked(el *list.Element) *entry {
+	e := s.lru.Remove(el).(*entry)
+	delete(s.entries, e.key)
+	s.size -= e.size
+	return e
 }
 
 // quarantineLocked moves a corrupt blob aside for post-mortem and forgets
 // it, so the next Get is a clean miss and the next Put overwrites.
 func (s *Store) quarantineLocked(key string) {
-	s.dropLocked(key)
+	if el, ok := s.entries[key]; ok {
+		s.dropLocked(el)
+	}
 	os.Rename(s.blobPath(key), filepath.Join(quarantineDir(s.dir), key))
 }
 
@@ -400,7 +312,7 @@ func (s *Store) Quarantine(key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.quarantineLocked(key)
-	return s.writeIndexLocked()
+	return nil
 }
 
 // Stats returns a snapshot of the traffic counters.
@@ -439,10 +351,27 @@ func (s *Store) Keys() []string {
 	return keys
 }
 
-// Close flushes the index (persisting the latest access ordering). The
-// store must not be used after Close.
+// Close leaves the LRU order on disk for the next Open: it stamps every
+// blob this process read or wrote with strictly increasing modification
+// times, least recently used first, all later than any blob Open listed.
+// A blob that has vanished is skipped. The store must not be used after
+// Close.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.writeIndexLocked()
+	t := time.Now()
+	if !t.After(s.newest) {
+		t = s.newest.Add(stampStep)
+	}
+	for el := s.lru.Back(); el != nil; el = el.Prev() {
+		e := el.Value.(*entry)
+		if e.payload == nil {
+			continue
+		}
+		if err := os.Chtimes(s.blobPath(e.key), t, t); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("store: %w", err)
+		}
+		t = t.Add(stampStep)
+	}
+	return nil
 }

@@ -2,10 +2,17 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"regexp"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 func testKey(t *testing.T, parts ...string) string {
@@ -199,8 +206,9 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-// TestAccessOrderSurvivesReopen: Close persists the LRU clock, so eviction
-// decisions after a restart respect pre-restart access order.
+// TestAccessOrderSurvivesReopen: Close leaves the LRU order in the blobs'
+// modification times, so eviction decisions after a restart respect
+// pre-restart access order.
 func TestAccessOrderSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte{1}, 100)
@@ -222,18 +230,158 @@ func TestAccessOrderSurvivesReopen(t *testing.T) {
 	if _, ok, _ := s2.Get(ka); !ok {
 		t.Fatal("pre-restart MRU blob a evicted")
 	}
+
+	// Ten blobs, eight of them read back in a permuted order: after Close
+	// and a reopen whose cap holds exactly ten, each new Put must evict the
+	// next blob of the pre-Close LRU order — the two never read, in Put
+	// order, then the eight in the order they were read.
+	dir = t.TempDir()
+	s, _ = Open(dir, Options{})
+	keys := make([]string, 10)
+	for i := range keys {
+		keys[i] = testKey(t, "order", strconv.Itoa(i))
+		if err := s.Put(keys[i], payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want []string
+	for _, i := range []int{4, 6, 7, 2, 9, 0, 5, 3, 8, 1} {
+		want = append(want, keys[i])
+	}
+	for _, key := range want[2:] {
+		if _, ok, _ := s.Get(key); !ok {
+			t.Fatal("miss before Close")
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, _ = Open(dir, Options{MaxBytes: int64(10*len(payload) + len(payload)/2)})
+	for i, victim := range want {
+		if err := s2.Put(testKey(t, "evictor", strconv.Itoa(i)), payload); err != nil {
+			t.Fatal(err)
+		}
+		left := s2.Keys()
+		if _, found := slices.BinarySearch(left, victim); found {
+			t.Fatalf("Put %d: blob %d of the pre-Close LRU order survived", i, i)
+		}
+		for j, key := range want[i+1:] {
+			if _, found := slices.BinarySearch(left, key); !found {
+				t.Fatalf("Put %d: evicted blob %d of the LRU order before blob %d", i, i+1+j, i)
+			}
+		}
+	}
 }
 
-// TestStrayBlobAdopted: a blob present on disk but missing from the index
-// (crash between rename and index write) is adopted on Open.
-func TestStrayBlobAdopted(t *testing.T) {
+// TestCloseStampsAfterNewestBlob: Close stamps a blob the process read
+// with a time later than every time Open listed, even one ahead of the
+// clock (stamps a previous Close wrote moments ago, or a clock stepped
+// back), so the reopened order still keeps the blob read last.
+func TestCloseStampsAfterNewestBlob(t *testing.T) {
 	dir := t.TempDir()
-	key := testKey(t, "stray")
-	payload := []byte("orphan payload")
+	payload := bytes.Repeat([]byte{2}, 100)
+	ka, kb, kc := testKey(t, "a"), testKey(t, "b"), testKey(t, "c")
 	s, _ := Open(dir, Options{})
-	s.Put(key, payload)
-	s.Close()
-	if err := os.Remove(indexPath(dir)); err != nil {
+	for _, key := range []string{ka, kb} {
+		if err := s.Put(key, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ahead := time.Now().Add(time.Hour)
+	if err := os.Chtimes(filepath.Join(blobsDir(dir), kb), ahead, ahead); err != nil {
+		t.Fatal(err)
+	}
+	s2, _ := Open(dir, Options{})
+	if _, ok, _ := s2.Get(ka); !ok { // a is now more recent than b
+		t.Fatal("miss on a")
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3, _ := Open(dir, Options{MaxBytes: 250})
+	if err := s3.Put(kc, payload); err != nil {
+		t.Fatal(err)
+	}
+	if keys := s3.Keys(); slices.Contains(keys, kb) || !slices.Contains(keys, ka) {
+		t.Fatal("the blob read before Close was evicted ahead of an older one")
+	}
+}
+
+// TestCloseSkipsVanishedBlob: Close skips a blob deleted behind the
+// store's back without an error and still stamps the blobs after it.
+func TestCloseSkipsVanishedBlob(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir, Options{})
+	gone, kept := testKey(t, "gone"), testKey(t, "kept")
+	for _, key := range []string{gone, kept} {
+		if err := s.Put(key, []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Remove(filepath.Join(blobsDir(dir), gone)); err != nil {
+		t.Fatal(err)
+	}
+	long := time.Unix(0, 0)
+	keptPath := filepath.Join(blobsDir(dir), kept)
+	if err := os.Chtimes(keptPath, long, long); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close with a vanished blob: %v", err)
+	}
+	if info, err := os.Stat(keptPath); err != nil || !info.ModTime().After(long) {
+		t.Fatalf("Close stopped at the vanished blob: kept blob not stamped (err=%v)", err)
+	}
+}
+
+// TestTornTempFileNeverServed is a crash before the rename: a temp file
+// holding half of a framed blob sits in blobs/. Open must neither serve nor
+// count it, and a later Put of the key must be served.
+func TestTornTempFileNeverServed(t *testing.T) {
+	dir := t.TempDir()
+	key := testKey(t, "torn")
+	payload := []byte(strings.Repeat("torn", 100))
+	if err := os.MkdirAll(blobsDir(dir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	framed := frame(payload)
+	if err := os.WriteFile(filepath.Join(blobsDir(dir), ".put-1234"), framed[:len(framed)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.Get(key); ok || err != nil {
+		t.Fatalf("torn write served: ok=%v err=%v", ok, err)
+	}
+	if s.Len() != 0 || s.SizeBytes() != 0 {
+		t.Fatalf("torn write counted: len=%d size=%d", s.Len(), s.SizeBytes())
+	}
+	if err := s.Put(key, payload); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, _ := s2.Get(key); !ok || !bytes.Equal(got, payload) {
+		t.Fatal("Put after a torn write not served after reopen")
+	}
+}
+
+// TestBlobServedWithoutClose is a crash after the rename, before Close:
+// the blob was never stamped, and a fresh Store on the directory must
+// still serve it from disk.
+func TestBlobServedWithoutClose(t *testing.T) {
+	dir := t.TempDir()
+	key := testKey(t, "unclosed")
+	payload := []byte("written, never closed")
+	s, _ := Open(dir, Options{})
+	if err := s.Put(key, payload); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(dir, Options{})
@@ -242,14 +390,145 @@ func TestStrayBlobAdopted(t *testing.T) {
 	}
 	got, ok, _ := s2.Get(key)
 	if !ok || !bytes.Equal(got, payload) {
-		t.Fatal("stray blob not adopted")
+		t.Fatal("blob written before a crash not served after reopen")
+	}
+	if st := s2.Stats(); st.DiskHits != 1 {
+		t.Fatalf("stats %+v: want one disk hit", st)
 	}
 }
 
+// TestFailedWriteLeavesNoTrace fails blob writes part-way, as a full disk
+// does. Put must return the error and leave no temp file; a new key then
+// misses and an existing key keeps serving its previous bytes, before and
+// after reopen.
+func TestFailedWriteLeavesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir, Options{})
+	oldKey, newKey := testKey(t, "existing"), testKey(t, "new")
+	previous := []byte("previous bytes")
+	if err := s.Put(oldKey, previous); err != nil {
+		t.Fatal(err)
+	}
+	failBlobWrites(t)
+	for _, key := range []string{oldKey, newKey} {
+		if err := s.Put(key, []byte("bytes the disk had no room for")); !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("Put on a full disk: err=%v, want ENOSPC", err)
+		}
+	}
+	check := func(s *Store, when string) {
+		t.Helper()
+		if _, ok, err := s.Get(newKey); ok || err != nil {
+			t.Fatalf("%s: failed Put of a new key served: ok=%v err=%v", when, ok, err)
+		}
+		if got, ok, _ := s.Get(oldKey); !ok || !bytes.Equal(got, previous) {
+			t.Fatalf("%s: existing key lost its previous bytes", when)
+		}
+		checkLayout(t, dir)
+		if keys := s.Keys(); !slices.Equal(keys, []string{oldKey}) {
+			t.Fatalf("%s: keys %v, want only the existing key", when, keys)
+		}
+	}
+	check(s, "before reopen")
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(s2, "after reopen")
+}
+
+// keyName matches a blob's file name. It is written independently of
+// validKey, so the layout checks hold validKey to it too.
+var keyName = regexp.MustCompile(`^[0-9a-f]{64}$`)
+
+// checkLayout fails unless dir holds exactly blobs/ and quarantine/ and
+// every name in blobs/ is a key: no index, temp file or stray path.
+func checkLayout(t *testing.T, dir string) {
+	t.Helper()
+	var root []string
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range des {
+		root = append(root, de.Name())
+	}
+	if !slices.Equal(root, []string{"blobs", "quarantine"}) {
+		t.Fatalf("store root lists %q, want only blobs and quarantine", root)
+	}
+	des, err = os.ReadDir(blobsDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range des {
+		if !keyName.MatchString(de.Name()) {
+			t.Fatalf("blobs/ holds %q, which is not a key", de.Name())
+		}
+	}
+}
+
+// TestPutAllocsFlatInStoreSize pins that a Put costs the same however many
+// blobs the store holds: the bytes allocated per Put at 10,000 entries stay
+// within 1.5x of the bytes at 100. Bytes rather than time, because Put
+// latency swings with disk writeback. After the Puts, a Quarantine and
+// Close, the store root holds nothing but its two directories.
+func TestPutAllocsFlatInStoreSize(t *testing.T) {
+	payload := bytes.Repeat([]byte{0x5d}, 2200)
+	const puts = 64
+	perPut := func(entries int) float64 {
+		dir := t.TempDir()
+		if err := os.MkdirAll(blobsDir(dir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		framed := frame(payload)
+		for i := 0; i < entries; i++ {
+			if err := os.WriteFile(filepath.Join(blobsDir(dir), testKey(t, "fill", strconv.Itoa(i))), framed, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, puts)
+		for i := range keys {
+			keys[i] = testKey(t, "put", strconv.Itoa(i))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, key := range keys {
+			if err := s.Put(key, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if s.Len() != entries+puts {
+			t.Fatalf("len %d, want %d", s.Len(), entries+puts)
+		}
+		if err := s.Quarantine(keys[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		checkLayout(t, dir)
+		return float64(after.TotalAlloc-before.TotalAlloc) / puts
+	}
+	small, large := perPut(100), perPut(10000)
+	t.Logf("bytes allocated per Put: %.0f at 100 entries, %.0f at 10,000 (%.2fx)", small, large, large/small)
+	if large > 1.5*small {
+		t.Fatalf("a Put at 10,000 entries allocates %.0f bytes, %.2fx the %.0f at 100; want at most 1.5x",
+			large, large/small, small)
+	}
+}
+
+// invalidKeys are names validKey must refuse: empty, short, a path escape,
+// non-hex and a trailing separator.
+var invalidKeys = []string{"", "short", "../../../../etc/passwd",
+	strings.Repeat("Z", 64), strings.Repeat("a", 63) + "/"}
+
 func TestInvalidKeysRejected(t *testing.T) {
 	s, _ := Open(t.TempDir(), Options{})
-	for _, key := range []string{"", "short", "../../../../etc/passwd",
-		strings.Repeat("Z", 64), strings.Repeat("a", 63) + "/"} {
+	for _, key := range invalidKeys {
 		if err := s.Put(key, []byte("x")); err == nil {
 			t.Fatalf("Put accepted invalid key %q", key)
 		}
@@ -257,6 +536,44 @@ func TestInvalidKeysRejected(t *testing.T) {
 			t.Fatalf("Get on invalid key %q: ok=%v err=%v", key, ok, err)
 		}
 	}
+}
+
+// FuzzStoreKey holds the store's key handling to its contract for any
+// string, as a key arriving in a /results/{key} path may be: Get never
+// errors, Put succeeds exactly when validKey holds, and nothing lands
+// outside blobs/ and quarantine/ or in blobs/ under a name that is not a
+// key.
+func FuzzStoreKey(f *testing.F) {
+	for _, key := range invalidKeys {
+		f.Add(key)
+	}
+	f.Add(NewKey().Str("seed", "valid").Sum())
+	// One store serves every input: each input ends by quarantining its
+	// key, so the next input finds the table empty again.
+	dir := f.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, key string) {
+		if _, ok, err := s.Get(key); ok || err != nil {
+			t.Fatalf("Get(%q) on an empty store: ok=%v err=%v", key, ok, err)
+		}
+		if err := s.Put(key, []byte("x")); (err == nil) != validKey(key) {
+			t.Fatalf("Put(%q): err=%v, valid key %v", key, err, validKey(key))
+		}
+		if _, ok, err := s.Get(key); ok != validKey(key) || err != nil {
+			t.Fatalf("Get(%q) after Put: ok=%v err=%v", key, ok, err)
+		}
+		checkLayout(t, dir)
+		if err := s.Quarantine(key); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		checkLayout(t, dir)
+	})
 }
 
 func TestKeyBuilderDistinguishesFieldBoundaries(t *testing.T) {

@@ -177,6 +177,22 @@ func TestStoreCorruptBlobResimulated(t *testing.T) {
 	}
 }
 
+// TestRunGridFailsWithoutBlobsDir: a store whose blobs directory vanished
+// after Open cannot persist a cell, and a failed store write fails the
+// sweep: RunGrid returns the error and no rows.
+func TestRunGridFailsWithoutBlobsDir(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	if err := os.RemoveAll(filepath.Join(dir, "blobs")); err != nil {
+		t.Fatal(err)
+	}
+	g := Grid{Workloads: []string{"simnet"}, Archs: []string{"baseline"}, Minibatches: []int{1}, Modes: []string{"eval"}}
+	rows, err := RunGrid(context.Background(), g, Options{Store: s})
+	if err == nil || len(rows) != 0 {
+		t.Fatalf("RunGrid on a store without blobs/: %d rows, err=%v; want an error and no rows", len(rows), err)
+	}
+}
+
 // TestVerifyStorePassesOnHonestBlobs runs a warm sweep with verify-on-hit
 // sampling enabled: every audited hit must reproduce its blob exactly. The
 // cold pass spells the workloads in another case, which shares their keys,

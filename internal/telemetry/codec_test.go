@@ -82,10 +82,10 @@ func withHistogram(bounds ...[]float64) []byte {
 	return r.AppendEncoding(nil)
 }
 
-// TestDecodeRegistryRejectsMalformed: DecodeRegistry rejects every shape
-// TestSnapshotRestoreRejectsMalformed lists for Restore that the binary
-// form can carry — bounds swapped, repeated, NaN or ±Inf, and a series
-// listed twice — plus a truncated encoding and trailing bytes.
+// TestDecodeRegistryRejectsMalformed: DecodeRegistry rejects every
+// malformed shape the binary form can carry — histogram bounds swapped,
+// repeated, NaN or ±Inf, and a series listed twice — plus a truncated
+// encoding and trailing bytes.
 func TestDecodeRegistryRejectsMalformed(t *testing.T) {
 	if _, err := DecodeRegistry(withHistogram([]float64{1, 4, 16})); err != nil {
 		t.Fatalf("well-formed histogram rejected: %v", err)

@@ -421,76 +421,6 @@ func sortSnaps[T any](snaps []T, key func(T) (string, map[string]string)) {
 	})
 }
 
-// labelsFromMap rebuilds a label slice from a snapshot's map form, sorted
-// by key so restored metrics land under the same registry keys the
-// original ones did.
-func labelsFromMap(m map[string]string) []Label {
-	if len(m) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	labels := make([]Label, len(keys))
-	for i, k := range keys {
-		labels[i] = Label{Key: k, Value: m[k]}
-	}
-	return labels
-}
-
-// Restore builds a registry whose contents equal the snapshot — the
-// inverse of Registry.Snapshot, up to instrument creation order. It is the
-// rehydration step for metric snapshots persisted as JSON (sdtrain's store
-// blobs keep one per cached run; sweep blobs use the binary form in
-// codec.go): MergeFrom on a restored registry reproduces
-// exactly the merge the original live registry would have contributed, so
-// a cache hit and a fresh simulation yield byte-identical merged metrics.
-// A snapshot no Registry could have produced — histogram bounds that are not
-// finite and strictly ascending (apart from a last +Inf bucket), or one
-// histogram series listed twice — is an error, never a panic: persisted
-// snapshots are read back from disk.
-func (s Snapshot) Restore() (*Registry, error) {
-	r := NewRegistry()
-	for _, c := range s.Counters {
-		r.Counter(c.Name, labelsFromMap(c.Labels)...).Add(c.Value)
-	}
-	for _, g := range s.Gauges {
-		r.Gauge(g.Name, labelsFromMap(g.Labels)...).Set(g.Value)
-	}
-	for _, hs := range s.Histograms {
-		if len(hs.Buckets) == 0 {
-			return nil, fmt.Errorf("telemetry: restore of histogram %q: no buckets", hs.Name)
-		}
-		bounds := make([]float64, 0, len(hs.Buckets)-1)
-		counts := make([]int64, len(hs.Buckets))
-		for i, b := range hs.Buckets {
-			counts[i] = b.Count
-			if b.LE == "+Inf" {
-				if i != len(hs.Buckets)-1 {
-					return nil, fmt.Errorf("telemetry: restore of histogram %q: +Inf bucket not last", hs.Name)
-				}
-				continue
-			}
-			v, err := strconv.ParseFloat(b.LE, 64)
-			if err != nil || math.IsInf(v, 0) || math.IsNaN(v) {
-				return nil, fmt.Errorf("telemetry: restore of histogram %q: bad bound %q", hs.Name, b.LE)
-			}
-			if n := len(bounds); n > 0 && v <= bounds[n-1] {
-				return nil, fmt.Errorf("telemetry: restore of histogram %q: bound %q not above %v", hs.Name, b.LE, bounds[n-1])
-			}
-			bounds = append(bounds, v)
-		}
-		labels := labelsFromMap(hs.Labels)
-		if _, dup := r.histograms[metricKey(hs.Name, labels)]; dup {
-			return nil, fmt.Errorf("telemetry: restore of histogram %q: series listed twice", hs.Name)
-		}
-		r.Histogram(hs.Name, bounds, labels...).AddBatch(counts, hs.Sum, hs.Count)
-	}
-	return r, nil
-}
-
 // WriteJSON writes an indented JSON snapshot of the registry.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	data, err := json.MarshalIndent(r.Snapshot(), "", "  ")
