@@ -25,14 +25,17 @@ race:
 	$(GO) test -race ./internal/telemetry/... ./internal/sim/... ./internal/sweep/... ./internal/cluster/... ./internal/par/... ./internal/tensor/... ./internal/store/... ./internal/server/...
 
 # fuzz runs each native fuzz target for a bounded time: the store blob
-# decoder, the ISA assembler and the store's key handling. Their seeds (a
-# real encoded cell and a corrupted copy; the package's test programs; the
-# rejected keys of TestInvalidKeysRejected and one valid key) also run as
+# decoder, the ISA assembler, the store's key handling and the Chrome trace
+# encoder (against its encoding/json oracle). Their seeds (a real encoded
+# cell and a corrupted copy; the package's test programs; the rejected keys
+# of TestInvalidKeysRejected and one valid key; the span sets of
+# chrome_test.go and a set of hostile strings and times) also run as
 # ordinary tests under `go test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlob$$' -fuzztime 10s ./internal/sweep/
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 10s ./internal/isa/
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreKey$$' -fuzztime 10s ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzChromeTrace$$' -fuzztime 10s ./internal/telemetry/
 
 # bench runs the tier-1 simulator benchmarks (the telemetry-off/on hot-path
 # pair among them: the nil-sink fast path must not cost anything when

@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -158,6 +160,161 @@ func TestServerJobTraceKeepsCellSpansPastLaneBound(t *testing.T) {
 			}
 		}
 	}
+}
+
+// jobTraceSHA256 is the digest of the fixed-clock trace of testSpec() as
+// job-000001 (88,808 bytes). The encoder, the assembly and the spans a job
+// records all feed it; a deliberate change to any of them updates it.
+const jobTraceSHA256 = "710d6d39162071bc7e9fd7addf92001f351b6adbed77f6e84c7983b4401e231b"
+
+// TestServerJobTracePinned: the served trace of a fixed-clock job matches
+// the pinned digest at 1 and 2 sweep workers. It is rendered on the first
+// fetch, not at completion, and only once: 8 concurrent first fetches and a
+// later one return the same bytes, and the render releases the span lanes.
+func TestServerJobTracePinned(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			fixed := time.Unix(1_700_000_000, 0)
+			s, ts := startServer(t, Config{SweepWorkers: workers, now: func() time.Time { return fixed }})
+			_, doc := submit(t, ts, testSpec(), "trace")
+			id := doc["id"].(string)
+			if final := waitDone(t, ts, id); final.State != "done" || final.TraceURL != "/jobs/"+id+"/trace" {
+				t.Fatalf("job state %q (error %q), trace_url %q", final.State, final.Error, final.TraceURL)
+			}
+			s.mu.Lock()
+			td := s.jobs[id].traceDoc
+			s.mu.Unlock()
+			if td == nil || td.data != nil || td.trace == nil {
+				t.Fatalf("finished, unfetched job: trace doc %+v, want spans held and no rendered bytes", td)
+			}
+
+			const fetchers = 8
+			bodies := make([][]byte, fetchers)
+			var wg sync.WaitGroup
+			for i := range bodies {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					resp, err := http.Get(ts.URL + "/jobs/" + id + "/trace")
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer resp.Body.Close()
+					var buf bytes.Buffer
+					if _, err := buf.ReadFrom(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+						t.Errorf("trace fetch: status %d, err %v", resp.StatusCode, err)
+					}
+					bodies[i] = buf.Bytes()
+				}()
+			}
+			wg.Wait()
+			_, again := getBody(t, ts, "/jobs/"+id+"/trace")
+			for i, body := range append(bodies, again) {
+				if !bytes.Equal(body, bodies[0]) {
+					t.Errorf("fetch %d: %d bytes differ from the first fetch's %d", i, len(body), len(bodies[0]))
+				}
+			}
+			if sum := fmt.Sprintf("%x", sha256.Sum256(again)); sum != jobTraceSHA256 {
+				t.Errorf("trace sha256 = %s (%d bytes), want %s", sum, len(again), jobTraceSHA256)
+			}
+			if !bytes.Equal(td.bytes(), again) || td.trace != nil {
+				t.Error("rendered trace doc does not hold the served bytes, or still holds the spans")
+			}
+		})
+	}
+}
+
+// TestServerJobTraceByState: a queued job and a running one have no trace
+// (404, "job is <state>, trace not available", no trace_url); a job cancelled
+// while queued and a failed job carry trace_url and serve a trace that
+// parses.
+func TestServerJobTraceByState(t *testing.T) {
+	wantNoTrace := func(t *testing.T, ts *httptest.Server, id, state string) {
+		t.Helper()
+		resp, body := getBody(t, ts, "/jobs/"+id+"/trace")
+		var e map[string]string
+		if err := json.Unmarshal(body, &e); err != nil || resp.StatusCode != http.StatusNotFound ||
+			e["error"] != "job is "+state+", trace not available" {
+			t.Errorf("%s job trace: status %d, body %s", state, resp.StatusCode, body)
+		}
+	}
+	wantTrace := func(t *testing.T, ts *httptest.Server, id, state string) {
+		t.Helper()
+		var doc jobDoc
+		getJSON(t, ts, "/jobs/"+id, &doc)
+		if doc.State != state || doc.TraceURL != "/jobs/"+id+"/trace" {
+			t.Fatalf("job %s: state %q, trace_url %q; want %s with a trace_url", id, doc.State, doc.TraceURL, state)
+		}
+		resp, body := getBody(t, ts, doc.TraceURL)
+		var events []chromeEvent
+		if err := json.Unmarshal(body, &events); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s job trace: status %d, parse error %v", state, resp.StatusCode, err)
+		}
+		if len(events) == 0 || events[0].Name != "process_name" || events[0].Args["name"] != id {
+			t.Errorf("%s job trace does not open with its process_name event: %.200s", state, body)
+		}
+	}
+
+	t.Run("cancelled", func(t *testing.T) {
+		s, ts := idleServer(t, Config{})
+		_, doc := submit(t, ts, testSpec(), "drained")
+		id := doc["id"].(string)
+		var queued jobDoc
+		getJSON(t, ts, "/jobs/"+id, &queued)
+		if queued.TraceURL != "" {
+			t.Errorf("queued job carries trace_url %q", queued.TraceURL)
+		}
+		wantNoTrace(t, ts, id, "queued")
+		s.Drain()
+		wantTrace(t, ts, id, "cancelled")
+	})
+
+	t.Run("failed", func(t *testing.T) {
+		_, ts := startServer(t, Config{})
+		_, doc := submit(t, ts, Spec{
+			Workloads: []string{"minivgg"}, Archs: []string{"half"},
+			Minibatches: []int{64}, Modes: []string{"train"},
+		}, "oversized")
+		id := doc["id"].(string)
+		waitDone(t, ts, id)
+		wantTrace(t, ts, id, "failed")
+	})
+
+	t.Run("running", func(t *testing.T) {
+		_, ts := startServer(t, Config{})
+		// A job only moves forward, so a trace fetched between two status
+		// reads that both say running was fetched while it ran. The cell is
+		// slow enough that the first attempt almost always brackets one.
+		for attempt := 0; attempt < 5; attempt++ {
+			_, doc := submit(t, ts, Spec{
+				Workloads: []string{"minivgg"}, Archs: []string{"baseline"},
+				Minibatches: []int{4}, Modes: []string{"train"}, Iterations: 2,
+			}, fmt.Sprintf("running-%d", attempt))
+			id := doc["id"].(string)
+			var before jobDoc
+			for before.State == "" || before.State == "queued" {
+				getJSON(t, ts, "/jobs/"+id, &before)
+			}
+			resp, body := getBody(t, ts, "/jobs/"+id+"/trace")
+			var after jobDoc
+			getJSON(t, ts, "/jobs/"+id, &after)
+			if before.State == "running" && after.State == "running" {
+				if before.TraceURL != "" || after.TraceURL != "" {
+					t.Errorf("running job carries trace_url %q", after.TraceURL)
+				}
+				var e map[string]string
+				if err := json.Unmarshal(body, &e); err != nil || resp.StatusCode != http.StatusNotFound ||
+					e["error"] != "job is running, trace not available" {
+					t.Errorf("running job trace: status %d, body %s", resp.StatusCode, body)
+				}
+				waitDone(t, ts, id)
+				return
+			}
+			waitDone(t, ts, id)
+		}
+		t.Fatal("no attempt saw a job running on both sides of its trace fetch")
+	})
 }
 
 func TestServerStatuszAndEviction(t *testing.T) {

@@ -149,8 +149,31 @@ type JobState struct {
 	submitted time.Time
 	dequeued  time.Time
 	prog      *telemetry.JSONVar
-	trace     *telemetry.JobTrace
-	traceData []byte // assembled Chrome trace, set at terminal states
+	trace     *telemetry.JobTrace // spans of a live job, nil once terminal
+	traceDoc  *traceDoc           // set at terminal states
+}
+
+// traceDoc is a terminal job's Chrome trace document. The first GET
+// /jobs/{id}/trace renders it, outside s.mu, and keeps the bytes; the
+// render releases the job's span lanes. A trace nobody fetches keeps its
+// spans until the job is evicted, and is never rendered.
+type traceDoc struct {
+	once  sync.Once
+	trace *telemetry.JobTrace // nil once rendered
+	data  []byte
+}
+
+// bytes renders the document on first use and returns the cached bytes.
+func (d *traceDoc) bytes() []byte {
+	d.once.Do(func() {
+		// The encoder's error is always nil.
+		d.data, _ = telemetry.MarshalChromeTraceMeta(d.trace.Assemble(), telemetry.TraceMeta{
+			Process:      d.trace.JobID(),
+			DroppedSpans: d.trace.Dropped(),
+		})
+		d.trace = nil
+	})
+	return d.data
 }
 
 // Server implements the daemon. Create with New, wire with Mux, run with
@@ -264,22 +287,17 @@ func (s *Server) summarizeLocked(job *JobState, runMS, renderMS int64) telemetry
 	return sum
 }
 
-// finishTraceLocked assembles a terminal job's span timeline into its
-// downloadable Chrome trace document. Callers hold s.mu.
+// finishTraceLocked closes a terminal job's span timeline: it counts the
+// spans the lanes dropped and leaves the timeline for GET /jobs/{id}/trace
+// to render. Callers hold s.mu.
 func (s *Server) finishTraceLocked(job *JobState) {
 	if job.trace == nil {
 		return
 	}
-	data, err := telemetry.MarshalChromeTraceMeta(job.trace.Assemble(), telemetry.TraceMeta{
-		Process:      job.ID,
-		DroppedSpans: job.trace.Dropped(),
-	})
-	if err == nil {
-		job.traceData = data
-	}
 	if d := job.trace.Dropped(); d > 0 {
 		s.reg.Counter("server.trace.dropped_spans").Add(d)
 	}
+	job.traceDoc = &traceDoc{trace: job.trace}
 	job.trace = nil
 }
 
@@ -602,28 +620,28 @@ func (s *Server) refreshScrapeGauges(reg *telemetry.Registry) {
 }
 
 // handleJobTrace serves a terminal job's assembled span timeline as a
-// Perfetto-loadable Chrome trace document.
+// Perfetto-loadable Chrome trace document, rendered on the first request.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	job, ok := s.jobs[r.PathValue("id")]
 	var (
 		state string
-		data  []byte
+		doc   *traceDoc
 	)
 	if ok {
-		state, data = job.state, job.traceData
+		state, doc = job.state, job.traceDoc
 	}
 	s.mu.Unlock()
 	if !ok {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	if data == nil {
+	if doc == nil {
 		writeError(w, http.StatusNotFound, "job is "+state+", trace not available")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
+	w.Write(doc.bytes())
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -793,7 +811,7 @@ func (j *JobState) docLocked(now time.Time) jobDoc {
 	if j.state == "done" {
 		doc.ResultURL = "/jobs/" + j.ID + "/result"
 	}
-	if j.traceData != nil {
+	if j.traceDoc != nil {
 		doc.TraceURL = "/jobs/" + j.ID + "/trace"
 	}
 	return doc

@@ -27,7 +27,7 @@ import (
 // Lanes are bounded (perLane spans) against the simulator's op-span batches
 // (RecordSpan/RecordSpans); overflow increments a dropped counter that
 // Assemble surfaces, so a truncated trace is detectable instead of silently
-// misleading (see ChromeTraceMeta / trace.dropped_spans). Lifecycle spans
+// misleading (see MarshalChromeTraceMeta / trace.dropped_spans). Lifecycle spans
 // (Begin/Interval) are a fixed handful per cell and always kept, even in a
 // lane the op spans have filled. The simulator asks a lane for its
 // SpanRoom before a run and reports the spans past it through DropSpans
