@@ -25,17 +25,20 @@ race:
 	$(GO) test -race ./internal/telemetry/... ./internal/sim/... ./internal/sweep/... ./internal/cluster/... ./internal/par/... ./internal/tensor/... ./internal/store/... ./internal/server/...
 
 # fuzz runs each native fuzz target for a bounded time: the store blob
-# decoder, the ISA assembler, the store's key handling and the Chrome trace
-# encoder (against its encoding/json oracle). Their seeds (a real encoded
-# cell and a corrupted copy; the package's test programs; the rejected keys
-# of TestInvalidKeysRejected and one valid key; the span sets of
-# chrome_test.go and a set of hostile strings and times) also run as
-# ordinary tests under `go test`.
+# decoder, the ISA assembler, the store's key handling, the Chrome trace
+# encoder (against its encoding/json oracle) and sdserve's POST /jobs spec
+# handling. Their seeds (a real encoded cell and a corrupted copy; the
+# package's test programs; the rejected keys of TestInvalidKeysRejected and
+# one valid key; the span sets of chrome_test.go and a set of hostile
+# strings and times; a small, an oversized and a predict spec, truncated
+# JSON and an unknown mode and format) also run as ordinary tests under
+# `go test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlob$$' -fuzztime 10s ./internal/sweep/
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 10s ./internal/isa/
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreKey$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzChromeTrace$$' -fuzztime 10s ./internal/telemetry/
+	$(GO) test -run '^$$' -fuzz '^FuzzSubmitSpec$$' -fuzztime 10s ./internal/server/
 
 # bench runs the tier-1 simulator benchmarks (the telemetry-off/on hot-path
 # pair among them: the nil-sink fast path must not cost anything when

@@ -72,15 +72,16 @@ func main() {
 	chip := arch.Baseline().Cluster.Conv
 	chip.Rows, chip.Cols = 3, 10
 
-	var spanTrace *telemetry.Trace
+	// With -serve, one trace lane records the compiler's phase spans and
+	// the simulator's op and stall spans, up to its first 1<<16.
+	var spanTrace *telemetry.JobTrace
+	var lane telemetry.TraceContext
 	metrics := telemetry.NewRegistry()
-	if *serveAddr != "" {
-		spanTrace = telemetry.NewTrace(0)
-	}
-
 	opts := compiler.Options{Minibatch: *mb, Iterations: *iters, Training: *train, LR: 0.0625}
-	if spanTrace != nil {
-		opts.Spans = spanTrace
+	if *serveAddr != "" {
+		spanTrace = telemetry.NewJobTrace("sdprof", 1<<16, nil)
+		lane = spanTrace.Context(0, "")
+		opts.Spans = lane
 	}
 	c, err := compiler.Compile(nw, chip, opts)
 	if err != nil {
@@ -90,9 +91,7 @@ func main() {
 
 	m := sim.NewMachine(chip, arch.Single, true)
 	m.EnableInstrProfile()
-	if spanTrace != nil {
-		m.SetSpanSink(spanTrace)
-	}
+	m.SetSpanSink(lane)
 	m.SetMetrics(metrics)
 	profVar := telemetry.NewJSONVar(`{"state":"running"}`)
 	var bs *telemetry.BackgroundServer

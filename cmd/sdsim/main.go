@@ -22,6 +22,7 @@ import (
 	"io"
 	"log/slog"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -43,11 +44,11 @@ func main() {
 	train := flag.Bool("train", false, "simulate training (FP+BP+WG) instead of evaluation")
 	mb := flag.Int("mb", 2, "minibatch size")
 	iters := flag.Int("iters", 1, "training iterations")
-	traceN := flag.Int("trace", 0, "print the first N trace events (0 = off)")
+	traceN := flag.Int("trace", 0, "print the first N simulator trace events (0 = off)")
 	utilMap := flag.Bool("map", false, "print the Fig.19-style chip utilization map")
 	traceOut := flag.String("trace-out", "", "write a Chrome/Perfetto trace-event JSON file")
 	metricsOut := flag.String("metrics-out", "", "write a metrics snapshot JSON file")
-	spanCap := flag.Int("span-cap", 1<<18, "span ring-buffer capacity for -trace-out")
+	spanCap := flag.Int("span-cap", 1<<18, "spans the run's trace keeps (its first N) for -trace, -trace-out and -serve")
 	serveAddr := flag.String("serve", "", "serve /metrics, /trace, /profile and /debug/pprof/ on this address and stay up after the run")
 	batch := flag.String("batch", "", "comma-separated minibatch sizes to sweep instead of a single run")
 	parallel := flag.Int("parallel", 0, "batch-mode worker-pool size (0 = GOMAXPROCS)")
@@ -81,14 +82,15 @@ func main() {
 	chip := arch.Baseline().Cluster.Conv
 	chip.Rows, chip.Cols = 3, 8
 
-	var spanTrace *telemetry.Trace
-	if *traceOut != "" || *serveAddr != "" {
-		spanTrace = telemetry.NewTrace(*spanCap)
-	}
-
+	// One trace lane records the run: the compiler's phase spans, then the
+	// simulator's op and stall spans, up to -span-cap in all.
+	var spanTrace *telemetry.JobTrace
+	var lane telemetry.TraceContext
 	opts := compiler.Options{Minibatch: *mb, Iterations: *iters, Training: *train, LR: 0.0625}
-	if spanTrace != nil {
-		opts.Spans = spanTrace
+	if *traceN > 0 || *traceOut != "" || *serveAddr != "" {
+		spanTrace = telemetry.NewJobTrace("sdsim", *spanCap, nil)
+		lane = spanTrace.Context(0, "")
+		opts.Spans = lane
 	}
 	c, err := compiler.Compile(net, chip, opts)
 	if err != nil {
@@ -97,12 +99,7 @@ func main() {
 	}
 
 	m := sim.NewMachine(chip, arch.Single, true)
-	if *traceN > 0 {
-		m.EnableTrace(*traceN)
-	}
-	if spanTrace != nil {
-		m.SetSpanSink(spanTrace)
-	}
+	m.SetSpanSink(lane)
 	var metrics *telemetry.Registry
 	if *metricsOut != "" || *serveAddr != "" {
 		metrics = telemetry.NewRegistry()
@@ -184,28 +181,23 @@ func main() {
 	fmt.Printf("  tracker NACKs   %d\n", st.NACKs)
 	out := c.ReadOutput(m, *mb-1)
 	fmt.Printf("  output[last image]: %v\n", out)
+	var spans []telemetry.Span
+	if spanTrace != nil {
+		spans = spanTrace.Assemble()
+	}
 	if *traceN > 0 {
-		fmt.Println()
-		fmt.Print(sim.FormatTrace(m.Trace()))
-		if d := m.TraceDropped(); d > 0 {
-			fmt.Printf("  (%d further events dropped)\n", d)
-		}
-		sum := sim.Summarize(m.Trace())
-		fmt.Println("  busy cycles by op:")
-		for op, cyc := range sum.OpCycles {
-			fmt.Printf("    %-10s %d\n", op, cyc)
-		}
+		printTrace(spans, *traceN, spanTrace.Dropped())
 	}
 	if *utilMap {
 		fmt.Println()
 		fmt.Print(m.UtilizationMap())
 	}
 	if *traceOut != "" {
-		if err := writeChromeTrace(*traceOut, spanTrace); err != nil {
+		if err := writeChromeTrace(*traceOut, spans); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %d spans to %s", spanTrace.Len(), *traceOut)
+		fmt.Printf("wrote %d spans to %s", len(spans), *traceOut)
 		if d := spanTrace.Dropped(); d > 0 {
 			fmt.Printf(" (%d dropped; raise -span-cap)", d)
 		}
@@ -339,9 +331,35 @@ func runBatch(batch string, parallel int, train bool, iters int, metricsOut, ser
 	}
 }
 
+// printTrace prints the first n simulator spans of the run's trace, how
+// many further ones the run produced, and the busy cycles per op among the
+// printed spans. The trace holds the compiler's phase spans first; dropped
+// counts the spans past its bound.
+func printTrace(spans []telemetry.Span, n int, dropped int64) {
+	for len(spans) > 0 && spans[0].Track == "compiler" {
+		spans = spans[1:]
+	}
+	shown := spans[:min(n, len(spans))]
+	fmt.Println()
+	fmt.Print(sim.FormatTrace(shown))
+	if d := int64(len(spans)-len(shown)) + dropped; d > 0 {
+		fmt.Printf("  (%d further events dropped)\n", d)
+	}
+	sum := sim.Summarize(shown)
+	ops := make([]string, 0, len(sum.OpCycles))
+	for op := range sum.OpCycles {
+		ops = append(ops, op)
+	}
+	sort.Strings(ops)
+	fmt.Println("  busy cycles by op:")
+	for _, op := range ops {
+		fmt.Printf("    %-10s %d\n", op, sum.OpCycles[op])
+	}
+}
+
 // serveObservability starts the telemetry HTTP endpoint in the background
 // with a graceful shutdown handle.
-func serveObservability(addr string, reg *telemetry.Registry, tr *telemetry.Trace, fn telemetry.ProfileFunc) (*telemetry.BackgroundServer, error) {
+func serveObservability(addr string, reg *telemetry.Registry, tr *telemetry.JobTrace, fn telemetry.ProfileFunc) (*telemetry.BackgroundServer, error) {
 	bs, err := telemetry.ServeBackground(addr, telemetry.NewHTTPMux(reg, tr, fn))
 	if err != nil {
 		return nil, err
@@ -352,8 +370,8 @@ func serveObservability(addr string, reg *telemetry.Registry, tr *telemetry.Trac
 
 // writeChromeTrace exports the recorded spans as Chrome trace-event JSON;
 // an empty path is a no-op (outfile's disabled-output contract).
-func writeChromeTrace(path string, tr *telemetry.Trace) error {
+func writeChromeTrace(path string, spans []telemetry.Span) error {
 	return outfile.WriteWith(path, func(w io.Writer) error {
-		return telemetry.WriteChromeTrace(w, tr.Spans())
+		return telemetry.WriteChromeTrace(w, spans)
 	})
 }

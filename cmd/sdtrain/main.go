@@ -80,16 +80,21 @@ func main() {
 		rng.FillUniform(golden[i], 1)
 	}
 
-	var spanTrace *telemetry.Trace
+	// One trace lane records the run: the reference executor's layer
+	// spans, the compiler's phases and the simulator's op and stall spans,
+	// up to its first 1<<16.
+	var spanTrace *telemetry.JobTrace
+	var lane telemetry.TraceContext
 	if *traceOut != "" || *serveAddr != "" {
-		spanTrace = telemetry.NewTrace(0)
+		spanTrace = telemetry.NewJobTrace("sdtrain", 1<<16, nil)
+		lane = spanTrace.Context(0, "")
 	}
 
 	// Software reference.
 	ref := dnn.NewExecutor(net, 42)
 	ref.NoBias = true
 	if spanTrace != nil {
-		ref.Spans = spanTrace
+		ref.Spans = lane
 	}
 	for it := 0; it < *iters; it++ {
 		loss := ref.TrainEpoch(it, inputs, golden, lr)
@@ -101,7 +106,7 @@ func main() {
 	chip.Rows, chip.Cols = 3, 6
 	copts := compiler.Options{Minibatch: mb, Iterations: *iters, Training: true, LR: lr}
 	if spanTrace != nil {
-		copts.Spans = spanTrace
+		copts.Spans = lane
 	}
 	c, err := compiler.Compile(net, chip, copts)
 	if err != nil {
@@ -109,9 +114,7 @@ func main() {
 		os.Exit(1)
 	}
 	m := sim.NewMachine(chip, arch.Single, true)
-	if spanTrace != nil {
-		m.SetSpanSink(spanTrace)
-	}
+	m.SetSpanSink(lane)
 	var metrics *telemetry.Registry
 	if *metricsOut != "" || *serveAddr != "" {
 		metrics = telemetry.NewRegistry()
@@ -185,15 +188,16 @@ func main() {
 	}
 
 	if *traceOut != "" {
+		spans := spanTrace.Assemble()
 		err := outfile.WriteWith(*traceOut, func(w io.Writer) error {
-			return telemetry.WriteChromeTrace(w, spanTrace.Spans())
+			return telemetry.WriteChromeTrace(w, spans)
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %d spans to %s — open in ui.perfetto.dev or chrome://tracing\n",
-			spanTrace.Len(), *traceOut)
+			len(spans), *traceOut)
 	}
 	report.AddKernelStats(metrics)
 	if *metricsOut != "" {
@@ -445,7 +449,7 @@ func trainOnce(iters int, reg *telemetry.Registry) (int64, float64, error) {
 
 // serveObservability starts the telemetry HTTP endpoint in the background
 // with a graceful shutdown handle.
-func serveObservability(addr string, reg *telemetry.Registry, tr *telemetry.Trace, fn telemetry.ProfileFunc) (*telemetry.BackgroundServer, error) {
+func serveObservability(addr string, reg *telemetry.Registry, tr *telemetry.JobTrace, fn telemetry.ProfileFunc) (*telemetry.BackgroundServer, error) {
 	bs, err := telemetry.ServeBackground(addr, telemetry.NewHTTPMux(reg, tr, fn))
 	if err != nil {
 		return nil, err

@@ -45,8 +45,8 @@ func TestNodeSpansRecordCollectives(t *testing.T) {
 		FreqHz:      600e6,
 	}
 	n := NewNode(cfg, 64, 32)
-	tr := telemetry.NewTrace(0)
-	n.SetSpanSink(tr)
+	tr := telemetry.NewJobTrace("node", 1<<16, nil)
+	n.SetSpanSink(tr.Context(0, ""))
 	for _, w := range n.Wheels {
 		for _, c := range w.Chips {
 			for i := range c.Grad {
@@ -59,7 +59,7 @@ func TestNodeSpansRecordCollectives(t *testing.T) {
 		t.Fatalf("boundary cycles = %d", total)
 	}
 
-	spans := tr.Spans()
+	spans := tr.Assemble()
 	if len(spans) == 0 {
 		t.Fatal("no spans recorded")
 	}

@@ -25,8 +25,8 @@ func oddWheelNode(chips, convW int) *Node {
 // later boundaries returned counts inflated by all prior committed traffic.
 func TestMinibatchBoundaryRepeatable(t *testing.T) {
 	n := newTestNode(4096, 64)
-	tr := telemetry.NewTrace(0)
-	n.SetSpanSink(tr)
+	tr := telemetry.NewJobTrace("node", 1<<16, nil)
+	n.SetSpanSink(tr.Context(0, ""))
 	setAll := func() {
 		for _, w := range n.Wheels {
 			for _, c := range w.Chips {
@@ -55,7 +55,10 @@ func TestMinibatchBoundaryRepeatable(t *testing.T) {
 	// Spans stay inside the accrued timeline: with per-collective epochs the
 	// per-link offsets restart at each collective, so no span can extend past
 	// the node's total cycles.
-	for _, s := range tr.Spans() {
+	if d := tr.Dropped(); d != 0 {
+		t.Fatalf("trace dropped %d spans; raise its bound so every span is checked", d)
+	}
+	for _, s := range tr.Assemble() {
 		if s.Start+s.Dur > n.Cycles {
 			t.Fatalf("span %s/%s [%d,+%d) extends past accrued cycles %d", s.Track, s.Name, s.Start, s.Dur, n.Cycles)
 		}

@@ -7,14 +7,14 @@ import (
 )
 
 func TestCompilePhaseSpans(t *testing.T) {
-	tr := telemetry.NewTrace(0)
-	opts := Options{Minibatch: 1, Iterations: 1, Training: true, LR: 0.03125, Spans: tr}
+	tr := telemetry.NewJobTrace("run", 0, nil)
+	opts := Options{Minibatch: 1, Iterations: 1, Training: true, LR: 0.03125, Spans: tr.Context(0, "")}
 	if _, err := Compile(convPoolFCNet(), testChip(8), opts); err != nil {
 		t.Fatal(err)
 	}
 
 	got := map[string]int{}
-	for _, s := range tr.Spans() {
+	for _, s := range tr.Assemble() {
 		if s.Track != "compiler" {
 			t.Fatalf("span on track %q, want compiler: %+v", s.Track, s)
 		}
@@ -36,8 +36,7 @@ func TestCompileNilSinkUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := telemetry.NewTrace(0)
-	opts.Spans = tr
+	opts.Spans = telemetry.NewJobTrace("run", 0, nil).Context(0, "")
 	b, err := Compile(convPoolFCNet(), testChip(8), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -75,8 +75,8 @@ func TestTrainEpochLossDecreases(t *testing.T) {
 
 func TestExecutorSpansRecordLayers(t *testing.T) {
 	e := NewExecutor(toyNet(), 3)
-	tr := telemetry.NewTrace(0)
-	e.Spans = tr
+	tr := telemetry.NewJobTrace("run", 0, nil)
+	e.Spans = tr.Context(0, "")
 
 	in := tensor.New(3, 16, 16)
 	tensor.NewRNG(1).FillUniform(in, 1)
@@ -86,7 +86,7 @@ func TestExecutorSpansRecordLayers(t *testing.T) {
 	fp := map[string]bool{}
 	bp := map[string]bool{}
 	epoch := false
-	for _, s := range tr.Spans() {
+	for _, s := range tr.Assemble() {
 		if s.Start < 0 || s.Dur < 0 {
 			t.Fatalf("degenerate span: %+v", s)
 		}

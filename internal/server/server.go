@@ -66,6 +66,23 @@ type Spec struct {
 	Predict bool `json:"predict,omitempty"`
 }
 
+// maxJobCells bounds the grid one POST /jobs may ask for, 21× the 48-cell
+// zoo job. A spec lists its axes, so a body of a few hundred bytes can
+// multiply out to millions of cells; the product is checked before the
+// grid is expanded.
+const maxJobCells = 1024
+
+// cells returns the number of grid cells sp expands to, capped at
+// maxJobCells+1 so the product cannot overflow.
+func (sp Spec) cells() int {
+	n := 1
+	for _, axis := range []int{len(sp.Workloads), len(sp.Archs), len(sp.Minibatches), len(sp.Modes)} {
+		n *= min(axis, maxJobCells+1)
+		n = min(n, maxJobCells+1)
+	}
+	return n
+}
+
 func (sp Spec) grid() sweep.Grid {
 	return sweep.Grid{
 		Workloads:   sp.Workloads,
@@ -701,6 +718,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, 1<<20)
 	if err := json.NewDecoder(body).Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, "bad spec: "+err.Error())
+		return
+	}
+	if spec.cells() > maxJobCells {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("spec expands to more than %d grid cells", maxJobCells))
 		return
 	}
 	gridJobs, err := spec.grid().Jobs()

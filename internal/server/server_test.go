@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -274,6 +275,71 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 	}
 	if resp, _ := getBody(t, ts, "/jobs/job-999999/result"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job result: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// oversizedSpec lists 20 workloads × 20 archs × 200 minibatches × 20
+// modes, all repeats: an 891-byte body asking for 1,600,000 grid cells.
+func oversizedSpec() Spec {
+	repeat := func(v string, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	mbs := make([]int, 200)
+	for i := range mbs {
+		mbs[i] = 1
+	}
+	return Spec{Workloads: repeat("fcnet", 20), Archs: repeat("half", 20), Minibatches: mbs, Modes: repeat("eval", 20)}
+}
+
+// postSpec hands body straight to the submit handler.
+func postSpec(s *Server, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	s.handleSubmit(rec, httptest.NewRequest("POST", "/jobs", bytes.NewReader(body)))
+	return rec
+}
+
+// TestServerRejectsOversizedSpec: a spec whose axes multiply past
+// maxJobCells is refused before its grid is expanded, and a spec of exactly
+// maxJobCells cells is accepted.
+func TestServerRejectsOversizedSpec(t *testing.T) {
+	s := New(Config{Burst: 16})
+	body, err := json.Marshal(oversizedSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) != 891 {
+		t.Fatalf("oversized spec is %d bytes, want 891", len(body))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := postSpec(s, body)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("1,600,000-cell spec: status %d, want 400 (%s)", rec.Code, rec.Body)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("rejecting the oversized spec allocated %d bytes, want under 1 MB", alloc)
+	}
+
+	atBound := Spec{
+		Workloads: []string{"simnet", "fcnet"}, Archs: []string{"baseline", "half"},
+		Modes: []string{"eval", "train"},
+	}
+	for mb := 1; mb <= maxJobCells/8; mb++ {
+		atBound.Minibatches = append(atBound.Minibatches, mb)
+	}
+	body, _ = json.Marshal(atBound)
+	if rec := postSpec(s, body); rec.Code != http.StatusAccepted || !strings.Contains(rec.Body.String(), fmt.Sprintf(`"jobs":%d`, maxJobCells)) {
+		t.Errorf("%d-cell spec: status %d, want 202 with %d jobs (%s)", maxJobCells, rec.Code, maxJobCells, rec.Body)
+	}
+	atBound.Minibatches = append(atBound.Minibatches, 1)
+	body, _ = json.Marshal(atBound)
+	if rec := postSpec(s, body); rec.Code != http.StatusBadRequest {
+		t.Errorf("%d-cell spec: status %d, want 400", maxJobCells+8, rec.Code)
 	}
 }
 

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"scaledeep/internal/arch"
 	"scaledeep/internal/isa"
@@ -151,19 +150,14 @@ type Machine struct {
 	opQueueWait  Cycle
 	opBytes      int64
 
-	tracing      bool
-	trace        []TraceEvent
-	traceLimit   int
-	traceDropped int
-
-	// Telemetry hooks (nil = disabled; see telemetry.go). Counter updates
-	// are batched: ops bucket durations into the local opHists shadow and
-	// per-tile counters, flushed to the registry once per Run.
-	spans   telemetry.SpanSink
+	// Telemetry hooks (zero/nil = disabled; see telemetry.go). Counter
+	// updates are batched: ops bucket durations into the local opHists
+	// shadow and per-tile counters, flushed to the registry once per Run.
+	spans   telemetry.TraceContext
 	spanBuf []telemetry.Span // per-Run span batch, flushed by flushSpans
-	// spanRoom is how many spans this Run may buffer, read from a
-	// telemetry.SpanBudgetSink at its start (unbounded for other sinks);
-	// spansPastRoom counts the spans past it, which are never built.
+	// spanRoom is how many spans this Run may buffer, read from the lane at
+	// its start; spansPastRoom counts the spans past it, which are never
+	// built.
 	spanRoom      int
 	spansPastRoom int64
 
@@ -345,10 +339,7 @@ func (m *Machine) Run() (Stats, error) {
 		return Stats{}, fmt.Errorf("sim: no programs loaded")
 	}
 	m.finished = 0
-	m.spanRoom = math.MaxInt
-	if bs, ok := m.spans.(telemetry.SpanBudgetSink); ok {
-		m.spanRoom = bs.SpanRoom()
-	}
+	m.spanRoom = m.spans.SpanRoom()
 	m.drainEvents()
 	m.flushSpans()
 	if m.finished < active {
@@ -437,8 +428,7 @@ func (m *Machine) Reset() {
 	m.stats = Stats{}
 	m.instrProfile = false
 	m.opQueueWait, m.opBytes = 0, 0
-	m.tracing, m.trace, m.traceLimit, m.traceDropped = false, nil, 0, 0
-	m.spans, m.spanBuf = nil, m.spanBuf[:0]
+	m.spans, m.spanBuf = telemetry.TraceContext{}, m.spanBuf[:0]
 	m.spanRoom, m.spansPastRoom = 0, 0
 	m.SetMetrics(nil)
 }

@@ -6,20 +6,21 @@ import (
 )
 
 // This file wires the simulator into internal/telemetry: per-tile op and
-// stall spans through a SpanSink (alongside the existing TraceEvent path)
-// and metrics through a registry. Metric updates are batched: the hot path
-// buckets op durations into a local shadow histogram set and counts
-// NACKs/DMAs/link bytes in per-tile fields, and Run flushes everything to
-// the registry once at completion (publishMetrics) — so telemetry-on runs
-// pay no atomic read-modify-write per instruction. Both hooks are nil by
-// default and every hot-path check is a plain nil test.
+// stall spans into a JobTrace lane, and metrics through a registry. Metric
+// updates are batched: the hot path buckets op durations into a local
+// shadow histogram set and counts NACKs/DMAs/link bytes in per-tile fields,
+// and Run flushes everything to the registry once at completion
+// (publishMetrics) — so telemetry-on runs pay no atomic read-modify-write
+// per instruction. Both hooks are off by default and every hot-path check
+// is a plain nil test.
 
-// SetSpanSink attaches (or, with nil, detaches) a span recorder. Spans carry
-// cycle timestamps: one complete span per coarse operation on a per-tile
-// track, plus zero-duration stall spans when a tile blocks on a tracker.
-func (m *Machine) SetSpanSink(s telemetry.SpanSink) {
-	m.spans = s
-	if s != nil && cap(m.spanBuf) == 0 {
+// SetSpanSink attaches a trace lane (the zero TraceContext detaches). Spans
+// carry cycle timestamps: one complete span per coarse operation on a
+// per-tile track, plus zero-duration stall spans when a tile blocks on a
+// tracker. Each Run reads the lane's room once and builds no span past it.
+func (m *Machine) SetSpanSink(tc telemetry.TraceContext) {
+	m.spans = tc
+	if tc.Enabled() && cap(m.spanBuf) == 0 {
 		// Pre-size the per-Run batch so steady-state emission never grows it.
 		m.spanBuf = make([]telemetry.Span, 0, 128)
 	}
@@ -140,9 +141,9 @@ func (m *Machine) declareOpHists(d *decodedProg) {
 	m.pub.hists = hs[:0]
 }
 
-// spanFits reports whether the run's next span fits the sink's room. A span
+// spanFits reports whether the run's next span fits the lane's room. A span
 // that does not is only counted, for flushSpans to report as dropped: the
-// sink would drop it anyway, so it is never built.
+// lane would drop it anyway, so it is never built.
 func (m *Machine) spanFits() bool {
 	if len(m.spanBuf) < m.spanRoom {
 		return true
@@ -151,8 +152,8 @@ func (m *Machine) spanFits() bool {
 	return false
 }
 
-// emitSpan buffers one op/stall span; Run flushes the batch to the sink in
-// one call (flushSpans), so the hot path never takes the sink's lock.
+// emitSpan buffers one op/stall span; Run flushes the batch to the lane in
+// one call (flushSpans), so the hot path never takes the trace's lock.
 func (m *Machine) emitSpan(track, name string, start, end Cycle, attrs ...telemetry.Attr) {
 	m.spanBuf = append(m.spanBuf, telemetry.Span{
 		Track: track, Name: name,
@@ -160,29 +161,17 @@ func (m *Machine) emitSpan(track, name string, start, end Cycle, attrs ...teleme
 	})
 }
 
-// flushSpans delivers the run's buffered spans to the attached sink, in
-// bulk when the sink supports it, then reports the spans past its room as
-// dropped. Called on every Run exit path so a deadlocked run still surfaces
-// the spans leading up to the stall.
+// flushSpans delivers the run's buffered spans to the attached lane in one
+// batch, then reports the spans past its room as dropped. Called on every
+// Run exit path so a deadlocked run still surfaces the spans leading up to
+// the stall.
 func (m *Machine) flushSpans() {
-	if m.spans == nil {
-		return
-	}
 	if len(m.spanBuf) > 0 {
-		if bs, ok := m.spans.(telemetry.SpanBatchSink); ok {
-			bs.RecordSpans(m.spanBuf)
-		} else {
-			for _, s := range m.spanBuf {
-				m.spans.RecordSpan(s)
-			}
-		}
+		m.spans.RecordSpans(m.spanBuf)
 		m.spanBuf = m.spanBuf[:0]
 	}
-	if m.spansPastRoom > 0 {
-		// Only a SpanBudgetSink sets a finite room.
-		m.spans.(telemetry.SpanBudgetSink).DropSpans(m.spansPastRoom)
-		m.spansPastRoom = 0
-	}
+	m.spans.DropSpans(m.spansPastRoom)
+	m.spansPastRoom = 0
 }
 
 // addLinkBytes accrues traffic on one link class against the issuing tile.

@@ -32,12 +32,11 @@ func producerConsumer(t *testing.T, m *Machine) {
 
 func TestSpanSinkRecordsOpsAndStalls(t *testing.T) {
 	m := newTestMachine()
-	tr := telemetry.NewTrace(0)
-	m.SetSpanSink(tr)
+	jt := traceInto(m, 0)
 	producerConsumer(t, m)
 	mustRun(t, m)
 
-	spans := tr.Spans()
+	spans := jt.Assemble()
 	if len(spans) == 0 {
 		t.Fatal("no spans recorded")
 	}
@@ -134,11 +133,11 @@ func TestStatsRegistryStandalone(t *testing.T) {
 	}
 }
 
-// benchMachine builds a machine running a DMA+scalar loop workload, with or
-// without telemetry attached. The workload is long enough (256 coarse ops)
-// that per-run fixed costs amortize the way they do in real cell
-// simulations, so the On/Off ratio reflects per-op telemetry cost.
-func benchMachine(b *testing.B, withTelemetry bool) (*Machine, *telemetry.Trace, *telemetry.Registry) {
+// benchMachine builds a machine running a DMA+scalar loop workload. The
+// workload is long enough (256 coarse ops) that per-run fixed costs
+// amortize the way they do in real cell simulations, so the On/Off ratio
+// reflects per-op telemetry cost.
+func benchMachine(b *testing.B) *Machine {
 	b.Helper()
 	m := NewMachine(testChip(), arch.Single, false)
 	var groups [][]isa.Instr
@@ -148,14 +147,7 @@ func benchMachine(b *testing.B, withTelemetry bool) (*Machine, *telemetry.Trace,
 	if err := m.LoadProgram(0, 0, StepFP, prog("b", groups...)); err != nil {
 		b.Fatal(err)
 	}
-	if withTelemetry {
-		tr := telemetry.NewTrace(1 << 12)
-		reg := telemetry.NewRegistry()
-		m.SetSpanSink(tr)
-		m.SetMetrics(reg)
-		return m, tr, reg
-	}
-	return m, nil, nil
+	return m
 }
 
 // BenchmarkRunTelemetryOff measures one full cell lifecycle — machine
@@ -167,7 +159,7 @@ func benchMachine(b *testing.B, withTelemetry bool) (*Machine, *telemetry.Trace,
 func BenchmarkRunTelemetryOff(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m, _, _ := benchMachine(b, false)
+		m := benchMachine(b)
 		if _, err := m.Run(); err != nil {
 			b.Fatal(err)
 		}
@@ -185,7 +177,7 @@ func BenchmarkRunTelemetryOn(b *testing.B) {
 	logger := telemetry.NewLogger(io.Discard, slog.LevelInfo)
 	reg := telemetry.NewRegistry()
 	for i := 0; i < b.N; i++ {
-		m, _, _ := benchMachine(b, false)
+		m := benchMachine(b)
 		jt := telemetry.NewJobTrace("bench", 0, time.Now)
 		m.SetSpanSink(jt.Context(0, "bench"))
 		m.SetMetrics(reg)

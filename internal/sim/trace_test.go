@@ -5,11 +5,20 @@ import (
 	"testing"
 
 	"scaledeep/internal/isa"
+	"scaledeep/internal/telemetry"
 )
+
+// traceInto attaches a fresh single-lane trace keeping at most limit spans
+// (0 = the telemetry default) to m.
+func traceInto(m *Machine, limit int) *telemetry.JobTrace {
+	jt := telemetry.NewJobTrace("run", limit, nil)
+	m.SetSpanSink(jt.Context(0, ""))
+	return jt
+}
 
 func TestTraceRecordsOpsAndStalls(t *testing.T) {
 	m := newTestMachine()
-	m.EnableTrace(0)
+	jt := traceInto(m, 0)
 	mid := m.MemTileIndex(0, 1)
 	m.ArmTrackers([]TrackerSpec{{MemTile: mid, Addr: 0, Size: 2, NumUpdates: 1, NumReads: 1}})
 	m.WriteMem(m.MemTileIndex(0, 0), 0, []float32{5, 6})
@@ -24,21 +33,21 @@ func TestTraceRecordsOpsAndStalls(t *testing.T) {
 	}
 	mustRun(t, m)
 
-	events := m.Trace()
+	events := jt.Assemble()
 	if len(events) < 3 {
 		t.Fatalf("trace too short: %v", events)
 	}
 	sawDMA, sawStall := false, false
 	for _, e := range events {
-		if e.Op == "DMASTORE" {
+		if e.Name == "DMASTORE" {
 			sawDMA = true
-			if e.End < e.Start {
+			if e.Dur < 0 {
 				t.Fatalf("negative duration: %v", e)
 			}
 		}
-		if e.Op == "STALL" {
+		if e.Name == "STALL" {
 			sawStall = true
-			if !strings.Contains(e.Note, "track") {
+			if len(e.Attrs) != 1 || e.Attrs[0].Key != "note" || !strings.Contains(e.Attrs[0].Value, "track") {
 				t.Fatalf("stall note missing tracker: %v", e)
 			}
 		}
@@ -48,7 +57,7 @@ func TestTraceRecordsOpsAndStalls(t *testing.T) {
 	}
 
 	text := FormatTrace(events)
-	if !strings.Contains(text, "comp[r0,c1,FP]") || !strings.Contains(text, "STALL") {
+	if !strings.Contains(text, "comp[r0,c1,FP]") || !strings.Contains(text, "STALL DMA on track[") {
 		t.Fatalf("formatted trace:\n%s", text)
 	}
 
@@ -61,23 +70,34 @@ func TestTraceRecordsOpsAndStalls(t *testing.T) {
 	}
 }
 
+// TestTraceLimitDropsExcess: a lane with room for two spans keeps the
+// run's first two and counts the other 198 as dropped, without the machine
+// building them: its span batch never grows past the 128 spans SetSpanSink
+// sizes it for.
 func TestTraceLimitDropsExcess(t *testing.T) {
 	m := newTestMachine()
-	m.EnableTrace(2)
+	jt := traceInto(m, 2)
 	m.WriteMem(m.MemTileIndex(0, 0), 0, []float32{1})
 	var groups [][]isa.Instr
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 200; i++ {
 		groups = append(groups, opInstr(isa.DMASTORE, 0, isa.PortLeft, int64(100+i), isa.PortExt, 1, 0))
 	}
 	if err := m.LoadProgram(0, 0, StepFP, prog("t", groups...)); err != nil {
 		t.Fatal(err)
 	}
 	mustRun(t, m)
-	if len(m.Trace()) != 2 {
-		t.Fatalf("trace kept %d events, limit 2", len(m.Trace()))
+	events := jt.Assemble()
+	if len(events) != 2 {
+		t.Fatalf("trace kept %d events, limit 2", len(events))
 	}
-	if m.TraceDropped() != 3 {
-		t.Fatalf("dropped %d, want 3", m.TraceDropped())
+	if events[0].Start >= events[1].Start {
+		t.Fatalf("trace kept %v, want the run's first two ops in order", events)
+	}
+	if jt.Dropped() != 198 {
+		t.Fatalf("dropped %d, want 198", jt.Dropped())
+	}
+	if cap(m.spanBuf) > 128 {
+		t.Fatalf("span batch grew to %d for a 2-span lane", cap(m.spanBuf))
 	}
 }
 
@@ -93,10 +113,11 @@ func TestSummarizeAndFormatEmptyTrace(t *testing.T) {
 }
 
 func TestSummarizeStallOnlyTrace(t *testing.T) {
-	events := []TraceEvent{
-		{Start: 10, End: 10, Tile: "comp[r0,c0,FP]", Op: "STALL", Note: "read on tracker"},
-		{Start: 12, End: 12, Tile: "comp[r0,c0,FP]", Op: "STALL", Note: "read on tracker"},
-		{Start: 15, End: 15, Tile: "comp[r1,c0,FP]", Op: "STALL", Note: "write on tracker"},
+	note := func(v string) []telemetry.Attr { return []telemetry.Attr{{Key: "note", Value: v}} }
+	events := []telemetry.Span{
+		{Start: 10, Track: "comp[r0,c0,FP]", Name: "STALL", Attrs: note("read on tracker")},
+		{Start: 12, Track: "comp[r0,c0,FP]", Name: "STALL", Attrs: note("read on tracker")},
+		{Start: 15, Track: "comp[r1,c0,FP]", Name: "STALL", Attrs: note("write on tracker")},
 	}
 	sum := Summarize(events)
 	if len(sum.OpCycles) != 0 {
@@ -106,14 +127,14 @@ func TestSummarizeStallOnlyTrace(t *testing.T) {
 		t.Fatalf("stall counts: %v", sum.Stalls)
 	}
 	text := FormatTrace(events)
-	if strings.Count(text, "STALL") != 3 {
+	if strings.Count(text, "STALL") != 3 || !strings.Contains(text, "      15          comp[r1,c0,FP]   STALL write on tracker\n") {
 		t.Fatalf("formatted stall-only trace:\n%s", text)
 	}
 }
 
 func TestSummarizeTraceAtDropLimit(t *testing.T) {
 	m := newTestMachine()
-	m.EnableTrace(3)
+	jt := traceInto(m, 3)
 	m.WriteMem(m.MemTileIndex(0, 0), 0, []float32{1})
 	var groups [][]isa.Instr
 	for i := 0; i < 6; i++ {
@@ -123,10 +144,10 @@ func TestSummarizeTraceAtDropLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustRun(t, m)
-	if m.TraceDropped() == 0 {
+	if jt.Dropped() == 0 {
 		t.Fatal("expected drops at the limit")
 	}
-	events := m.Trace()
+	events := jt.Assemble()
 	if len(events) != 3 {
 		t.Fatalf("kept %d events, limit 3", len(events))
 	}
@@ -140,14 +161,21 @@ func TestSummarizeTraceAtDropLimit(t *testing.T) {
 	}
 }
 
+// TestTraceDisabledByDefault: a machine with no lane attached builds no
+// spans, and one detached with the zero TraceContext records nothing.
 func TestTraceDisabledByDefault(t *testing.T) {
 	m := newTestMachine()
-	m.WriteMem(m.MemTileIndex(0, 0), 0, []float32{1})
-	if err := m.LoadProgram(0, 0, StepFP, prog("t", opInstr(isa.DMASTORE, 0, isa.PortLeft, 100, isa.PortExt, 1, 0))); err != nil {
-		t.Fatal(err)
-	}
+	producerConsumer(t, m)
 	mustRun(t, m)
-	if len(m.Trace()) != 0 {
-		t.Fatal("trace recorded without EnableTrace")
+	if cap(m.spanBuf) != 0 {
+		t.Fatal("spans built without a trace lane")
+	}
+	m.Reset()
+	jt := traceInto(m, 0)
+	m.SetSpanSink(telemetry.TraceContext{})
+	producerConsumer(t, m)
+	mustRun(t, m)
+	if n, d := len(jt.Assemble()), jt.Dropped(); n != 0 || d != 0 {
+		t.Fatalf("detached lane holds %d spans and counts %d dropped", n, d)
 	}
 }

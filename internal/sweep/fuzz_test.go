@@ -17,7 +17,7 @@ import (
 func FuzzDecodeBlob(f *testing.F) {
 	job := Job{Workload: "simnet", Arch: "baseline", Minibatch: 1, Mode: "eval", Iters: 1}
 	reg := telemetry.NewRegistry()
-	r, err := runJob(job, reg, nil)
+	r, err := runJob(job, reg, telemetry.TraceContext{})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -374,11 +374,7 @@ func simulate(job Job, tc telemetry.TraceContext, replicas int, metrics bool) (R
 		reg = telemetry.NewRegistry()
 	}
 	end := tc.Begin("simulate", telemetry.Attr{Key: "replicas", Value: fmt.Sprint(replicas)})
-	var spans telemetry.SpanSink
-	if tc.Enabled() {
-		spans = tc
-	}
-	r, err := runJob(job, reg, spans)
+	r, err := runJob(job, reg, tc)
 	end(outcomeOf(err))
 	return r, reg, err
 }
@@ -524,12 +520,12 @@ func outcomeOf(err error) telemetry.Attr {
 // spec — never on which worker ran it or when. That purity is what both the
 // cross-parallelism determinism guarantee and cell memoization rest on.
 //
-// spans, when non-nil, receives the simulator's per-tile op spans: in a
-// traced job it is the cell's trace lane (cycle timestamps on
+// tc, unless it is the zero TraceContext, is the cell's trace lane: it
+// receives the simulator's per-tile op spans (cycle timestamps on
 // "comp[...]"/"mem[...]" tracks under the lane prefix). Cycle streams are
 // deterministic per spec, so traced spans never break cross-parallelism
 // determinism.
-func runJob(job Job, reg *telemetry.Registry, spans telemetry.SpanSink) (Result, error) {
+func runJob(job Job, reg *telemetry.Registry, tc telemetry.TraceContext) (Result, error) {
 	fail := func(err error) (Result, error) {
 		return Result{}, fmt.Errorf("sweep: %s: %w", job.Name(), err)
 	}
@@ -558,7 +554,7 @@ func runJob(job Job, reg *telemetry.Registry, spans telemetry.SpanSink) (Result,
 	if reg != nil {
 		m.SetMetrics(reg)
 	}
-	m.SetSpanSink(spans)
+	m.SetSpanSink(tc)
 	if err := c.Install(m); err != nil {
 		return fail(err)
 	}

@@ -49,7 +49,7 @@ func directResults(g Grid, reg *telemetry.Registry) ([]Result, error) {
 		if reg != nil {
 			jobReg = telemetry.NewRegistry()
 		}
-		if results[i], err = runJob(job, jobReg, nil); err != nil {
+		if results[i], err = runJob(job, jobReg, telemetry.TraceContext{}); err != nil {
 			return nil, err
 		}
 		if reg != nil {
@@ -138,7 +138,7 @@ func checkReplicasMatchDirect(t *testing.T, g Grid, workers int) {
 	for _, members := range cellClasses(jobs) {
 		for _, ji := range members[1:] {
 			replicas++
-			fresh, err := runJob(jobs[ji], nil, nil)
+			fresh, err := runJob(jobs[ji], nil, telemetry.TraceContext{})
 			if err != nil {
 				t.Fatal(err)
 			}

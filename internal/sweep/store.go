@@ -223,7 +223,7 @@ func auditHit(key string) bool {
 // sweep.
 func verifyStoredHit(job Job, key string, payload []byte) error {
 	reg := telemetry.NewRegistry()
-	r, err := runJob(job, reg, nil)
+	r, err := runJob(job, reg, telemetry.TraceContext{})
 	if err != nil {
 		return fmt.Errorf("sweep: store verify of %s: %w", job.Name(), err)
 	}

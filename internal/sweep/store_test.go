@@ -446,7 +446,7 @@ func zooJobs(t testing.TB) []Job {
 func TestBlobRoundTripZoo(t *testing.T) {
 	for _, job := range zooJobs(t) {
 		reg := telemetry.NewRegistry()
-		r, err := runJob(job, reg, nil)
+		r, err := runJob(job, reg, telemetry.TraceContext{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -502,7 +502,7 @@ func malformedBlobs(t testing.TB, r Result, blob []byte) map[string][]byte {
 func TestDecodeBlobRejectsMalformed(t *testing.T) {
 	job := Job{Workload: "minivgg", Arch: "half", Minibatch: 2, Mode: "train", Iters: 1}
 	reg := telemetry.NewRegistry()
-	r, err := runJob(job, reg, nil)
+	r, err := runJob(job, reg, telemetry.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}

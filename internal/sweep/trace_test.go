@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -117,73 +118,48 @@ func TestRunGridTraceDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// batchOnlySink hides a lane's SpanBudgetSink methods, so the simulator
-// builds every span and the lane's own bound drops the overflow.
-type batchOnlySink struct{ lane telemetry.TraceContext }
-
-func (b batchOnlySink) RecordSpan(s telemetry.Span)        { b.lane.RecordSpan(s) }
-func (b batchOnlySink) RecordSpans(spans []telemetry.Span) { b.lane.RecordSpans(spans) }
-
-// countingSink is a lane that counts the spans it is handed.
-type countingSink struct {
-	telemetry.TraceContext
-	handed *int
-}
-
-func (c countingSink) RecordSpan(s telemetry.Span) {
-	*c.handed++
-	c.TraceContext.RecordSpan(s)
-}
-
-func (c countingSink) RecordSpans(spans []telemetry.Span) {
-	*c.handed += len(spans)
-	c.TraceContext.RecordSpans(spans)
-}
-
 // TestSimulatorSpanBudgetMatchesFullLane runs one cell whose op spans
-// overflow its lane and one whose spans fit, each into a lane the machine
-// can ask for room and into one it cannot. The assembled traces and drop
-// counts must be equal, and the budgeted machine must hand the lane no more
-// spans than it had room for.
+// overflow its lane and one whose spans fit, each into a lane with the
+// default bound and into one with room for every span. The bounded lane
+// must hold the unbounded lane's leading spans, then the lifecycle span
+// that ends the cell, and count the op spans past its room as dropped.
 func TestSimulatorSpanBudgetMatchesFullLane(t *testing.T) {
 	for _, c := range []struct {
-		job      Job
-		overflow bool
+		job       Job
+		kept, ops int // op spans the bounded lane keeps, and the cell's total
 	}{
-		{Job{Workload: "minivgg", Arch: "half", Minibatch: 8, Mode: "train", Iters: 1}, true},
-		{Job{Workload: "simnet", Arch: "baseline", Minibatch: 1, Mode: "eval", Iters: 1}, false},
+		{Job{Workload: "minivgg", Arch: "half", Minibatch: 8, Mode: "train", Iters: 1}, 4095, 17385},
+		{Job{Workload: "simnet", Arch: "baseline", Minibatch: 1, Mode: "eval", Iters: 1}, 669, 669},
 	} {
-		run := func(sink func(telemetry.TraceContext) telemetry.SpanSink) *telemetry.JobTrace {
-			jt := telemetry.NewJobTrace("job", 0, fixedClock())
+		run := func(perLane int) *telemetry.JobTrace {
+			jt := telemetry.NewJobTrace("job", perLane, fixedClock())
 			lane := jt.Context(0, "cell/"+c.job.Name())
 			lane.Begin("store.get")() // a lifecycle span already in the lane
 			end := lane.Begin("simulate")
-			_, err := runJob(c.job, nil, sink(lane))
+			_, err := runJob(c.job, nil, lane)
 			end(outcomeOf(err))
 			if err != nil {
 				t.Fatalf("%s: %v", c.job.Name(), err)
 			}
 			return jt
 		}
-		full := run(func(lane telemetry.TraceContext) telemetry.SpanSink { return batchOnlySink{lane} })
-		var room, handed int
-		budgeted := run(func(lane telemetry.TraceContext) telemetry.SpanSink {
-			room = lane.SpanRoom()
-			return countingSink{lane, &handed}
-		})
+		full, bounded := run(math.MaxInt), run(0)
+		fs, bs := full.Assemble(), bounded.Assemble()
 		name := c.job.Name()
-		if got, want := budgeted.Dropped(), full.Dropped(); got != want {
-			t.Errorf("%s: budgeted run dropped %d spans, full lane %d", name, got, want)
+		if got := len(fs) - 2; got != c.ops || full.Dropped() != 0 {
+			t.Errorf("%s: unbounded lane holds %d op spans and dropped %d, want %d and 0", name, got, full.Dropped(), c.ops)
 		}
-		if got, want := budgeted.Assemble(), full.Assemble(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: budgeted trace has %d spans, full lane %d, or they differ", name, len(got), len(want))
+		if got := len(bs) - 2; got != c.kept {
+			t.Errorf("%s: bounded lane holds %d op spans, want %d", name, got, c.kept)
 		}
-		if handed > room {
-			t.Errorf("%s: machine handed the lane %d spans with room for %d", name, handed, room)
+		if got, want := bounded.Dropped(), int64(c.ops-c.kept); got != want {
+			t.Errorf("%s: bounded lane dropped %d spans, want %d", name, got, want)
 		}
-		if dropped := full.Dropped(); (dropped > 0) != c.overflow {
-			t.Errorf("%s: lane dropped %d spans, overflow expected: %v", name, dropped, c.overflow)
+		if n := len(bs) - 1; n > len(fs) || !reflect.DeepEqual(bs[:n], fs[:n]) {
+			t.Errorf("%s: the bounded lane's spans are not the unbounded lane's leading spans", name)
+		} else if last := bs[n]; last.Name != "simulate" || !reflect.DeepEqual(last, fs[len(fs)-1]) {
+			t.Errorf("%s: bounded lane ends with %+v, want the cell's simulate span", name, last)
 		}
-		t.Logf("%s: room %d, handed %d, dropped %d", name, room, handed, budgeted.Dropped())
+		t.Logf("%s: kept %d of %d op spans, dropped %d", name, len(bs)-2, len(fs)-2, bounded.Dropped())
 	}
 }

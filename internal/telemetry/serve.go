@@ -16,7 +16,7 @@ import (
 )
 
 // This file is the live observability endpoint: an http.ServeMux exposing
-// the metrics registry, the span ring buffer, a pluggable profile document,
+// the metrics registry, a run's JobTrace, a pluggable profile document,
 // and the stdlib pprof handlers — so a long simulation can be inspected
 // while it runs (`sdsim -serve :6060`).
 
@@ -119,16 +119,17 @@ func wantsOpenMetrics(r *http.Request) bool {
 //	/metrics  — registry snapshot: JSON by default, OpenMetrics text under
 //	            content negotiation (Accept: application/openmetrics-text
 //	            or ?format=openmetrics)
-//	/trace    — span buffer as Chrome trace-event JSON (Perfetto-loadable)
+//	/trace    — the JobTrace's spans as Chrome trace-event JSON
+//	            (Perfetto-loadable)
 //	/profile  — whatever profileFn returns (JSON), e.g. the sdprof report
 //	/statusz  — recent-job flight recorder (with WithFlight)
 //	/debug/pprof/ — stdlib runtime profiling
 //
 // Any argument may be nil; the endpoint then serves an empty-but-valid JSON
-// document. Counters and the span buffer are safe to read concurrently with
+// document. Counters and the JobTrace are safe to read concurrently with
 // a running producer, so the mux can be served while a simulation is in
 // flight.
-func NewHTTPMux(reg *Registry, tr *Trace, profileFn ProfileFunc, opts ...MuxOption) *http.ServeMux {
+func NewHTTPMux(reg *Registry, tr *JobTrace, profileFn ProfileFunc, opts ...MuxOption) *http.ServeMux {
 	var cfg muxConfig
 	for _, o := range opts {
 		o(&cfg)
@@ -140,7 +141,7 @@ func NewHTTPMux(reg *Registry, tr *Trace, profileFn ProfileFunc, opts ...MuxOpti
 			src = NewRegistry()
 		}
 		if tr != nil {
-			// Surface the span ring's eviction count as a monotonic counter;
+			// Surface the trace's dropped-span count as a monotonic counter;
 			// Apply raises to at-least-value, so concurrent scrapes are safe.
 			src.Apply([]CounterUpdate{{Name: "telemetry.trace.dropped_spans", Value: tr.Dropped()}}, nil, nil)
 		}
@@ -164,7 +165,7 @@ func NewHTTPMux(reg *Registry, tr *Trace, profileFn ProfileFunc, opts ...MuxOpti
 		var spans []Span
 		var meta TraceMeta
 		if tr != nil {
-			spans = tr.Spans()
+			spans = tr.Assemble()
 			meta.DroppedSpans = tr.Dropped()
 		}
 		if err := WriteChromeTraceMeta(w, spans, meta); err != nil {

@@ -41,8 +41,8 @@ func wantJSON(t *testing.T, resp *http.Response, body []byte, path string) {
 func TestHTTPMuxEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("sim.flops").Add(42)
-	tr := NewTrace(8)
-	tr.RecordSpan(Span{Track: "tile", Name: "NDCONV", Start: 0, Dur: 10})
+	tr := NewJobTrace("run", 8, nil)
+	tr.Context(0, "").RecordSpan(Span{Track: "tile", Name: "NDCONV", Start: 0, Dur: 10})
 	pv := NewJSONVar(`{"state":"running"}`)
 
 	srv := httptest.NewServer(NewHTTPMux(reg, tr, pv.Get))
@@ -220,14 +220,15 @@ func TestHTTPMuxMetricsContentNegotiation(t *testing.T) {
 
 func TestHTTPMuxSurfacesDroppedSpans(t *testing.T) {
 	reg := NewRegistry()
-	tr := NewTrace(2)
+	tr := NewJobTrace("run", 2, nil)
+	lane := tr.Context(0, "")
 	for i := 0; i < 5; i++ {
-		tr.RecordSpan(Span{Name: "s", Start: int64(i)})
+		lane.RecordSpan(Span{Name: "s", Start: int64(i)})
 	}
 	srv := httptest.NewServer(NewHTTPMux(reg, tr, nil))
 	defer srv.Close()
 
-	// /metrics raises telemetry.trace.dropped_spans to the ring's count.
+	// /metrics raises telemetry.trace.dropped_spans to the trace's count.
 	_, body := get(t, srv, "/metrics?format=openmetrics")
 	fams, err := ParseOpenMetrics(body)
 	if err != nil {

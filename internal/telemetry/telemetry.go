@@ -1,9 +1,9 @@
 // Package telemetry is the instrumentation layer shared by every subsystem:
 // a metrics registry of labeled atomic counters, gauges and fixed-bucket
-// histograms, snapshotable to JSON, plus a span recorder (named track +
-// begin/duration + attributes) backed by a bounded ring buffer with drop
-// accounting, exportable as Chrome trace-event JSON loadable in Perfetto or
-// chrome://tracing.
+// histograms, snapshotable to JSON, plus one span recorder (named track +
+// begin/duration + attributes), the lane-partitioned JobTrace with per-lane
+// bounds and drop accounting, exportable as Chrome trace-event JSON loadable
+// in Perfetto or chrome://tracing.
 //
 // The paper's entire evaluation (Figs. 16-21) is built from per-tile
 // utilization, stall, power-activity and link-bandwidth measurements; this
@@ -12,12 +12,13 @@
 //
 // Design constraints:
 //
-//   - Zero overhead when disabled. Every producer holds a nil-able SpanSink
-//     (or *Counter / *Histogram) and guards recording with a nil check; no
-//     allocation, locking or formatting happens on the disabled path.
+//   - Zero overhead when disabled. Every producer holds a nil-able SpanSink,
+//     a zero TraceContext (or a nil *Counter / *Histogram) and guards
+//     recording with one test; no allocation, locking or formatting happens
+//     on the disabled path.
 //   - Safe under concurrent recorders. Counters, gauges and histogram
-//     buckets are atomics; the span ring buffer takes a short mutex per
-//     record. Later parallel-simulation work can adopt the package
+//     buckets are atomics; a JobTrace takes a short mutex per record or
+//     batch. Later parallel-simulation work can adopt the package
 //     unchanged.
 //
 // Time units are producer-defined per track: simulator and cluster tracks
@@ -43,31 +44,11 @@ type Span struct {
 	Attrs []Attr
 }
 
-// SpanSink receives spans from instrumented code. Producers hold a SpanSink
-// and skip recording entirely when it is nil — callers must therefore never
-// pass a typed-nil concrete value.
+// SpanSink receives spans one at a time from instrumented code (the
+// compiler's phases, the reference executor's layers, the cluster's
+// collectives); a TraceContext is one. Producers hold a SpanSink and skip
+// recording entirely when it is nil — callers must therefore never pass a
+// typed-nil concrete value.
 type SpanSink interface {
 	RecordSpan(Span)
-}
-
-// SpanBatchSink is the optional bulk extension of SpanSink: sinks that can
-// ingest a batch under one lock implement it (Trace does), and producers
-// that buffer spans locally type-assert for it at flush time, falling back
-// to per-span RecordSpan calls.
-type SpanBatchSink interface {
-	SpanSink
-	RecordSpans([]Span)
-}
-
-// SpanBudgetSink is the optional bounded extension of SpanBatchSink: a sink
-// that keeps only so many more spans says how many (SpanRoom), and takes
-// the count of spans a producer did not build because they fell past that
-// room (DropSpans), so its drop accounting reads exactly as if it had been
-// handed them. A producer reads SpanRoom once before a stretch of emission
-// that nothing else records into the sink during (TraceContext's lane has a
-// single owning goroutine); the simulator does so once per Run.
-type SpanBudgetSink interface {
-	SpanBatchSink
-	SpanRoom() int
-	DropSpans(n int64)
 }

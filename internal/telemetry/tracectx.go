@@ -1,37 +1,40 @@
 package telemetry
 
 import (
+	"fmt"
 	"sync"
 	"time"
 )
 
-// Job-scoped distributed tracing. A JobTrace collects every span one service
-// job produces — across the HTTP handler, the sweep engine's parallel
-// workers, store lookups and simulator runs — and assembles them into one
-// coherent Perfetto-loadable trace at job completion.
+// Job-scoped distributed tracing, and the package's one span recorder. A
+// JobTrace collects every span one job produces — across the HTTP handler,
+// the sweep engine's parallel workers, store lookups and simulator runs —
+// and assembles them into one coherent Perfetto-loadable trace. The CLIs
+// record a whole run into a single lane of one.
 //
 // The central design problem is determinism: sweep workers finish in
-// arbitrary order, so naively appending spans to a shared ring (the old
-// per-process Trace) interleaves them nondeterministically. A JobTrace
-// instead partitions spans into lanes. A lane is a deterministic producer
-// slot — grid-cell index ci for the sweep's class representatives, LaneJob
-// for job-lifecycle spans — and every lane is only ever written by the one
-// goroutine that owns its unit of work. Assemble concatenates lanes in lane
-// order, each lane's spans in its own record order, so the assembled span
-// list is a pure function of the job spec and the measured durations: the
-// same job assembled at any -parallel worker count yields the same spans in
-// the same order. (Timestamps are data — wall-clock offsets from the job
-// base — so byte-identical traces additionally require a deterministic
-// clock, which the tests pin with a fixed `now`.)
+// arbitrary order, so appending spans to one shared buffer would interleave
+// them nondeterministically. A JobTrace instead partitions spans into
+// lanes. A lane is a deterministic producer slot — grid-cell index ci for
+// the sweep's class representatives, LaneJob for job-lifecycle spans — and
+// every lane is only ever written by the one goroutine that owns its unit
+// of work. Assemble concatenates lanes in lane order, each lane's spans in
+// its own record order, so the assembled span list is a pure function of
+// the job spec and the measured durations: the same job assembled at any
+// -parallel worker count yields the same spans in the same order.
+// (Timestamps are data — wall-clock offsets from the job base — so
+// byte-identical traces additionally require a deterministic clock, which
+// the tests pin with a fixed `now`.)
 //
-// Lanes are bounded (perLane spans) against the simulator's op-span batches
-// (RecordSpan/RecordSpans); overflow increments a dropped counter that
-// Assemble surfaces, so a truncated trace is detectable instead of silently
-// misleading (see MarshalChromeTraceMeta / trace.dropped_spans). Lifecycle spans
-// (Begin/Interval) are a fixed handful per cell and always kept, even in a
-// lane the op spans have filled. The simulator asks a lane for its
-// SpanRoom before a run and reports the spans past it through DropSpans
-// instead of building spans the bound would drop.
+// Lanes are bounded: a lane keeps its first perLane recorded spans
+// (RecordSpan/RecordSpans) and counts the rest in a dropped counter that
+// Assemble's callers surface, so a truncated trace is detectable instead
+// of silently misleading (see MarshalChromeTraceMeta /
+// trace.dropped_spans). Lifecycle spans (Begin/Interval) are a fixed
+// handful per cell and always kept, even in a lane the op spans have
+// filled. The simulator asks a lane for its SpanRoom before a run and
+// reports the spans past it through DropSpans instead of building spans
+// the bound would drop.
 
 // LaneJob is the reserved lane for job-lifecycle spans (queue-wait, sweep,
 // render, merge); it sorts before every cell lane.
@@ -48,11 +51,17 @@ type JobTrace struct {
 	base  time.Time
 	limit int
 
-	mu       sync.Mutex
-	lanes    map[int][]Span
-	prefixes map[int]string // track prefix per lane, applied at assembly
-	order    []int          // lane creation order, kept sorted at assembly
-	dropped  int64
+	mu      sync.Mutex
+	lanes   map[int]*traceLane
+	order   []int // lane creation order, kept sorted at assembly
+	dropped int64
+}
+
+// traceLane is one lane's spans and the track prefix Assemble joins to
+// them.
+type traceLane struct {
+	prefix string
+	spans  []Span
 }
 
 // NewJobTrace builds a collector for one job. perLane bounds each lane's
@@ -68,24 +77,33 @@ func NewJobTrace(jobID string, perLane int, now func() time.Time) *JobTrace {
 		now = time.Now
 	}
 	return &JobTrace{
-		jobID:    jobID,
-		now:      now,
-		base:     now(),
-		limit:    perLane,
-		lanes:    map[int][]Span{},
-		prefixes: map[int]string{},
+		jobID: jobID,
+		now:   now,
+		base:  now(),
+		limit: perLane,
+		lanes: map[int]*traceLane{},
 	}
 }
 
 // JobID returns the job identifier stamped into the assembled trace.
 func (jt *JobTrace) JobID() string { return jt.jobID }
 
-// Context returns the trace context for one lane. prefix is prepended
-// (with "/") to every recorded span's track, so a cell's simulator spans
-// land on "cell/<name>/<tile>" tracks; parent is the span the lane hangs
-// off (attached as an attribute on the lane's first span).
+// Context returns the trace context for one lane, creating the lane on
+// first use. prefix is prepended (with "/") to every span recorded in the
+// lane, so a cell's simulator spans land on "cell/<name>/<tile>" tracks. A
+// lane has one prefix: asking for it again under another panics.
 func (jt *JobTrace) Context(lane int, prefix string) TraceContext {
-	return TraceContext{JobID: jt.jobID, Lane: lane, jt: jt, prefix: prefix}
+	jt.mu.Lock()
+	defer jt.mu.Unlock()
+	l := jt.lanes[lane]
+	if l == nil {
+		l = &traceLane{prefix: prefix}
+		jt.lanes[lane] = l
+		jt.order = append(jt.order, lane)
+	} else if l.prefix != prefix {
+		panic(fmt.Sprintf("telemetry: lane %d has track prefix %q, not %q", lane, l.prefix, prefix))
+	}
+	return TraceContext{jt: jt, lane: l}
 }
 
 // joinTrack prepends a track prefix ("" leaves the track unchanged).
@@ -100,20 +118,12 @@ func joinTrack(prefix, track string) string {
 }
 
 // record appends spans to a lane; bounded spans are dropped once the lane
-// holds perLane spans. The lane's track prefix is stored once and applied
-// at assembly time, so the hot path (simulator span batches flushing
-// mid-run) never builds track strings. A lane normally has a single
-// producer and so a single prefix; if a second prefix ever shows up, the
-// stored prefix is materialized onto the buffered spans and the lane
-// switches to eager per-span prefixing.
-func (jt *JobTrace) record(lane int, prefix string, bounded bool, spans ...Span) {
+// holds perLane spans. The lane's track prefix is joined at assembly time,
+// so the hot path (simulator span batches) never builds track strings.
+func (jt *JobTrace) record(l *traceLane, bounded bool, spans ...Span) {
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
-	buf, ok := jt.lanes[lane]
-	if !ok {
-		jt.order = append(jt.order, lane)
-		jt.prefixes[lane] = prefix
-	}
+	buf := l.spans
 	// Grow once, exactly: the simulator flushes spans in large batches, so
 	// doubling-growth would allocate several times per flush.
 	if need := len(buf) + len(spans); need > cap(buf) {
@@ -126,35 +136,23 @@ func (jt *JobTrace) record(lane int, prefix string, bounded bool, spans ...Span)
 			buf = nb
 		}
 	}
-	eager := prefix != jt.prefixes[lane]
-	if eager {
-		if p := jt.prefixes[lane]; p != "" {
-			for i := range buf {
-				buf[i].Track = joinTrack(p, buf[i].Track)
-			}
-		}
-		jt.prefixes[lane] = ""
-	}
 	for _, s := range spans {
 		if bounded && len(buf) >= jt.limit {
 			jt.dropped++
 			continue
 		}
-		if eager {
-			s.Track = joinTrack(prefix, s.Track)
-		}
 		buf = append(buf, s)
 	}
-	jt.lanes[lane] = buf
+	l.spans = buf
 }
 
 // room reports how many more bounded spans lane keeps before it drops:
 // lifecycle spans count against the bound but are never dropped, so a lane
 // they pushed past it has no room.
-func (jt *JobTrace) room(lane int) int {
+func (jt *JobTrace) room(l *traceLane) int {
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
-	return max(jt.limit-len(jt.lanes[lane]), 0)
+	return max(jt.limit-len(l.spans), 0)
 }
 
 // drop counts n spans discarded by a lane's bound without recording them.
@@ -175,10 +173,11 @@ func (jt *JobTrace) Dropped() int64 {
 func (jt *JobTrace) sinceBase() int64 { return jt.now().Sub(jt.base).Microseconds() }
 
 // Assemble returns the job's spans: lanes ascending (LaneJob first), each
-// lane in record order. Each lane is owned by a single goroutine, so the
-// result is deterministic regardless of how lanes were scheduled. The
-// JobTrace remains usable after Assemble (late spans land in later
-// assemblies).
+// lane in record order, every track joined to its lane's prefix. Each lane
+// is owned by a single goroutine, so the result is deterministic regardless
+// of how lanes were scheduled. Each distinct prefix/track pair is joined
+// once, and its spans share the string. The JobTrace remains usable after
+// Assemble (late spans land in later assemblies).
 func (jt *JobTrace) Assemble() []Span {
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
@@ -189,75 +188,75 @@ func (jt *JobTrace) Assemble() []Span {
 		}
 	}
 	var n int
-	for _, lane := range jt.order {
-		n += len(jt.lanes[lane])
+	for _, l := range jt.lanes {
+		n += len(l.spans)
 	}
 	out := make([]Span, 0, n)
+	type prefixed struct{ prefix, track string }
+	joined := map[prefixed]string{}
 	for _, lane := range jt.order {
-		p := jt.prefixes[lane]
-		for _, s := range jt.lanes[lane] {
-			s.Track = joinTrack(p, s.Track)
+		l := jt.lanes[lane]
+		for _, s := range l.spans {
+			if l.prefix != "" {
+				k := prefixed{l.prefix, s.Track}
+				t, ok := joined[k]
+				if !ok {
+					t = joinTrack(l.prefix, s.Track)
+					joined[k] = t
+				}
+				s.Track = t
+			}
 			out = append(out, s)
 		}
 	}
 	return out
 }
 
-// TraceContext addresses one lane of a JobTrace: the job ID, the lane, and
-// the parent span ID spans in this lane hang off. It is a value type —
-// copy it freely into worker goroutines; all mutation happens on the shared
+// TraceContext addresses one lane of a JobTrace. It is a value type — copy
+// it freely into worker goroutines; all mutation happens on the shared
 // JobTrace under its lock. The zero TraceContext is disabled: every method
 // is a cheap no-op, so producers can hold one unconditionally.
 type TraceContext struct {
-	JobID  string
-	Lane   int
-	Parent int64 // span ID of the parent span, 0 if none
-	jt     *JobTrace
-	prefix string
+	jt   *JobTrace
+	lane *traceLane
 }
-
-var _ SpanBudgetSink = TraceContext{}
 
 // Enabled reports whether spans recorded through this context go anywhere.
 func (tc TraceContext) Enabled() bool { return tc.jt != nil }
 
-// WithParent returns a copy whose spans reference parent's span ID.
-func (tc TraceContext) WithParent(parent int64) TraceContext {
-	tc.Parent = parent
-	return tc
-}
-
 // RecordSpan records one span into the context's lane; the track is
-// prefixed with the lane prefix. Implements SpanSink, so a simulator
-// machine can emit directly into a job trace lane.
+// prefixed with the lane prefix. Implements SpanSink, so the compiler, the
+// reference executor and the cluster model can record into a lane.
 func (tc TraceContext) RecordSpan(s Span) {
 	if tc.jt == nil {
 		return
 	}
-	tc.jt.record(tc.Lane, tc.prefix, true, s)
+	tc.jt.record(tc.lane, true, s)
 }
 
-// RecordSpans records a batch under one lock (SpanBatchSink).
+// RecordSpans records a batch under one lock: the simulator's flush at
+// the end of each Run.
 func (tc TraceContext) RecordSpans(spans []Span) {
 	if tc.jt == nil {
 		return
 	}
-	tc.jt.record(tc.Lane, tc.prefix, true, spans...)
+	tc.jt.record(tc.lane, true, spans...)
 }
 
 // SpanRoom reports how many more spans RecordSpan/RecordSpans keep in the
-// lane before the per-lane bound drops them (SpanBudgetSink); 0 when the
-// context is disabled.
+// lane before the per-lane bound drops them; 0 when the context is
+// disabled. A producer reads it once before a stretch of emission that
+// nothing else records into the lane during (a lane has a single owning
+// goroutine); the simulator does so once per Run.
 func (tc TraceContext) SpanRoom() int {
 	if tc.jt == nil {
 		return 0
 	}
-	return tc.jt.room(tc.Lane)
+	return tc.jt.room(tc.lane)
 }
 
 // DropSpans counts n spans a producer left unbuilt because the lane had no
-// room for them, exactly as recording and dropping them would have
-// (SpanBudgetSink).
+// room for them, exactly as recording and dropping them would have.
 func (tc TraceContext) DropSpans(n int64) {
 	if tc.jt == nil || n <= 0 {
 		return
@@ -280,7 +279,7 @@ func (tc TraceContext) Begin(name string, attrs ...Attr) func(endAttrs ...Attr) 
 		if len(endAttrs) > 0 {
 			all = append(append([]Attr{}, attrs...), endAttrs...)
 		}
-		tc.jt.record(tc.Lane, tc.prefix, false, Span{
+		tc.jt.record(tc.lane, false, Span{
 			Track: "", Name: name, Start: start, Dur: end - start, Attrs: all,
 		})
 	}
@@ -300,5 +299,5 @@ func (tc TraceContext) Interval(name string, from, to time.Time, attrs ...Attr) 
 	if dur < 0 {
 		dur = 0
 	}
-	tc.jt.record(tc.Lane, tc.prefix, false, Span{Name: name, Start: start, Dur: dur, Attrs: attrs})
+	tc.jt.record(tc.lane, false, Span{Name: name, Start: start, Dur: dur, Attrs: attrs})
 }

@@ -190,9 +190,9 @@ func TestSpanRoomZero(t *testing.T) {
 	}
 	ops := jt.Context(1, "cell")
 	ops.RecordSpans([]Span{{Name: "op"}, {Name: "op"}})
-	for _, tc := range []TraceContext{life, ops, {}} {
+	for i, tc := range []TraceContext{life, ops, {}} {
 		if got := tc.SpanRoom(); got != 0 {
-			t.Errorf("lane %d: SpanRoom = %d, want 0", tc.Lane, got)
+			t.Errorf("context %d: SpanRoom = %d, want 0", i, got)
 		}
 	}
 	life.DropSpans(5)
@@ -263,5 +263,60 @@ func TestJobTraceAssembleIsRepeatable(t *testing.T) {
 	}
 	if second[0].Name != "zero" || second[1].Name != "one" {
 		t.Errorf("second assembly order = %v", second)
+	}
+}
+
+// TestJobTraceLaneHasOnePrefix: a lane keeps the prefix it was created
+// with; asking for it again under the same prefix is fine, under another
+// one panics.
+func TestJobTraceLaneHasOnePrefix(t *testing.T) {
+	jt := NewJobTrace("job-1", 0, nil)
+	jt.Context(0, "cell/a").RecordSpan(Span{Track: "t", Name: "x"})
+	jt.Context(0, "cell/a").RecordSpan(Span{Track: "t", Name: "y"})
+	defer func() {
+		if recover() == nil {
+			t.Error("a second prefix for lane 0 did not panic")
+		}
+		for _, s := range jt.Assemble() {
+			if s.Track != "cell/a/t" {
+				t.Errorf("track = %q, want cell/a/t", s.Track)
+			}
+		}
+	}()
+	jt.Context(0, "cell/b")
+}
+
+// TestJobTraceAssembleJoinsEachTrackOnce pins Assemble's allocations at
+// the number of distinct prefixed tracks plus a small constant: every span
+// on a track shares one joined string.
+func TestJobTraceAssembleJoinsEachTrackOnce(t *testing.T) {
+	const lanes, tracks, perTrack = 3, 25, 40
+	jt := NewJobTrace("job-1", lanes*tracks*perTrack, nil)
+	jt.Context(LaneJob, "job").Begin("sweep")()
+	for lane := 0; lane < lanes; lane++ {
+		tc := jt.Context(lane, fmt.Sprintf("cell/c%d", lane))
+		var batch []Span
+		for i := 0; i < perTrack; i++ {
+			for tr := 0; tr < tracks; tr++ {
+				batch = append(batch, Span{Track: fmt.Sprintf("comp[r0,c%d,FP]", tr), Name: "op", Start: int64(i)})
+			}
+		}
+		tc.RecordSpans(batch)
+		tc.Begin("simulate")()
+	}
+	spans := jt.Assemble()
+	distinct := map[string]bool{}
+	for _, s := range spans {
+		distinct[s.Track] = true
+	}
+	// Per cell lane: its tile tracks plus the bare prefix of its lifecycle
+	// span; the job lane's bare "job".
+	if want := lanes*(tracks+1) + 1; len(distinct) != want {
+		t.Fatalf("%d distinct tracks, want %d", len(distinct), want)
+	}
+	allocs := testing.AllocsPerRun(20, func() { jt.Assemble() })
+	t.Logf("Assemble: %d spans, %d distinct tracks, %.0f allocs", len(spans), len(distinct), allocs)
+	if limit := float64(len(distinct) + 16); allocs > limit {
+		t.Errorf("Assemble allocates %.0f times for %d distinct tracks, want at most %.0f", allocs, len(distinct), limit)
 	}
 }
