@@ -18,20 +18,26 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# bench/ is its own Go module, so the root ./... never compiles it; vetting
+# it here catches a change to an API sdbench uses before the benchmark runs.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 race:
 	$(GO) test -race ./internal/telemetry/... ./internal/sim/... ./internal/sweep/... ./internal/cluster/... ./internal/par/... ./internal/tensor/... ./internal/store/... ./internal/server/...
 
 # fuzz runs each native fuzz target for a bounded time: the store blob
 # decoder, the ISA assembler, the store's key handling, the Chrome trace
-# encoder (against its encoding/json oracle) and sdserve's POST /jobs spec
-# handling. Their seeds (a real encoded cell and a corrupted copy; the
-# package's test programs; the rejected keys of TestInvalidKeysRejected and
-# one valid key; the span sets of chrome_test.go and a set of hostile
-# strings and times; a small, an oversized and a predict spec, truncated
-# JSON and an unknown mode and format) also run as ordinary tests under
+# encoder (against its encoding/json oracle), sdserve's POST /jobs spec
+# handling, the predictor model loader and the OpenMetrics parser. Their
+# seeds (a real encoded cell and a corrupted copy; the package's test
+# programs; the rejected keys of TestInvalidKeysRejected and one valid key;
+# the span sets of chrome_test.go and a set of hostile strings and times; a
+# small, an oversized and a predict spec, truncated JSON, an unknown mode
+# and format and a spec with trailing bytes; a fitted model, a truncated
+# copy and one with an overlong centroid; a registry scrape and the
+# documents of openmetrics_test.go) also run as ordinary tests under
 # `go test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlob$$' -fuzztime 10s ./internal/sweep/
@@ -39,6 +45,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreKey$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzChromeTrace$$' -fuzztime 10s ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmitSpec$$' -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeModel$$' -fuzztime 10s ./internal/predict/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseOpenMetrics$$' -fuzztime 10s ./internal/telemetry/
 
 # bench runs the tier-1 simulator benchmarks (the telemetry-off/on hot-path
 # pair among them: the nil-sink fast path must not cost anything when
@@ -67,7 +75,8 @@ fuzz:
 # independent (the predict benchmarks report no workers metric), so it is
 # never skipped on single-core runners.
 # The serve benchmarks fire a duplicate-heavy job storm at the sdserve
-# scheduler one job at a time and four jobs wide, and record jobs-per-sec,
+# scheduler on a one-token worker budget (one job at a time) and on the
+# default GOMAXPROCS-token budget, and record jobs-per-sec,
 # p95 latency and the single-flight coalescing counts in BENCH_serve.json;
 # the ratio gate asserts the concurrent storm finishes in at most
 # $(SERVE_MAX_RATIO)x the serial wall-clock (>= 2x the throughput) on a

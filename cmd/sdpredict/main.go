@@ -58,7 +58,7 @@ func main() {
 	mbs := flag.String("mb", "1,2,4", "comma-separated minibatch sizes")
 	modes := flag.String("modes", "eval,train", "comma-separated modes: eval, train")
 	iters := flag.Int("iters", 2, "training iterations per train-mode cell")
-	parallel := flag.Int("parallel", 0, "sweep worker-pool size (0 = GOMAXPROCS)")
+	parallel := flag.Int("parallel", 0, "sweep workers (0 = GOMAXPROCS); each worker past the first takes one of GOMAXPROCS budget tokens, so at most GOMAXPROCS+1 run at once")
 	storeDir := flag.String("store-dir", "", "consult/populate the persistent result store for harvest simulations")
 
 	lambda := flag.Float64("lambda", 0, "ridge penalty (0 = default)")

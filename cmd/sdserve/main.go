@@ -8,7 +8,6 @@
 //
 //	sdserve [-addr :6060] [-store-dir DIR] [-store-max-mb N] \
 //	        [-queue N] [-rate R] [-burst N] [-max-clients N] \
-//	        [-max-concurrent N] [-parallel N] \
 //	        [-verify-store] [-predict model.json] \
 //	        [-log-out PATH|-] [-log-level LEVEL] [-max-jobs N] [-flight N]
 //
@@ -30,15 +29,15 @@
 //	                      Accept: application/openmetrics-text or
 //	                      ?format=openmetrics)
 //
-// Jobs run concurrently: up to -max-concurrent at a time (default
-// min(4, cores); 1 restores the serial scheduler), dequeued highest
-// priority first. Each running job holds one token of a machine-wide
-// budget of GOMAXPROCS tokens and leases its extra sweep workers from it,
-// so concurrency never oversubscribes the cores, and a job waiting to
-// start takes over a leased worker's token at that worker's next cell
-// boundary. Jobs racing on the same grid cell coalesce through the store's
-// single-flight layer — one simulates, the rest share its exact bytes.
-// Results are byte-identical at any -max-concurrent.
+// Jobs run concurrently on one machine-wide budget of GOMAXPROCS worker
+// tokens, the daemon's only concurrency limit. A job starts when it takes a
+// token, dequeued highest priority first, and leases its extra sweep
+// workers from the same budget, so concurrency never oversubscribes the
+// cores, and a job waiting to start takes over a leased worker's token at
+// that worker's next cell boundary. GOMAXPROCS sets the width. Jobs racing
+// on the same grid cell coalesce through the store's single-flight layer —
+// one simulates, the rest share its exact bytes. Results are
+// byte-identical at any width.
 //
 // With -predict, the server loads a learned cycle-predictor model (fit
 // with sdpredict) and offers it to jobs that set "predict": true in their
@@ -85,10 +84,8 @@ func main() {
 	storeDir := flag.String("store-dir", "", "persistent result-store directory (empty = no persistence)")
 	storeMaxMB := flag.Int("store-max-mb", 0, "result-store size bound in MiB (0 = 256 MiB default)")
 	queueMax := flag.Int("queue", 64, "job queue bound; submissions past it get 503")
-	maxConcurrent := flag.Int("max-concurrent", 0, "jobs run simultaneously (0 = min(4, cores), 1 = serial scheduler); concurrent jobs split one machine-wide worker budget, results are byte-identical at any value")
 	rate := flag.Float64("rate", 1, "per-client submission rate (jobs/second)")
 	burst := flag.Int("burst", 8, "per-client submission burst")
-	parallel := flag.Int("parallel", 0, "per-job sweep worker-pool size (0 = GOMAXPROCS)")
 	verifyStore := flag.Bool("verify-store", false, "re-simulate a deterministic sample of store hits and fail jobs on divergence")
 	predictPath := flag.String("predict", "", "learned fast-path model file (fit with sdpredict); jobs that set \"predict\": true answer confident cells from it instead of simulating")
 	maxClients := flag.Int("max-clients", 0, "per-client rate-limit table bound; least-recently-seen clients evicted past it (0 = 1024)")
@@ -131,18 +128,16 @@ func main() {
 	}
 
 	srv := server.New(server.Config{
-		Store:         st,
-		VerifyStore:   *verifyStore,
-		Predictor:     predictorOrNil(model),
-		MaxQueue:      *queueMax,
-		MaxConcurrent: *maxConcurrent,
-		SweepWorkers:  *parallel,
-		RatePerSec:    *rate,
-		Burst:         *burst,
-		MaxClients:    *maxClients,
-		Logger:        logger,
-		MaxJobs:       *maxJobs,
-		FlightN:       *flightN,
+		Store:       st,
+		VerifyStore: *verifyStore,
+		Predictor:   predictorOrNil(model),
+		MaxQueue:    *queueMax,
+		RatePerSec:  *rate,
+		Burst:       *burst,
+		MaxClients:  *maxClients,
+		Logger:      logger,
+		MaxJobs:     *maxJobs,
+		FlightN:     *flightN,
 	})
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -51,7 +51,7 @@ func main() {
 	spanCap := flag.Int("span-cap", 1<<18, "spans the run's trace keeps (its first N) for -trace, -trace-out and -serve")
 	serveAddr := flag.String("serve", "", "serve /metrics, /trace, /profile and /debug/pprof/ on this address and stay up after the run")
 	batch := flag.String("batch", "", "comma-separated minibatch sizes to sweep instead of a single run")
-	parallel := flag.Int("parallel", 0, "batch-mode worker-pool size (0 = GOMAXPROCS)")
+	parallel := flag.Int("parallel", 0, "batch-mode sweep workers (0 = GOMAXPROCS); each worker past the first takes one of GOMAXPROCS budget tokens, so at most GOMAXPROCS+1 run at once")
 	storeDir := flag.String("store-dir", "", "batch mode: persist results in a content-addressed store at this directory")
 	verifyStore := flag.Bool("verify-store", false, "batch mode: re-simulate a deterministic sample of store hits and fail on divergence")
 	logOut := flag.String("log-out", "", "structured JSON log destination (path, - for stderr, empty = off)")

@@ -73,7 +73,7 @@ func main() {
 	mbs := flag.String("mb", "2", "comma-separated minibatch sizes")
 	modes := flag.String("modes", "eval", "comma-separated modes: eval, train")
 	iters := flag.Int("iters", 1, "training iterations per train-mode job")
-	parallel := flag.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS)")
+	parallel := flag.Int("parallel", 0, "sweep workers (0 = GOMAXPROCS); each worker past the first takes one of GOMAXPROCS budget tokens, so at most GOMAXPROCS+1 run at once")
 	format := flag.String("format", "text", "output format: text, csv or json")
 	out := flag.String("out", "", "write the table to this file instead of stdout")
 	metricsOut := flag.String("metrics-out", "", "write the merged per-job metrics snapshot JSON file")

@@ -42,7 +42,7 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write a metrics snapshot JSON file")
 	serveAddr := flag.String("serve", "", "serve /metrics, /trace, /profile and /debug/pprof/ on this address and stay up after the run")
 	batch := flag.String("batch", "", "comma-separated iteration counts: run the equivalence check once per count via the sweep engine")
-	parallel := flag.Int("parallel", 0, "batch-mode worker-pool size (0 = GOMAXPROCS)")
+	parallel := flag.Int("parallel", 0, "batch-mode sweep workers (0 = GOMAXPROCS); each worker past the first takes one of GOMAXPROCS budget tokens, so at most GOMAXPROCS+1 run at once")
 	storeDir := flag.String("store-dir", "", "batch mode: persist equivalence-check results in a content-addressed store at this directory")
 	logOut := flag.String("log-out", "", "structured JSON log destination (path, - for stderr, empty = off)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")

@@ -1,9 +1,10 @@
 // Package par is the machine-wide worker budget: one FIFO semaphore of
-// Workers() tokens that every long-lived worker draws from. sdserve holds
-// one token per running job for the job's first sweep worker, and each
-// job's sweep leases its extra cell workers from the same budget
-// (sweep.Options.BudgetWorkers), so concurrent jobs split the cores instead
-// of oversubscribing them.
+// Workers() tokens that every long-lived worker draws from, and the only
+// concurrency limit in the program. sdserve starts a job only when it takes
+// a token, which the job holds for its sweep's first worker, and every
+// sweep (sdserve's, the CLIs' and the report generators') leases each of
+// its extra cell workers from the same budget (sweep.Run), so concurrent
+// jobs split the cores instead of oversubscribing them.
 //
 // Waiting blocks; nothing polls. Acquire queues its caller, and Release
 // hands the token straight to the oldest waiter — the way a MEMTRACK

@@ -11,8 +11,8 @@ import (
 )
 
 // TestSeatWaitsOneCell pins how long a job waits to start behind a running
-// sweep. A BudgetWorkers sweep holds the whole two-token budget: its
-// caller's seat plus one leased worker. A seat requested mid-sweep must be
+// sweep. The sweep holds the whole two-token budget: its caller's seat
+// plus one leased worker. A seat requested mid-sweep must be
 // granted at the leased worker's next cell boundary, not when the sweep
 // runs out of cells. Every cell waits on its own gate and the test opens
 // them one at a time, so the wait is counted in cells, not milliseconds.
@@ -38,7 +38,7 @@ func TestSeatWaitsOneCell(t *testing.T) {
 	swept := make(chan error, 1)
 	go func() {
 		swept <- sweep.Run(context.Background(), cells,
-			sweep.Options{Workers: 2, BudgetWorkers: true}, fn)
+			sweep.Options{Workers: 2}, fn)
 	}()
 	// step opens the next gate and waits until that cell's worker is past
 	// its boundary: it starts another cell, or, once a seat is waiting,

@@ -294,6 +294,11 @@ func Decode(data []byte) (*Model, error) {
 	if len(m.Regions) == 0 {
 		return nil, fmt.Errorf("predict: model has no confidence regions")
 	}
+	for _, r := range m.Regions {
+		if len(r.Centroid) != len(featureNames) {
+			return nil, fmt.Errorf("predict: region %q centroid has %d entries, want %d", r.Workload, len(r.Centroid), len(featureNames))
+		}
+	}
 	return &m, nil
 }
 

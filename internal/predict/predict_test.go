@@ -34,7 +34,7 @@ var (
 
 // fittedModel harvests and fits once per test binary — the labels come from
 // real simulations, so sharing the fit keeps the suite fast.
-func fittedModel(t *testing.T) (*Model, []Sample) {
+func fittedModel(t testing.TB) (*Model, []Sample) {
 	t.Helper()
 	fitOnce.Do(func() {
 		fitSamples, fitErr = Harvest(context.Background(), trainGrid(), sweep.Options{})
@@ -207,6 +207,31 @@ func TestDecodeRejectsIncompatibleModels(t *testing.T) {
 	if _, err := Decode([]byte("{")); err == nil {
 		t.Error("Decode accepted malformed JSON")
 	}
+	if _, err := Decode(longCentroidModel(t)); err == nil {
+		t.Error("Decode accepted a centroid longer than the feature vector")
+	}
+}
+
+// longCentroidModel encodes the fitted model with one entry appended to its
+// first region's centroid. Prediction indexes the standardized feature
+// vector by centroid position, so such a model must never load.
+func longCentroidModel(t testing.TB) []byte {
+	t.Helper()
+	fitted, _ := fittedModel(t)
+	good, err := fitted.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Decode(good) // a private copy to alter
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Regions[0].Centroid = append(m.Regions[0].Centroid, 0)
+	data, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // The per-layer decomposition must cover the whole cell: layer cycles sum

@@ -11,15 +11,16 @@ import (
 	"testing"
 	"time"
 
+	"scaledeep/internal/par"
 	"scaledeep/internal/store"
 )
 
 // stormSpecs is the duplicate-heavy job storm behind BENCH_serve.json:
 // four distinct single-cell sweeps, each submitted twice — the production
 // shape where many clients ask overlapping questions at once. A serial
-// scheduler simulates the four novel cells back to back; the concurrent
-// scheduler runs them in parallel while the four duplicates coalesce
-// through the store's single-flight layer instead of re-simulating.
+// budget of one token simulates the four novel cells back to back; a wider
+// budget runs them in parallel while the four duplicates coalesce through
+// the store's single-flight layer instead of re-simulating.
 func stormSpecs() []Spec {
 	distinct := []Spec{
 		{Workloads: []string{"simnet"}, Archs: []string{"baseline"}, Minibatches: []int{1}, Modes: []string{"eval"}, Format: "csv"},
@@ -57,17 +58,20 @@ func benchSubmit(b *testing.B, url string, sp Spec) string {
 	return doc["id"].(string)
 }
 
-// runStorm fires every storm job at a fresh daemon and waits for all of
-// them, returning each job's submit-to-done latency and the storm's store
-// stats. The store starts empty every time, so the four novel cells always
+// runStorm fires every storm job at a fresh daemon on a budget of width
+// tokens (0 = the default, GOMAXPROCS) and waits for all of them,
+// returning each job's submit-to-done latency and the storm's store stats.
+// The store starts empty every time, so the four novel cells always
 // simulate.
-func runStorm(b *testing.B, maxConcurrent int) ([]time.Duration, store.Stats) {
+func runStorm(b *testing.B, width int) ([]time.Duration, store.Stats) {
 	b.Helper()
+	prev := par.SetWorkers(width)
+	defer par.SetWorkers(prev)
 	st, err := store.Open(b.TempDir(), store.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := New(Config{Store: st, MaxConcurrent: maxConcurrent, Burst: 64})
+	s := New(Config{Store: st, Burst: 64})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s.Start(ctx)
@@ -127,7 +131,7 @@ func p95(lats []time.Duration) time.Duration {
 	return sorted[idx]
 }
 
-func benchServeStorm(b *testing.B, maxConcurrent int) {
+func benchServeStorm(b *testing.B, width int) {
 	b.Helper()
 	var (
 		total   time.Duration
@@ -136,7 +140,7 @@ func benchServeStorm(b *testing.B, maxConcurrent int) {
 	)
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		lats, _ := runStorm(b, maxConcurrent)
+		lats, _ := runStorm(b, width)
 		total += time.Since(t0)
 		jobs += len(lats)
 		if p := p95(lats); p > worst95 {
@@ -148,14 +152,16 @@ func benchServeStorm(b *testing.B, maxConcurrent int) {
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
 }
 
-// BenchmarkServeStormSerial is the one-job-at-a-time baseline.
+// BenchmarkServeStormSerial is the one-job-at-a-time baseline: a budget of
+// one token.
 func BenchmarkServeStormSerial(b *testing.B) { benchServeStorm(b, 1) }
 
-// BenchmarkServeStormConcurrent runs the same storm four jobs wide. The
-// CI gate (SERVE_MAX_RATIO) requires its ns/op at most half of Serial's —
-// at least 2× the job throughput — on a multi-core runner; on one core
-// the workers metric tells sdbenchdiff to skip the comparison.
-func BenchmarkServeStormConcurrent(b *testing.B) { benchServeStorm(b, 4) }
+// BenchmarkServeStormConcurrent runs the same storm on the default budget,
+// GOMAXPROCS tokens wide. The CI gate (SERVE_MAX_RATIO) requires its ns/op
+// at most half of Serial's — at least 2× the job throughput — on a
+// multi-core runner; on one core the workers metric tells sdbenchdiff to
+// skip the comparison.
+func BenchmarkServeStormConcurrent(b *testing.B) { benchServeStorm(b, 0) }
 
 // BenchmarkServeStormSpeedup runs both schedules per iteration and reports
 // the headline numbers of BENCH_serve.json: the throughput ratio and how
@@ -169,7 +175,7 @@ func BenchmarkServeStormSpeedup(b *testing.B) {
 		runStorm(b, 1)
 		serial += time.Since(t0)
 		t0 = time.Now()
-		_, stats := runStorm(b, 4)
+		_, stats := runStorm(b, 0)
 		concurrent += time.Since(t0)
 		coalesced += stats.Coalesced
 		puts += stats.Puts

@@ -14,12 +14,11 @@ import (
 	"testing"
 	"time"
 
-	"scaledeep/internal/par"
 	"scaledeep/internal/store"
 )
 
 // distinctSpecs is a mixed-priority batch whose grid cells are mutually
-// disjoint across jobs, so runs at different MaxConcurrent settings exercise
+// disjoint across jobs, so runs at different budget widths exercise
 // genuine job overlap without any cross-job cell coalescing — the byte-
 // identity comparison then covers tables, store keys, traces and merged
 // metrics all at once.
@@ -70,16 +69,13 @@ func deterministicCounters(s *Server) []string {
 	return out
 }
 
-// TestByteIdenticalAcrossMaxConcurrent is the scheduler's correctness
-// anchor: the same interleaved mixed-priority batch, run serial
-// (MaxConcurrent 1) and four-wide against fresh stores under a fixed clock,
-// must produce byte-identical rendered tables, store key sets, job traces
-// and deterministic metric counters. Concurrency may only change wall-clock
-// time.
-func TestByteIdenticalAcrossMaxConcurrent(t *testing.T) {
-	prev := par.SetWorkers(4)
-	t.Cleanup(func() { par.SetWorkers(prev) })
-
+// TestByteIdenticalAcrossBudgetWidths is the scheduler's correctness
+// anchor: the same interleaved mixed-priority batch, run serial (a budget
+// of one token) and four tokens wide against fresh stores under a fixed
+// clock, must produce byte-identical rendered tables, store key sets, job
+// traces and deterministic metric counters. Concurrency may only change
+// wall-clock time.
+func TestByteIdenticalAcrossBudgetWidths(t *testing.T) {
 	type artifacts struct {
 		results  [][]byte
 		traces   [][]byte
@@ -87,30 +83,30 @@ func TestByteIdenticalAcrossMaxConcurrent(t *testing.T) {
 		counters []string
 	}
 	epoch := time.Unix(1700000000, 0)
-	run := func(mc int) artifacts {
+	run := func(width int) artifacts {
+		setBudget(t, width)
 		dir := t.TempDir()
 		st, err := store.Open(dir, store.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		s, ts := startServer(t, Config{
-			Store:         st,
-			MaxConcurrent: mc,
-			Burst:         32,
-			now:           func() time.Time { return epoch },
+			Store: st,
+			Burst: 32,
+			now:   func() time.Time { return epoch },
 		})
 		var ids []string
 		for _, sp := range distinctSpecs() {
 			resp, doc := submit(t, ts, sp, "alice")
 			if resp.StatusCode != http.StatusAccepted {
-				t.Fatalf("mc=%d: submit: %d", mc, resp.StatusCode)
+				t.Fatalf("width=%d: submit: %d", width, resp.StatusCode)
 			}
 			ids = append(ids, doc["id"].(string))
 		}
 		var a artifacts
 		for _, id := range ids {
 			if doc := waitDone(t, ts, id); doc.State != "done" {
-				t.Fatalf("mc=%d: job %s ended %q (%s)", mc, id, doc.State, doc.Error)
+				t.Fatalf("width=%d: job %s ended %q (%s)", width, id, doc.State, doc.Error)
 			}
 		}
 		for _, id := range ids {
@@ -129,10 +125,10 @@ func TestByteIdenticalAcrossMaxConcurrent(t *testing.T) {
 	wide := run(4)
 	for i := range serial.results {
 		if !bytes.Equal(serial.results[i], wide.results[i]) {
-			t.Errorf("job %d: rendered table differs between MaxConcurrent 1 and 4", i)
+			t.Errorf("job %d: rendered table differs between budget widths 1 and 4", i)
 		}
 		if !bytes.Equal(serial.traces[i], wide.traces[i]) {
-			t.Errorf("job %d: trace document differs between MaxConcurrent 1 and 4", i)
+			t.Errorf("job %d: trace document differs between budget widths 1 and 4", i)
 		}
 	}
 	if !equalStrings(serial.keys, wide.keys) {
@@ -162,14 +158,13 @@ func equalStrings(a, b []string) bool {
 // missed the store beyond the one leader was served by coalescing
 // (coalesced == misses - 1) — never by a second simulation.
 func TestConcurrentDuplicateJobsCoalesce(t *testing.T) {
-	prev := par.SetWorkers(4)
-	t.Cleanup(func() { par.SetWorkers(prev) })
+	setBudget(t, 4)
 
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := startServer(t, Config{Store: st, MaxConcurrent: 4, Burst: 32})
+	_, ts := startServer(t, Config{Store: st, Burst: 32})
 
 	spec := Spec{
 		Workloads: []string{"simnet"}, Archs: []string{"baseline"},
@@ -350,10 +345,9 @@ func TestJobsListing(t *testing.T) {
 // TestDrainWaitsForAllRunning: Drain must block until every concurrently
 // running job reaches a terminal state — no job is left mid-flight.
 func TestDrainWaitsForAllRunning(t *testing.T) {
-	prev := par.SetWorkers(4)
-	t.Cleanup(func() { par.SetWorkers(prev) })
+	setBudget(t, 4)
 
-	s, ts := startServer(t, Config{MaxConcurrent: 3, Burst: 32})
+	s, ts := startServer(t, Config{Burst: 32})
 	var ids []string
 	for i := 0; i < 3; i++ {
 		resp, doc := submit(t, ts, testSpec(), "drainer")
@@ -378,15 +372,13 @@ func TestDrainWaitsForAllRunning(t *testing.T) {
 }
 
 // TestOneTokenServesEveryQueuedJob pins the one-core path: with a single
-// budget token and more scheduler slots than tokens, three multi-cell jobs
-// queued before the dispatcher starts must each get the token in turn and
-// reach done, and Drain must return instead of leaving a job waiting for a
-// token that never comes back.
+// budget token, three multi-cell jobs queued before the dispatcher starts
+// must each get the token in turn and reach done, and Drain must return
+// instead of leaving a job waiting for a token that never comes back.
 func TestOneTokenServesEveryQueuedJob(t *testing.T) {
-	prev := par.SetWorkers(1)
-	t.Cleanup(func() { par.SetWorkers(prev) })
+	setBudget(t, 1)
 
-	s := New(Config{MaxConcurrent: 4, Burst: 32})
+	s := New(Config{Burst: 32})
 	ts := httptest.NewServer(s.Mux())
 	t.Cleanup(ts.Close)
 	var ids []string

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"testing"
@@ -10,8 +9,8 @@ import (
 // FuzzSubmitSpec feeds arbitrary bodies to the POST /jobs handler of a
 // fresh server that never runs its jobs, with rate limiting out of the
 // way. The handler must never panic and must answer 202 or 400, and it may
-// accept only a spec within maxJobCells whose reply counts exactly the
-// cells its grid expands to.
+// accept only a body that is one JSON spec as a whole, within maxJobCells,
+// and reply with exactly the number of cells its grid expands to.
 func FuzzSubmitSpec(f *testing.F) {
 	predict := testSpec()
 	predict.Predict = true
@@ -26,6 +25,7 @@ func FuzzSubmitSpec(f *testing.F) {
 	f.Add(good[:len(good)/2])
 	f.Add([]byte(`{"workloads":["simnet"],"archs":["baseline"],"minibatches":[1],"modes":["infer"]}`))
 	f.Add([]byte(`{"workloads":["simnet"],"archs":["baseline"],"minibatches":[1],"modes":["eval"],"format":"xml"}`))
+	f.Add([]byte(trailingBytesSpec))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s := New(Config{RatePerSec: 1e9, Burst: 1 << 30})
 		rec := postSpec(s, body)
@@ -36,10 +36,9 @@ func FuzzSubmitSpec(f *testing.F) {
 		default:
 			t.Fatalf("status %d, want 202 or 400: %s", rec.Code, rec.Body)
 		}
-		// Decode the way the handler does: the first JSON value wins.
 		var spec Spec
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&spec); err != nil {
-			t.Fatalf("accepted a body that does not decode: %v", err)
+		if err := json.Unmarshal(body, &spec); err != nil {
+			t.Fatalf("accepted a body that is not one JSON spec: %v", err)
 		}
 		jobs, err := spec.grid().Jobs()
 		if err != nil {

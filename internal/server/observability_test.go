@@ -29,11 +29,12 @@ type chromeEvent struct {
 func TestServerJobTraceByteIdenticalAcrossWorkers(t *testing.T) {
 	// A constant clock zeroes every wall-clock span timestamp, so the trace
 	// document becomes a pure function of the job spec — which is what makes
-	// byte-identity across worker counts checkable at all. Simulator spans
+	// byte-identity across budget widths checkable at all. Simulator spans
 	// carry cycle timestamps and are deterministic regardless.
 	trace := func(workers int) []byte {
+		setBudget(t, workers)
 		fixed := time.Unix(1_700_000_000, 0)
-		s := New(Config{SweepWorkers: workers, now: func() time.Time { return fixed }})
+		s := New(Config{now: func() time.Time { return fixed }})
 		ctx, cancel := context.WithCancel(context.Background())
 		s.Start(ctx)
 		ts := httptest.NewServer(s.Mux())
@@ -100,7 +101,7 @@ func TestServerJobTraceByteIdenticalAcrossWorkers(t *testing.T) {
 
 	for _, workers := range []int{2, 4} {
 		if got := trace(workers); !bytes.Equal(got, one) {
-			t.Errorf("trace at %d workers differs from 1 worker (%d vs %d bytes)", workers, len(got), len(one))
+			t.Errorf("trace at a %d-token budget differs from 1 token (%d vs %d bytes)", workers, len(got), len(one))
 		}
 	}
 }
@@ -115,7 +116,7 @@ func TestServerJobTraceKeepsCellSpansPastLaneBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	_, ts := startServer(t, Config{Store: st, TraceSpans: 16})
+	_, ts := startServer(t, Config{Store: st, traceSpans: 16})
 	_, doc := submit(t, ts, testSpec(), "bounded-trace")
 	id := doc["id"].(string)
 	if final := waitDone(t, ts, id); final.State != "done" {
@@ -168,14 +169,15 @@ func TestServerJobTraceKeepsCellSpansPastLaneBound(t *testing.T) {
 const jobTraceSHA256 = "710d6d39162071bc7e9fd7addf92001f351b6adbed77f6e84c7983b4401e231b"
 
 // TestServerJobTracePinned: the served trace of a fixed-clock job matches
-// the pinned digest at 1 and 2 sweep workers. It is rendered on the first
+// the pinned digest at budget widths 1 and 2. It is rendered on the first
 // fetch, not at completion, and only once: 8 concurrent first fetches and a
 // later one return the same bytes, and the render releases the span lanes.
 func TestServerJobTracePinned(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			setBudget(t, workers)
 			fixed := time.Unix(1_700_000_000, 0)
-			s, ts := startServer(t, Config{SweepWorkers: workers, now: func() time.Time { return fixed }})
+			s, ts := startServer(t, Config{now: func() time.Time { return fixed }})
 			_, doc := submit(t, ts, testSpec(), "trace")
 			id := doc["id"].(string)
 			if final := waitDone(t, ts, id); final.State != "done" || final.TraceURL != "/jobs/"+id+"/trace" {

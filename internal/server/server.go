@@ -10,13 +10,13 @@
 //   - POST /jobs with a JSON sweep spec returns a job ID immediately. The
 //     queue is bounded (503 when full) and submissions are rate-limited
 //     per client with a token bucket (429 past the burst).
-//   - Jobs execute up to MaxConcurrent at a time (default min(4, cores);
-//     1 restores the strictly serial scheduler), dequeued highest priority
-//     first (FIFO within a priority). Each running job holds one token of
-//     the machine-wide internal/par budget and leases its extra sweep
-//     workers from the same budget, so N concurrent jobs split the cores
-//     instead of oversubscribing them N-fold. Results are byte-identical
-//     at every MaxConcurrent.
+//   - The machine-wide internal/par budget of GOMAXPROCS tokens is the only
+//     concurrency limit. A job starts when it takes a token, dequeued
+//     highest priority first (FIFO within a priority), and holds that token
+//     for its sweep's first worker until it ends; its extra sweep workers
+//     lease tokens from the same budget. Concurrent jobs therefore split the
+//     cores instead of oversubscribing them, and results are byte-identical
+//     at every budget width.
 //   - Repeated configurations — the bulk of production traffic — hit the
 //     persistent store's memory or disk tier and return in microseconds;
 //     the exact simulator runs only for genuinely novel cells. Concurrent
@@ -33,10 +33,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -105,19 +105,6 @@ type Config struct {
 	Predictor sweep.Predictor
 	// MaxQueue bounds the job queue; 0 means 64.
 	MaxQueue int
-	// MaxConcurrent is the number of jobs the scheduler runs simultaneously;
-	// 0 means min(4, NumCPU) and 1 restores the strictly serial scheduler.
-	// Each job also takes a token of the shared internal/par budget before
-	// it starts and holds it until it ends, so the effective concurrency
-	// never exceeds par.Workers() even when MaxConcurrent does. Results are
-	// byte-identical at every setting.
-	MaxConcurrent int
-	// SweepWorkers is the per-job sweep pool size each job *requests*; 0
-	// means GOMAXPROCS. Workers beyond each job's first lease tokens from the
-	// shared internal/par budget (sweep.Options.BudgetWorkers) and hand them
-	// to a job waiting to start at their next cell boundary, so concurrent
-	// jobs split the pool instead of stacking it.
-	SweepWorkers int
 	// RatePerSec refills each client's submission bucket; 0 means 1/s.
 	RatePerSec float64
 	// Burst caps each client's bucket; 0 means 8.
@@ -141,12 +128,11 @@ type Config struct {
 	// terminal jobs (result and trace included) are evicted. Their summary
 	// survives in the flight recorder. 0 means 256.
 	MaxJobs int
-	// TraceSpans bounds each trace lane's simulator op spans per job (a
-	// cell's lifecycle spans are always kept); 0 means the telemetry
-	// default (4096 per lane).
-	TraceSpans int
-
-	now func() time.Time // test hook; nil means time.Now
+	// Test hooks. now nil means time.Now; traceSpans bounds each trace
+	// lane's simulator op spans per job (a cell's lifecycle spans are always
+	// kept), and 0 means the telemetry default of 4096 per lane.
+	now        func() time.Time
+	traceSpans int
 }
 
 // JobState is one submitted job. Fields under the server mutex; the
@@ -208,7 +194,7 @@ type Server struct {
 	clients     map[string]*bucket
 	clientClock int64
 	nextSeq     int64
-	running     int // jobs currently executing (scheduler slots in use)
+	running     int // jobs currently executing (the server.jobs.running gauge)
 	drain       bool
 	drainCh     chan struct{} // closed when draining begins (cancels token waits)
 	runWG       sync.WaitGroup
@@ -218,12 +204,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	if cfg.MaxQueue == 0 {
 		cfg.MaxQueue = 64
-	}
-	if cfg.MaxConcurrent <= 0 {
-		cfg.MaxConcurrent = 4
-		if n := runtime.NumCPU(); n < cfg.MaxConcurrent {
-			cfg.MaxConcurrent = n
-		}
 	}
 	if cfg.RatePerSec == 0 {
 		cfg.RatePerSec = 1
@@ -391,28 +371,26 @@ func (s *Server) Drain() {
 	s.runWG.Wait()
 }
 
-// runLoop is the scheduler's dispatcher: it admits queued jobs into up to
-// MaxConcurrent running slots, highest priority first. Each job first takes
-// one token of the shared internal/par budget for its sweep's first worker
-// and holds it until the job ends (runJob), so the live workers of all
-// running jobs never exceed par.Workers(): the scheduler and the sweep
-// pools draw on one budget instead of stacking pools.
+// runLoop is the scheduler's dispatcher: it waits for a queued job, takes
+// one token of the shared internal/par budget for the job's first sweep
+// worker and then dequeues the highest-priority job, which holds the token
+// until it ends (runJob). The budget is the only admission limit, so the
+// live workers of all running jobs never exceed par.Workers().
 func (s *Server) runLoop(ctx context.Context) {
 	defer s.runWG.Done()
 	for {
 		s.mu.Lock()
-		for (s.queue.Len() == 0 || s.running >= s.cfg.MaxConcurrent) && !s.drain {
+		for s.queue.Len() == 0 && !s.drain {
 			s.cond.Wait()
 		}
 		s.mu.Unlock()
 
 		// Wait for the token outside the lock so handlers stay responsive.
 		// It comes when a running job ends or one of its leased sweep
-		// workers finishes a cell. Only a drain can change the admission
-		// check meanwhile — the dispatcher alone dequeues jobs and raises
-		// s.running — and a drain closes drainCh, which cancels the wait.
-		// drainLocked has already cancelled the queued jobs; running jobs
-		// drain through runWG.
+		// workers finishes a cell. The dispatcher alone dequeues jobs, so
+		// only a drain can empty the queue meanwhile, and a drain closes
+		// drainCh, which cancels the wait. drainLocked has already
+		// cancelled the queued jobs; running jobs drain through runWG.
 		if !par.Acquire(s.drainCh) {
 			return
 		}
@@ -442,8 +420,7 @@ func (s *Server) runLoop(ctx context.Context) {
 	}
 }
 
-// runJob executes one admitted job and returns its scheduler slot and its
-// budget token when done.
+// runJob executes one admitted job and returns its budget token when done.
 func (s *Server) runJob(ctx context.Context, job *JobState) {
 	defer s.runWG.Done()
 	s.execute(ctx, job)
@@ -451,7 +428,6 @@ func (s *Server) runJob(ctx context.Context, job *JobState) {
 	s.mu.Lock()
 	s.running--
 	s.reg.Gauge("server.jobs.running").Set(float64(s.running))
-	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
@@ -463,15 +439,13 @@ func (s *Server) execute(ctx context.Context, job *JobState) {
 	if job.trace != nil {
 		jobTC = job.trace.Context(telemetry.LaneJob, "job")
 	}
+	// The job's token covers the sweep's first worker, this goroutine;
+	// extra workers lease tokens from the same budget.
 	opts := sweep.Options{
-		Workers: s.cfg.SweepWorkers,
-		// The job's token covers the sweep's first worker; extra workers
-		// lease tokens from the same budget (see the runLoop comment).
-		BudgetWorkers: true,
-		Metrics:       reg,
-		Store:         s.cfg.Store,
-		VerifyStore:   s.cfg.VerifyStore,
-		Trace:         job.trace,
+		Metrics:     reg,
+		Store:       s.cfg.Store,
+		VerifyStore: s.cfg.VerifyStore,
+		Trace:       job.trace,
 		Progress: func(done, total int) {
 			job.prog.Set([]byte(fmt.Sprintf(`{"state":"running","done":%d,"total":%d,"elapsed_ms":%d}`,
 				done, total, s.cfg.now().Sub(start).Milliseconds())))
@@ -714,9 +688,13 @@ func (s *Server) touchClientLocked(client string) *bucket {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	// The whole body is the spec: bytes after its JSON value are an error.
 	var spec Spec
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&spec); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err == nil {
+		err = json.Unmarshal(body, &spec)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad spec: "+err.Error())
 		return
 	}
@@ -771,7 +749,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf(`{"state":"queued","done":0,"total":%d}`, len(gridJobs))),
 	}
 	// The job trace is born at submit so its time base covers queue wait.
-	job.trace = telemetry.NewJobTrace(job.ID, s.cfg.TraceSpans, s.cfg.now)
+	job.trace = telemetry.NewJobTrace(job.ID, s.cfg.traceSpans, s.cfg.now)
 	if !s.queue.enqueue(job) {
 		s.reg.Counter("server.jobs.rejected.queue_full").Inc()
 		s.mu.Unlock()

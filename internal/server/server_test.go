@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"scaledeep/internal/par"
 	"scaledeep/internal/store"
 	"scaledeep/internal/sweep"
 	"scaledeep/internal/telemetry"
@@ -45,6 +46,14 @@ func startServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		s.Drain()
 	})
 	return s, ts
+}
+
+// setBudget sizes the internal/par budget, the daemon's only concurrency
+// limit, to n tokens for the rest of the test.
+func setBudget(t testing.TB, n int) {
+	t.Helper()
+	prev := par.SetWorkers(n)
+	t.Cleanup(func() { par.SetWorkers(prev) })
 }
 
 // idleServer builds a daemon whose runner is never started, so submitted
@@ -260,13 +269,18 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 	if resp, _ := submit(t, ts, bad, "bad"); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown format: status %d, want 400", resp.StatusCode)
 	}
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader("{not json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed JSON: status %d, want 400", resp.StatusCode)
+	for name, body := range map[string]string{
+		"malformed JSON": "{not json",
+		"trailing bytes": trailingBytesSpec,
+	} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
 	}
 
 	var e map[string]string
@@ -277,6 +291,10 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 		t.Errorf("unknown job result: status %d, want 404", resp.StatusCode)
 	}
 }
+
+// trailingBytesSpec is a valid one-cell spec followed by bytes that are not
+// JSON; the body as a whole is not a spec.
+const trailingBytesSpec = `{"workloads":["simnet"],"archs":["baseline"],"minibatches":[1],"modes":["eval"]} this is not json`
 
 // oversizedSpec lists 20 workloads × 20 archs × 200 minibatches × 20
 // modes, all repeats: an 891-byte body asking for 1,600,000 grid cells.

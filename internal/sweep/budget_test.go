@@ -11,15 +11,23 @@ import (
 	"scaledeep/internal/telemetry"
 )
 
-// TestBudgetWorkersNoOversubscription is the scheduler's core invariant at
-// the sweep layer: N concurrent BudgetWorkers runs — each admitted the way
-// sdserve admits jobs, holding one par token for its first worker — keep
-// the total number of live cell workers at or below par.Workers(), no
-// matter how many workers each run requests.
-func TestBudgetWorkersNoOversubscription(t *testing.T) {
+// widenBudget sizes the internal/par budget to n tokens for the rest of
+// the test, so a run that asks for n workers gets all of them at once: its
+// calling goroutine plus n-1 leased workers, on a host of any core count.
+func widenBudget(t testing.TB, n int) {
+	t.Helper()
+	prev := par.SetWorkers(n)
+	t.Cleanup(func() { par.SetWorkers(prev) })
+}
+
+// TestLeasedWorkersNoOversubscription is the scheduler's core invariant at
+// the sweep layer: N concurrent runs — each admitted the way sdserve admits
+// jobs, holding one par token for its first worker — keep the total number
+// of live cell workers at or below par.Workers(), no matter how many
+// workers each run requests.
+func TestLeasedWorkersNoOversubscription(t *testing.T) {
 	const budget = 4
-	prev := par.SetWorkers(budget)
-	defer par.SetWorkers(prev)
+	widenBudget(t, budget)
 
 	const (
 		runs     = 3
@@ -55,8 +63,7 @@ func TestBudgetWorkersNoOversubscription(t *testing.T) {
 				t.Error("Acquire returned without a token")
 				return
 			}
-			errs[r] = Run(context.Background(), cells,
-				Options{Workers: budget, BudgetWorkers: true}, fn)
+			errs[r] = Run(context.Background(), cells, Options{Workers: budget}, fn)
 			par.Release()
 		}(r)
 	}
@@ -80,28 +87,25 @@ func TestBudgetWorkersNoOversubscription(t *testing.T) {
 	}
 }
 
-// TestBudgetWorkersMatchesUnbudgeted: leasing changes scheduling only —
-// a budgeted run completes every cell exactly once, like an unbudgeted one.
-func TestBudgetWorkersMatchesUnbudgeted(t *testing.T) {
-	prev := par.SetWorkers(4)
-	defer par.SetWorkers(prev)
+// TestLeasedRunRunsEveryCellOnce: leasing changes scheduling only — a run
+// whose workers come and go with their tokens completes every cell exactly
+// once.
+func TestLeasedRunRunsEveryCellOnce(t *testing.T) {
+	widenBudget(t, 4)
 
 	const cells = 50
-	for _, budgeted := range []bool{false, true} {
-		var ran [cells]atomic.Int64
-		err := Run(context.Background(), cells,
-			Options{Workers: 4, BudgetWorkers: budgeted},
-			func(ctx context.Context, i int, reg *telemetry.Registry) error {
-				ran[i].Add(1)
-				return nil
-			})
-		if err != nil {
-			t.Fatalf("budgeted=%v: %v", budgeted, err)
-		}
-		for i := range ran {
-			if n := ran[i].Load(); n != 1 {
-				t.Fatalf("budgeted=%v: cell %d ran %d times", budgeted, i, n)
-			}
+	var ran [cells]atomic.Int64
+	err := Run(context.Background(), cells, Options{Workers: 4},
+		func(ctx context.Context, i int, reg *telemetry.Registry) error {
+			ran[i].Add(1)
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ran {
+		if n := ran[i].Load(); n != 1 {
+			t.Fatalf("cell %d ran %d times", i, n)
 		}
 	}
 }

@@ -82,6 +82,7 @@ func TestWorkloadCatalogBuilds(t *testing.T) {
 func TestRunGridByteIdenticalAcrossParallelism(t *testing.T) {
 	g := testGrid()
 	render := func(workers int) (csv, js, metrics string) {
+		widenBudget(t, workers)
 		merged := telemetry.NewRegistry()
 		results, err := RunGrid(context.Background(), g, Options{Workers: workers, Metrics: merged})
 		if err != nil {

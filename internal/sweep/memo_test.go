@@ -81,6 +81,7 @@ func TestGridMemoByteIdenticalOutput(t *testing.T) {
 	}
 	wantTables, wantMetrics := renderAll(t, ref), snapshot(refReg)
 	for _, workers := range []int{1, 4} {
+		widenBudget(t, workers)
 		reg := telemetry.NewRegistry()
 		results, err := RunGrid(context.Background(), memoGrid(), Options{Workers: workers, Metrics: reg})
 		if err != nil {
@@ -129,6 +130,7 @@ func TestGridMemoActuallyMemoizes(t *testing.T) {
 // every cell exactly twice, so half its rows are replicas.
 func checkReplicasMatchDirect(t *testing.T, g Grid, workers int) {
 	t.Helper()
+	widenBudget(t, workers)
 	results, err := RunGrid(context.Background(), g, Options{Workers: workers})
 	if err != nil {
 		t.Fatal(err)

@@ -105,6 +105,7 @@ func TestStoreByteIdenticalAcrossWorkers(t *testing.T) {
 	g := storeTestGrid()
 	var ref []byte
 	for i, workers := range []int{1, 3, 8} {
+		widenBudget(t, workers)
 		dir := t.TempDir()
 		for pass := 0; pass < 2; pass++ { // pass 0 cold, pass 1 warm
 			s := openStore(t, dir)

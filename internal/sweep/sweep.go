@@ -25,7 +25,6 @@ package sweep
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -36,8 +35,12 @@ import (
 
 // Options configure a sweep run.
 type Options struct {
-	// Workers is the worker-pool size; <= 0 means runtime.GOMAXPROCS(0).
-	// One worker reproduces the serial path exactly.
+	// Workers is the most cells the run works on at once; <= 0 means
+	// par.Workers(). The calling goroutine is the first worker and each
+	// further one leases a token of the machine-wide internal/par budget
+	// (see Run), so a run gets at most par.Workers() workers beside its
+	// caller however many it asks for. One worker reproduces the serial
+	// path exactly.
 	Workers int
 	// Progress, when non-nil, is called after every job completes with the
 	// number of finished jobs and the total. Calls are serialized and done
@@ -66,33 +69,12 @@ type Options struct {
 	// always win — runs exactly as without a predictor, byte for byte. See
 	// predict.go and DESIGN.md §5h.
 	Predictor Predictor
-	// BudgetWorkers leases this run's extra workers from the machine-wide
-	// internal/par budget instead of spawning Workers goroutines
-	// unconditionally. The calling goroutine is the first worker and runs
-	// on a token its caller already holds (sdserve takes one per job);
-	// each extra worker runs only while it holds a token of its own. A
-	// leased worker releases its token after every cell and takes it back
-	// only if no one is waiting for one, so a job waiting for a token gets
-	// it within about one cell. Worker count never affects results (see
-	// Run), so the leasing changes wall-clock behavior only.
-	BudgetWorkers bool
 	// Trace, when non-nil, collects one job-scoped span timeline across the
 	// whole sweep: per-cell store-lookup/simulate/store-write spans plus the
 	// simulator's own per-tile op spans, each cell on its own deterministic
 	// lane (see telemetry.JobTrace). Lanes are keyed by cell class index, so
 	// the assembled trace is identical at any Workers count.
 	Trace *telemetry.JobTrace
-}
-
-func (o Options) workers(n int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	return w
 }
 
 // Run executes fn for every index in [0, n) across the worker pool. fn must
@@ -120,12 +102,11 @@ func Run(ctx context.Context, n int, opts Options, fn func(ctx context.Context, 
 		regs = make([]*telemetry.Registry, n)
 	}
 	// worker claims and runs cells until the index space or the context is
-	// exhausted. A leased worker (BudgetWorkers) owns one par token while it
-	// works. It releases the token between cells, which hands it to the
-	// oldest waiting Acquire if there is one, and retires when it cannot
-	// take a token back; its remaining cells drain through the other
-	// workers. Cell results are keyed by index either way, so worker
-	// attrition never affects output.
+	// exhausted. A leased worker owns one par token while it works. It
+	// releases the token between cells, which hands it to the oldest
+	// waiting Acquire if there is one, and retires when it cannot take a
+	// token back; its remaining cells drain through the other workers. Cell
+	// results are keyed by index, so worker attrition never affects output.
 	worker := func(leased bool) {
 		for {
 			i := int(next.Add(1)) - 1
@@ -158,26 +139,21 @@ func Run(ctx context.Context, n int, opts Options, fn func(ctx context.Context, 
 			}
 		}
 	}
-	if opts.BudgetWorkers {
-		for w := 1; w < opts.workers(n) && par.TryAcquire(); w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				worker(true)
-			}()
-		}
-		// The calling goroutine is the run's first worker, on its caller's
-		// token, so every run progresses even with the budget exhausted.
-		worker(false)
-	} else {
-		for w := 0; w < opts.workers(n); w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				worker(false)
-			}()
-		}
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = par.Workers()
 	}
+	for w := 1; w < min(workers, n) && par.TryAcquire(); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			worker(true)
+		}()
+	}
+	// The calling goroutine is the run's first worker and takes no token, so
+	// every run progresses even with the budget exhausted. An sdserve job's
+	// caller runs on the token the dispatcher took for the job.
+	worker(false)
 	wg.Wait()
 
 	for _, err := range errs {

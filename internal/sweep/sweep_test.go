@@ -15,6 +15,7 @@ func TestMapKeepsInputOrder(t *testing.T) {
 		items[i] = i
 	}
 	for _, workers := range []int{1, 3, 16} {
+		widenBudget(t, workers)
 		got, err := Map(context.Background(), items, Options{Workers: workers},
 			func(_ context.Context, idx int, item int, _ *telemetry.Registry) (string, error) {
 				// Unequal work per job so completion order differs from
@@ -43,6 +44,7 @@ func TestMapKeepsInputOrder(t *testing.T) {
 // any narrower than requested.
 func TestEightConcurrentJobs(t *testing.T) {
 	const n = 8
+	widenBudget(t, n)
 	var arrived atomic.Int64
 	release := make(chan struct{})
 	err := Run(context.Background(), n, Options{Workers: n},
@@ -62,6 +64,7 @@ func TestEightConcurrentJobs(t *testing.T) {
 }
 
 func TestFirstErrorCancelsAndIsDeterministic(t *testing.T) {
+	widenBudget(t, 8)
 	var started atomic.Int64
 	err := Run(context.Background(), 100, Options{Workers: 8},
 		func(ctx context.Context, i int, _ *telemetry.Registry) error {
@@ -106,6 +109,7 @@ func TestZeroJobs(t *testing.T) {
 
 func TestProgressStrictlyIncreasing(t *testing.T) {
 	const n = 50
+	widenBudget(t, 8)
 	var calls []int
 	err := Run(context.Background(), n, Options{
 		Workers: 8,
@@ -130,6 +134,7 @@ func TestProgressStrictlyIncreasing(t *testing.T) {
 }
 
 func TestPerJobRegistriesMergeInOrder(t *testing.T) {
+	widenBudget(t, 8)
 	merged := telemetry.NewRegistry()
 	const n = 24
 	err := Run(context.Background(), n, Options{Workers: 8, Metrics: merged},

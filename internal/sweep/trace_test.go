@@ -99,6 +99,7 @@ func TestRunGridTraceRecordsCellSpans(t *testing.T) {
 
 func TestRunGridTraceDeterministicAcrossWorkers(t *testing.T) {
 	assemble := func(workers int) []byte {
+		widenBudget(t, workers)
 		jt := telemetry.NewJobTrace("sweep", 0, fixedClock())
 		if _, err := RunGrid(context.Background(), traceGrid(), Options{Workers: workers, Trace: jt}); err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -114,36 +115,41 @@ func TestOpenMetricsGaugeSpecials(t *testing.T) {
 	}
 }
 
+// malformedOMDocs are documents ParseOpenMetrics must reject, by the rule
+// each breaks.
+var malformedOMDocs = map[string]string{
+	"missing EOF":       "# TYPE a counter\na_total 1\n",
+	"blank line":        "# TYPE a counter\n\na_total 1\n# EOF\n",
+	"sample before":     "a_total 1\n# EOF\n",
+	"duplicate family":  "# TYPE a counter\na_total 1\n# TYPE a counter\na_total 2\n# EOF\n",
+	"counter no total":  "# TYPE a counter\na 1\n# EOF\n",
+	"negative counter":  "# TYPE a counter\na_total -3\n# EOF\n",
+	"foreign sample":    "# TYPE a counter\nb_total 1\n# EOF\n",
+	"bad value":         "# TYPE a gauge\na zebra\n# EOF\n",
+	"unterminated lbls": "# TYPE a gauge\na{x=\"1 2\n# EOF\n",
+	"non-cumulative": "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 3\n" +
+		"h_sum 1\nh_count 3\n# EOF\n",
+	"missing +Inf": "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_sum 1\nh_count 5\n# EOF\n",
+	"count mismatch": "# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 3\n" +
+		"h_sum 1\nh_count 4\n# EOF\n",
+	"le out of order": "# TYPE h histogram\nh_bucket{le=\"2\"} 1\nh_bucket{le=\"1\"} 2\n" +
+		"h_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 3\n# EOF\n",
+	"empty": "",
+}
+
 func TestParseOpenMetricsRejectsMalformed(t *testing.T) {
-	cases := map[string]string{
-		"missing EOF":       "# TYPE a counter\na_total 1\n",
-		"blank line":        "# TYPE a counter\n\na_total 1\n# EOF\n",
-		"sample before":     "a_total 1\n# EOF\n",
-		"duplicate family":  "# TYPE a counter\na_total 1\n# TYPE a counter\na_total 2\n# EOF\n",
-		"counter no total":  "# TYPE a counter\na 1\n# EOF\n",
-		"negative counter":  "# TYPE a counter\na_total -3\n# EOF\n",
-		"foreign sample":    "# TYPE a counter\nb_total 1\n# EOF\n",
-		"bad value":         "# TYPE a gauge\na zebra\n# EOF\n",
-		"unterminated lbls": "# TYPE a gauge\na{x=\"1 2\n# EOF\n",
-		"non-cumulative": "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 3\n" +
-			"h_sum 1\nh_count 3\n# EOF\n",
-		"missing +Inf": "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_sum 1\nh_count 5\n# EOF\n",
-		"count mismatch": "# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 3\n" +
-			"h_sum 1\nh_count 4\n# EOF\n",
-		"le out of order": "# TYPE h histogram\nh_bucket{le=\"2\"} 1\nh_bucket{le=\"1\"} 2\n" +
-			"h_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 3\n# EOF\n",
-		"empty": "",
-	}
-	for name, doc := range cases {
+	for name, doc := range malformedOMDocs {
 		if _, err := ParseOpenMetrics([]byte(doc)); err == nil {
 			t.Errorf("%s: parser accepted malformed document %q", name, doc)
 		}
 	}
 }
 
+// helpTimestampOMDoc carries a HELP line and a sample timestamp.
+const helpTimestampOMDoc = "# HELP a helpful words here\n# TYPE a gauge\na{x=\"1\"} 2 1700000000\n# EOF\n"
+
 func TestParseOpenMetricsAcceptsHelpAndTimestamps(t *testing.T) {
-	doc := "# HELP a helpful words here\n# TYPE a gauge\na{x=\"1\"} 2 1700000000\n# EOF\n"
-	fams, err := ParseOpenMetrics([]byte(doc))
+	fams, err := ParseOpenMetrics([]byte(helpTimestampOMDoc))
 	if err != nil {
 		t.Fatalf("HELP/timestamp document rejected: %v", err)
 	}
@@ -166,4 +172,38 @@ func TestSanitizeMetricName(t *testing.T) {
 			t.Errorf("sanitize(%q) = %q, want %q", in, got, want)
 		}
 	}
+}
+
+// FuzzParseOpenMetrics feeds arbitrary documents to ParseOpenMetrics, which
+// sdomlint runs on scrapes. It must never panic, and a document it accepts
+// holds at least one metric family and ends with its "# EOF" line. The
+// seeds are a scrape of a populated registry, the HELP/timestamp document
+// and every malformed document above.
+func FuzzParseOpenMetrics(f *testing.F) {
+	var scrape bytes.Buffer
+	if err := WriteOpenMetrics(&scrape, omRegistry().Snapshot()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(scrape.Bytes())
+	f.Add([]byte(helpTimestampOMDoc))
+	names := make([]string, 0, len(malformedOMDocs))
+	for name := range malformedOMDocs {
+		names = append(names, name)
+	}
+	sort.Strings(names) // seeds in a fixed order
+	for _, name := range names {
+		f.Add([]byte(malformedOMDocs[name]))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		fams, err := ParseOpenMetrics(doc)
+		if err != nil {
+			return
+		}
+		if len(fams) == 0 {
+			t.Fatalf("accepted %q with no metric family", doc)
+		}
+		if !bytes.HasSuffix(bytes.TrimSuffix(doc, []byte("\n")), []byte("\n# EOF")) {
+			t.Fatalf("accepted %q, which does not end with # EOF", doc)
+		}
+	})
 }
