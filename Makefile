@@ -36,7 +36,8 @@ race:
 # the span sets of chrome_test.go and a set of hostile strings and times; a
 # small, an oversized and a predict spec, truncated JSON, an unknown mode
 # and format and a spec with trailing bytes; a fitted model, a truncated
-# copy and one with an overlong centroid; a registry scrape and the
+# copy, one with an overlong centroid and one with a sixth stall-bucket
+# weight vector; a registry scrape and the
 # documents of openmetrics_test.go) also run as ordinary tests under
 # `go test`.
 fuzz:
@@ -74,6 +75,10 @@ fuzz:
 # 1/$(PREDICT_MAX_RATIO) = 100x faster per cell. The gate is parallelism-
 # independent (the predict benchmarks report no workers metric), so it is
 # never skipped on single-core runners.
+# The cold-cell benchmark compiles, installs and runs one catalogue cell
+# (minivgg/baseline/mb8/train) on a reused machine with a registry and a
+# trace lane attached, as an sdserve worker does, and records ns/op, B/op
+# and allocs/op in BENCH_cell.json.
 # The serve benchmarks fire a duplicate-heavy job storm at the sdserve
 # scheduler on a one-token worker budget (one job at a time) and on the
 # default GOMAXPROCS-token budget, and record jobs-per-sec,
@@ -106,6 +111,9 @@ bench:
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_predict.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
 	@echo "wrote BENCH_predict.json"
 	$(GO) run ./cmd/sdbenchdiff -ratio PredictCellFast/PredictCellExact -max-ratio $(PREDICT_MAX_RATIO) BENCH_predict.json
+	$(GO) test -run '^$$' -bench ColdCell -benchmem -json ./internal/sweep/ > BENCH_cell.json
+	@grep -o '"Output":"Benchmark[^"]*' BENCH_cell.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
+	@echo "wrote BENCH_cell.json"
 	$(GO) test -run '^$$' -bench ServeStorm -json ./internal/server/ > BENCH_serve.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_serve.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
 	@echo "wrote BENCH_serve.json"
@@ -116,7 +124,7 @@ bench:
 # first; with the working tree clean, `git stash`-style comparison is just
 # `git show HEAD:BENCH_sim.json > old.json && make benchdiff OLD=old.json`.
 benchdiff:
-	@for f in BENCH_sim BENCH_sweep BENCH_memo BENCH_tensor BENCH_store BENCH_predict BENCH_serve; do \
+	@for f in BENCH_sim BENCH_sweep BENCH_memo BENCH_tensor BENCH_store BENCH_predict BENCH_cell BENCH_serve; do \
 		if git show HEAD:$$f.json > /tmp/$$f.base.json 2>/dev/null; then \
 			echo "== $$f: HEAD vs working tree =="; \
 			$(GO) run ./cmd/sdbenchdiff /tmp/$$f.base.json $$f.json; \

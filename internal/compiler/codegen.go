@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"scaledeep/internal/arch"
@@ -201,6 +202,9 @@ func (g *gen) run(base time.Time) error {
 				}
 			}
 		}
+		if img == 0 {
+			g.em.reserveImages(g.opts.Minibatch - 1)
+		}
 	}
 	g.em.setLayer(untaggedLayer)
 	g.emitBarrier()
@@ -274,13 +278,15 @@ func (g *gen) allocLayerState(mi int, lm *LayerMap) {
 			size = int64(sliceLen(l.OutNeurons, len(lm.Homes), f))
 		}
 		for img := 0; img < mb; img++ {
+			// The names read "<layer>.feat<f>.i<img>" (and eraw, edrv).
+			unit, image := strconv.Itoa(f), ".i"+strconv.Itoa(img)
 			g.feat[mi][f] = append(g.feat[mi][f],
-				g.al.alloc(home, size, fmt.Sprintf("%s.feat%d.i%d", l.Name, f, img), kindData))
+				g.al.alloc(home, size, l.Name+".feat"+unit+image, kindData))
 			if g.opts.Training {
 				g.errRaw[mi][f] = append(g.errRaw[mi][f],
-					g.al.alloc(home, size, fmt.Sprintf("%s.eraw%d.i%d", l.Name, f, img), kindData))
+					g.al.alloc(home, size, l.Name+".eraw"+unit+image, kindData))
 				g.errDrv[mi][f] = append(g.errDrv[mi][f],
-					g.al.alloc(home, size, fmt.Sprintf("%s.edrv%d.i%d", l.Name, f, img), kindData))
+					g.al.alloc(home, size, l.Name+".edrv"+unit+image, kindData))
 			}
 		}
 	}
@@ -318,12 +324,13 @@ func (g *gen) allocLayerState(mi int, lm *LayerMap) {
 }
 
 // weightOperand returns the address/port operands and ledger access for
-// reading unit `unit`'s weights of layer l, wherever STEP6 placed them.
-func (g *gen) weightOperand(l *dnn.Layer, unit int, offset int64) (addr, port opr, acc []regAccess) {
+// reading unit `unit`'s weights of layer l, wherever STEP6 placed them
+// (off-chip weights are untracked: their access is the zero regAccess).
+func (g *gen) weightOperand(l *dnn.Layer, unit int, offset int64) (addr, port opr, acc regAccess) {
 	if r := g.out.weightRegions[l.Index][unit]; r != nil {
-		return C(r.addr + offset), C(isa.PortLeft), []regAccess{rd(r)}
+		return C(r.addr + offset), C(isa.PortLeft), rd(r)
 	}
-	return C(extWeightBase + g.out.extWeightAddrs[l.Index][unit] + offset), C(isa.PortExt), nil
+	return C(extWeightBase + g.out.extWeightAddrs[l.Index][unit] + offset), C(isa.PortExt), regAccess{}
 }
 
 func (g *gen) gradRegion(layerIdx, unit int, r *region) {
@@ -367,14 +374,15 @@ func (g *gen) localInputs(mi int, lm *LayerMap, tc TileCoord) []int {
 
 // inputOperand returns the operand and ledger access for reading input
 // feature g2 of image img on tile k: a region access for on-chip features,
-// or a constant external-memory address for the first layer.
-func (g *gen) inputOperand(mi, g2, img int) (addr, port opr, acc []regAccess) {
+// or a constant external-memory address (and the zero regAccess) for the
+// first layer.
+func (g *gen) inputOperand(mi, g2, img int) (addr, port opr, acc regAccess) {
 	if mi > 0 {
 		r := g.feat[mi-1][g2][img]
-		return C(r.addr), C(isa.AbsTile(r.tile)), []regAccess{rd(r)}
+		return C(r.addr), C(isa.AbsTile(r.tile)), rd(r)
 	}
 	l := g.maps[mi].Layer
 	chSize := int64(l.In.H * l.In.W)
 	base := extInputBase + int64(img)*g.out.InputElems + int64(g2)*chSize
-	return C(base), C(isa.PortExt), nil
+	return C(base), C(isa.PortExt), regAccess{}
 }

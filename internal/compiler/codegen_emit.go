@@ -205,7 +205,7 @@ func (g *gen) emitConvFP(mi int, lm *LayerMap, img int) {
 						C(int64(l.ConvP.StrideH)), C(int64(l.ConvP.PadH)),
 						C(pr.addr), C(isa.PortRight), C(int64(nk)), C(boolFlag(j > 0)),
 					}
-					g.em.op(k, isa.NDCONV, ops, append(append(inAcc, wAcc...), wr(pr))...)
+					g.em.op(k, isa.NDCONV, ops, inAcc, wAcc, wr(pr))
 				}
 			}
 		}
@@ -300,7 +300,7 @@ func (g *gen) emitConvBPWG(mi int, lm *LayerMap, img int) {
 							C(int64(l.ConvP.StrideH)), C(int64(l.ConvP.PadH)),
 							C(eRaw.addr), C(isa.PortLeft), C(1), C(boolFlag(f > 0)),
 						}
-						g.em.op(kBP, isa.NDCONV, ops, append(append([]regAccess{rd(eF)}, wAcc...), wr(eRaw))...)
+						g.em.op(kBP, isa.NDCONV, ops, rd(eF), wAcc, wr(eRaw))
 					}
 					g.finishError(kBP, mi-1, g2, img, isa.PortLeft)
 				}
@@ -316,7 +316,7 @@ func (g *gen) emitConvBPWG(mi int, lm *LayerMap, img int) {
 						C(int64(l.ConvP.StrideH)), C(int64(l.ConvP.PadH)),
 						C(dw.addr + int64(f)*k2), C(isa.PortLeft), C(1), C(1),
 					}
-					g.em.op(kWG, isa.NDCONV, ops, append(inAcc, rd(eF), wr(dw))...)
+					g.em.op(kWG, isa.NDCONV, ops, inAcc, rd(eF), wr(dw))
 				}
 				if img == g.opts.Minibatch-1 {
 					g.emitWeightUpdateFor(kWG, l, g2, dw)
@@ -356,15 +356,12 @@ func (g *gen) emitWeightUpdateFor(k progKey, l *dnn.Layer, unit int, dw *region)
 	wAddr, wPort, _ := g.weightOperand(l, unit, 0)
 	// WUPDATE's tracker accesses are one gradient read and one weight
 	// WRITE (the write is gated on the weight generation's reads draining;
-	// see sim.execWUpdate) — never a counted weight read.
-	accs := []regAccess{rd(dw)}
-	if r := g.out.weightRegions[l.Index][unit]; r != nil {
-		accs = append(accs, wr(r))
-	}
+	// see sim.execWUpdate) — never a counted weight read. Off-chip weights
+	// have no region, and wr(nil) records nothing.
 	g.em.sec = secBatch
 	g.em.op(k, isa.WUPDATE,
 		[]opr{wAddr, wPort, C(dw.addr), C(isa.PortLeft), C(dw.size), C(lr)},
-		accs...)
+		rd(dw), wr(g.out.weightRegions[l.Index][unit]))
 	g.em.op(k, isa.MEMSET, []opr{C(dw.addr), C(isa.PortLeft), C(dw.size), C(0)}, wr(dw))
 	g.em.sec = secPrologue
 	g.em.op(k, isa.MEMSET, []opr{C(dw.addr), C(isa.PortLeft), C(dw.size), C(0)}, wr(dw))
@@ -391,7 +388,7 @@ func (g *gen) emitPoolFP(mi int, lm *LayerMap, img int) {
 					[]opr{C(kind), inAddr, inPort, C(int64(l.In.H)), C(int64(l.In.W)),
 						C(int64(l.PoolP.Window)), C(int64(l.PoolP.Stride)), C(int64(l.PoolP.Pad)),
 						C(out.addr), C(isa.AbsTile(out.tile))},
-					append(inAcc, wr(out))...)
+					inAcc, wr(out))
 				if g.isLast(mi) {
 					dst := extOutputBase + int64(img)*g.out.OutputElems + outUnitOffset(lm, g2)
 					g.em.op(k, isa.DMASTORE,
@@ -471,7 +468,7 @@ func (g *gen) emitFCFP(mi int, lm *LayerMap, img int) {
 		g.em.op(k, isa.MATMUL,
 			[]opr{C(isa.ModeFwd), wAddr, wPort, C(sl), C(inLen),
 				C(xStage.addr), C(isa.PortLeft), C(yStage.addr), C(isa.PortLeft), C(0)},
-			append(wAcc, rd(xStage), wr(yStage))...)
+			wAcc, rd(xStage), wr(yStage))
 		if l.Act != tensor.ActNone {
 			g.em.op(k, isa.NDACTFN,
 				[]opr{C(actFnKind(l.Act)), C(yStage.addr), C(isa.PortLeft), C(sl), C(yStage.addr), C(isa.PortLeft)},
@@ -570,7 +567,7 @@ func (g *gen) emitFCBPWG(mi int, lm *LayerMap, img int) {
 			g.em.op(kBP, isa.MATMUL,
 				[]opr{C(isa.ModeBwdData), wAddr, wPort, C(sl), C(inLen),
 					C(eS.addr), C(isa.AbsTile(eS.tile)), C(eStage.addr), C(isa.PortLeft), C(0)},
-				append(wAcc, rd(eS), wr(eStage))...)
+				wAcc, rd(eS), wr(eStage))
 			for gp := range prev.Homes {
 				part := g.fcEPart(mi, l.Index, gp, s)
 				off := outUnitOffset(prev, gp)

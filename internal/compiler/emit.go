@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 
 	"scaledeep/internal/isa"
 	"scaledeep/internal/sim"
@@ -38,8 +39,9 @@ type region struct {
 	gens int
 
 	// access ledger
-	tiles          map[progKey]bool // comp tiles touching the region
-	imgReads       int              // reads emitted in the per-image section
+	tiles          []progKey  // distinct comp tiles touching the region
+	tiles0         [2]progKey // tiles' backing while it holds at most two
+	imgReads       int        // reads emitted in the per-image section
 	imgWrites      int
 	batchReads     int // reads emitted in the per-batch section
 	batchWrites    int
@@ -70,7 +72,8 @@ func (a *allocator) alloc(tc TileCoord, size int64, name string, kind regionKind
 		a.err = fmt.Errorf("compiler: MemHeavy tile (r%d,m%d) over capacity: %d + %d > %d (%s)",
 			tc.Row, tc.MCol, a.next[t], size, a.capacity, name)
 	}
-	r := &region{tile: t, addr: a.next[t], size: size, name: name, kind: kind, tiles: map[progKey]bool{}}
+	r := &region{tile: t, addr: a.next[t], size: size, name: name, kind: kind}
+	r.tiles = r.tiles0[:0]
 	a.next[t] += size
 	a.regions = append(a.regions, r)
 	return r
@@ -142,6 +145,37 @@ type emitter struct {
 	progs map[progKey]*tileProgram
 	sec   section
 	layer int // layer tag applied to emitted instructions
+
+	// argSlab is the current chunk instructions' Args are carved from (see
+	// args).
+	argSlab []isa.Reg
+}
+
+// argSlabLen is how many argument registers share one allocation.
+const argSlabLen = 8192
+
+// args returns an n-register argument list carved from the compile's slab.
+// Programs keep their instructions' Args, so a filled chunk is never reused:
+// the next list starts a fresh one. Each list is capacity-capped, so an
+// append to one cannot overwrite its neighbour.
+func (e *emitter) args(n int) []isa.Reg {
+	if cap(e.argSlab)-len(e.argSlab) < n {
+		e.argSlab = make([]isa.Reg, 0, max(argSlabLen, n))
+	}
+	i := len(e.argSlab)
+	e.argSlab = e.argSlab[:i+n]
+	return e.argSlab[i : i+n : i+n]
+}
+
+// reserveImages grows every tile's per-image section, and its layer tags,
+// by n more images the size of those emitted so far. Every image emits the
+// same ops, so once image 0 is emitted, reserving for the other
+// minibatch−1 images allocates each section once.
+func (e *emitter) reserveImages(n int) {
+	for _, tp := range e.progs {
+		tp.image = slices.Grow(tp.image, n*len(tp.image))
+		tp.imageTags = slices.Grow(tp.imageTags, n*len(tp.imageTags))
+	}
 }
 
 func newEmitter(a *allocator) *emitter {
@@ -179,7 +213,9 @@ func (e *emitter) touch(k progKey, r *region, write bool) {
 	if r == nil {
 		return
 	}
-	r.tiles[k] = true
+	if !slices.Contains(r.tiles, k) {
+		r.tiles = append(r.tiles, k)
+	}
 	switch e.sec {
 	case secIter:
 		if write {
@@ -200,7 +236,8 @@ func (e *emitter) touch(k progKey, r *region, write bool) {
 	}
 }
 
-// rd / wr annotate an op's region accesses for the ledger.
+// rd / wr annotate an op's region accesses for the ledger; an access to a
+// nil region (untracked memory) records nothing.
 type regAccess struct {
 	r     *region
 	write bool
@@ -214,7 +251,7 @@ func wr(r *region) regAccess { return regAccess{r: r, write: true} }
 func (e *emitter) op(k progKey, opcode isa.Opcode, operands []opr, accs ...regAccess) {
 	buf, tags := e.bufs(k)
 	n0 := len(*buf)
-	regs := make([]isa.Reg, len(operands))
+	regs := e.args(len(operands))
 	next := isa.Reg(regScratch)
 	for i, o := range operands {
 		if o.isReg {
@@ -361,17 +398,17 @@ const armBlockLen = 6
 // lowest-ordered touching tile. The block lands ahead of that tile's
 // prologue at finalize.
 func (e *emitter) emitTrackInstr(r *region, spec sim.TrackerSpec) {
-	var best progKey
-	first := true
-	for k := range r.tiles {
-		if first || lessKey(k, best) {
-			best, first = k, false
+	best := r.tiles[0]
+	for _, k := range r.tiles[1:] {
+		if lessKey(k, best) {
+			best = k
 		}
 	}
 	tp := e.at(best)
-	regs := []isa.Reg{regScratch, regScratch + 1, regScratch + 2, regScratch + 3, regScratch + 4}
-	vals := []int64{isa.AbsTile(spec.MemTile), spec.Addr, spec.Size, int64(spec.NumUpdates), int64(spec.NumReads)}
+	regs := e.args(armBlockLen - 1)
+	vals := [armBlockLen - 1]int64{isa.AbsTile(spec.MemTile), spec.Addr, spec.Size, int64(spec.NumUpdates), int64(spec.NumReads)}
 	for i, v := range vals {
+		regs[i] = regScratch + isa.Reg(i)
 		tp.arming = append(tp.arming, isa.Ldri(regs[i], int32(v)))
 	}
 	tp.arming = append(tp.arming, isa.WithArgs(isa.DMAMEMTRACK, regs...))

@@ -267,10 +267,21 @@ func (m *Model) Encode() ([]byte, error) {
 // binary's feature layout — a model fit by an incompatible binary is an
 // error, never silently misapplied weights.
 func Decode(data []byte) (*Model, error) {
+	// attr_w decodes into a slice first: encoding/json would drop the
+	// vectors past the array's length, so a model fit with more stall
+	// buckets would load with weights silently missing.
 	var m Model
-	if err := json.Unmarshal(data, &m); err != nil {
+	wire := struct {
+		*Model
+		AttrW [][]float64 `json:"attr_w"`
+	}{Model: &m}
+	if err := json.Unmarshal(data, &wire); err != nil {
 		return nil, fmt.Errorf("predict: decode model: %w", err)
 	}
+	if len(wire.AttrW) != len(m.AttrW) {
+		return nil, fmt.Errorf("predict: model has %d stall-bucket weight vectors, this binary predicts %d — refit", len(wire.AttrW), len(m.AttrW))
+	}
+	copy(m.AttrW[:], wire.AttrW)
 	if m.Schema != modelSchema {
 		return nil, fmt.Errorf("predict: model schema %d, this binary wants %d — refit", m.Schema, modelSchema)
 	}

@@ -3,6 +3,7 @@ package predict
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -210,6 +211,49 @@ func TestDecodeRejectsIncompatibleModels(t *testing.T) {
 	if _, err := Decode(longCentroidModel(t)); err == nil {
 		t.Error("Decode accepted a centroid longer than the feature vector")
 	}
+	if _, err := Decode(sixAttrModel(t)); err == nil {
+		t.Error("Decode accepted a model with a sixth stall-bucket weight vector")
+	}
+	if _, err := Decode(withAttrW(t, good, func(w []json.RawMessage) []json.RawMessage { return w[:4] })); err == nil {
+		t.Error("Decode accepted a model with four stall-bucket weight vectors")
+	}
+}
+
+// sixAttrModel encodes the fitted model with a sixth stall-bucket weight
+// vector, a copy of the first, as a binary with one more attribution
+// bucket would fit it. Its weights would be dropped, not applied, so such
+// a model must never load.
+func sixAttrModel(t testing.TB) []byte {
+	t.Helper()
+	fitted, _ := fittedModel(t)
+	good, err := fitted.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return withAttrW(t, good, func(w []json.RawMessage) []json.RawMessage { return append(w, w[0]) })
+}
+
+// withAttrW re-encodes the model document data with its attr_w vectors
+// replaced by edit's result.
+func withAttrW(t testing.TB, data []byte, edit func([]json.RawMessage) []json.RawMessage) []byte {
+	t.Helper()
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var w []json.RawMessage
+	if err := json.Unmarshal(doc["attr_w"], &w); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	if doc["attr_w"], err = json.Marshal(edit(w)); err != nil {
+		t.Fatal(err)
+	}
+	out, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // longCentroidModel encodes the fitted model with one entry appended to its

@@ -10,35 +10,83 @@ import (
 // guard (a program with a broken loop otherwise hangs the simulation).
 const maxInstructions = 1 << 30
 
+// coarseFn executes one non-scalar instruction with resolved operand values.
+// It returns (false, _) if the tile blocked, else (true, completionCycle).
+type coarseFn func(m *Machine, ct *compTile, v []int64) (bool, Cycle)
+
+// opEntry is the interpreter's static view of one opcode. The table is built
+// once at init and indexed by isa.Instr.Op, so tiles run their programs'
+// instructions as emitted: no per-program decode, no copy of the stream.
+type opEntry struct {
+	exec   coarseFn   // nil for scalar opcodes
+	scalar bool       // executes inline on the scalar PE
+	busy   AttrBucket // bucket of a coarse op's occupied span (opBusyBucket)
+	name   string     // mnemonic, the op span's name
+}
+
+var opTab [isa.NumOpcodes]opEntry
+
+func init() {
+	dispatch := [isa.NumOpcodes]coarseFn{
+		isa.NDCONV:      (*Machine).execNDConv,
+		isa.MATMUL:      (*Machine).execMatMul,
+		isa.NDACTFN:     (*Machine).execActFn,
+		isa.NDSUBSAMP:   (*Machine).execSubsamp,
+		isa.NDUPSAMP:    (*Machine).execUpsamp,
+		isa.NDACC:       (*Machine).execAcc,
+		isa.VECMUL:      (*Machine).execVecMul,
+		isa.WUPDATE:     (*Machine).execWUpdate,
+		isa.MEMSET:      (*Machine).execMemSet,
+		isa.DMALOAD:     (*Machine).execDMA,
+		isa.DMASTORE:    (*Machine).execDMA,
+		isa.PASSBUFF:    (*Machine).execPassBuff,
+		isa.MEMTRACK:    (*Machine).execMemTrack,
+		isa.DMAMEMTRACK: (*Machine).execMemTrack,
+	}
+	for op := isa.Opcode(0); op < isa.NumOpcodes; op++ {
+		e := opEntry{
+			exec:   dispatch[op],
+			scalar: op.Group() == isa.GroupScalar,
+			busy:   opBusyBucket(op),
+			name:   op.String(),
+		}
+		if !e.scalar && e.exec == nil {
+			panic(fmt.Sprintf("sim: unhandled op %v", op))
+		}
+		opTab[op] = e
+	}
+}
+
 // runTile resumes one CompHeavy tile: scalar instructions execute inline;
 // each coarse/offload/transfer operation either blocks on a tracker
 // (suspending the tile until woken) or completes, advancing the tile's local
 // clock and rescheduling it, so tiles interleave in simulated-time order.
-// The loop works entirely on the predecoded program (see decode.go) and the
-// machine's reusable scratch buffers: steady-state execution allocates
-// nothing.
+// The loop reads the installed program's instructions in place, through
+// opTab, and works in the machine's reusable scratch buffers: steady-state
+// execution allocates nothing.
 func (m *Machine) runTile(ct *compTile) {
 	ct.blocked, ct.blockTk = "", nil
 	if m.instrProfile && ct.pcProf == nil {
-		n := len(ct.dec.ins)
+		n := len(ct.prog.Instrs)
 		ct.pcProf = &instrProf{
 			attr:  make([]CycleAttribution, n),
 			flops: make([]int64, n),
 			bytes: make([]int64, n),
 		}
 	}
-	code := ct.dec.ins
+	code := ct.prog.Instrs
 	for {
 		if ct.pc >= len(code) {
 			m.halt(ct)
 			return
 		}
 		ins := &code[ct.pc]
+		op := &opTab[ins.Op]
 		ct.instrs++
 		if ct.instrs > maxInstructions {
 			panic("sim: instruction budget exhausted (runaway program?)")
 		}
-		if ins.scalar {
+		if op.scalar {
 			ct.scalarCycles++
 			ct.time++
 			m.account(ct, AttrCompute, 1)
@@ -58,8 +106,8 @@ func (m *Machine) runTile(ct *compTile) {
 		}
 		// Non-scalar: resolve operands into the reusable scratch buffer and
 		// attempt the operation.
-		v := m.argBuf[:len(ins.args)]
-		for i, a := range ins.args {
+		v := m.argBuf[:len(ins.Args)]
+		for i, a := range ins.Args {
 			v[i] = ct.regs[a]
 		}
 		start := ct.time
@@ -68,11 +116,11 @@ func (m *Machine) runTile(ct *compTile) {
 		if m.Functional {
 			m.arena.reset()
 		}
-		ok, end := ins.exec(m, ct, v)
+		ok, end := op.exec(m, ct, v)
 		if !ok {
 			return // blocked; tracker wake or NACK retry will reschedule
 		}
-		m.traceOp(ct, ins, start, end)
+		m.traceOp(ct, ins.Op, start, end)
 		// Attribute the op's span: the leading queue-for-busy-resource part
 		// is contention, the remainder is the operation itself (compute for
 		// array/SFU work, dma-wait for transfers).
@@ -82,7 +130,7 @@ func (m *Machine) runTile(ct *compTile) {
 			wait = total
 		}
 		m.account(ct, AttrLinkContend, wait)
-		m.account(ct, ins.busy, total-wait)
+		m.account(ct, op.busy, total-wait)
 		if p := ct.pcProf; p != nil && ct.pc < len(p.flops) {
 			p.flops[ct.pc] += ct.flops - flops0
 			p.bytes[ct.pc] += m.opBytes
@@ -116,66 +164,78 @@ func (m *Machine) halt(ct *compTile) {
 
 // execScalar executes one scalar-control instruction. It returns true when
 // the tile halted.
-func (m *Machine) execScalar(ct *compTile, ins *dinstr) bool {
+func (m *Machine) execScalar(ct *compTile, ins *isa.Instr) bool {
 	r := &ct.regs
-	switch ins.op {
+	switch ins.Op {
 	case isa.LDRI:
-		r[ins.dst] = int64(ins.imm)
+		r[ins.Dst] = int64(ins.Imm)
 	case isa.MOVR:
-		r[ins.dst] = r[ins.src1]
+		r[ins.Dst] = r[ins.Src1]
 	case isa.ADDR:
-		r[ins.dst] = r[ins.src1] + r[ins.src2]
+		r[ins.Dst] = r[ins.Src1] + r[ins.Src2]
 	case isa.ADDRI:
-		r[ins.dst] = r[ins.src1] + int64(ins.imm)
+		r[ins.Dst] = r[ins.Src1] + int64(ins.Imm)
 	case isa.SUBR:
-		r[ins.dst] = r[ins.src1] - r[ins.src2]
+		r[ins.Dst] = r[ins.Src1] - r[ins.Src2]
 	case isa.SUBRI:
-		r[ins.dst] = r[ins.src1] - int64(ins.imm)
+		r[ins.Dst] = r[ins.Src1] - int64(ins.Imm)
 	case isa.MULRI:
-		r[ins.dst] = r[ins.src1] * int64(ins.imm)
+		r[ins.Dst] = r[ins.Src1] * int64(ins.Imm)
 	case isa.CMPLT:
-		if r[ins.src1] < r[ins.src2] {
-			r[ins.dst] = 1
+		if r[ins.Src1] < r[ins.Src2] {
+			r[ins.Dst] = 1
 		} else {
-			r[ins.dst] = 0
+			r[ins.Dst] = 0
 		}
 	case isa.BEQZ:
-		if r[ins.src1] == 0 {
-			ct.pc += int(ins.imm)
+		if r[ins.Src1] == 0 {
+			ct.pc += int(ins.Imm)
 		}
 	case isa.BNEZ:
-		if r[ins.src1] != 0 {
-			ct.pc += int(ins.imm)
+		if r[ins.Src1] != 0 {
+			ct.pc += int(ins.Imm)
 		}
 	case isa.BGTZ:
-		if r[ins.src1] > 0 {
-			ct.pc += int(ins.imm)
+		if r[ins.Src1] > 0 {
+			ct.pc += int(ins.Imm)
 		}
 	case isa.BRANCH:
-		ct.pc += int(ins.imm)
+		ct.pc += int(ins.Imm)
 	case isa.NOP:
 	case isa.HALT:
 		m.halt(ct)
 		return true
 	default:
-		panic(fmt.Sprintf("sim: unhandled scalar op %v", ins.op))
+		panic(fmt.Sprintf("sim: unhandled scalar op %v", ins.Op))
 	}
 	ct.pc++
 	return false
 }
 
-// admit checks every access against its tracker. If any is blocked, the tile
-// suspends on that tracker and admit returns false. Otherwise all accesses
-// are noted (counted) and their trackers' waiters woken at `end`.
+// admit checks every access against its tracker, looking each one up once.
+// If any is blocked, the tile suspends on that tracker and admit returns
+// false. Otherwise all accesses are noted (counted) and their trackers'
+// waiters woken at `end`.
 func (m *Machine) admit(ct *compTile, accs []access, desc string, end Cycle) bool {
-	for _, a := range accs {
-		if t := a.blockedOn(); t != nil {
-			m.block(ct, t, a.write, desc)
+	for i := range accs {
+		a := &accs[i]
+		if a.loc.mem == nil {
+			continue // external memory is untracked
+		}
+		a.tk = a.loc.mem.findTracker(a.addr, a.size)
+		if a.tk != nil && a.blockedBy(a.tk) {
+			m.block(ct, a.tk, a.write, desc)
 			return false
 		}
 	}
-	for _, a := range accs {
-		if t := a.note(); t != nil {
+	for i := range accs {
+		a := &accs[i]
+		if t := a.tk; t != nil {
+			if a.write {
+				t.noteWrite()
+			} else {
+				t.noteRead()
+			}
 			m.wake(t, end)
 		}
 		// Traffic accounting.

@@ -52,8 +52,7 @@ type compTile struct {
 	ccol  int // compute column (0..Cols-1)
 	step  Step
 
-	prog *isa.Program
-	dec  *decodedProg // predecoded form of prog (set by LoadProgram)
+	prog *isa.Program // run as emitted (see opTab)
 	pc   int
 	regs [isa.NumRegs]int64
 
@@ -127,10 +126,6 @@ type Machine struct {
 	finished  int
 	stats     Stats
 
-	// Predecode cache: one decodedProg per installed program (programs are
-	// routinely shared across tiles, so decoding is per unique program).
-	decoded map[*isa.Program]*decodedProg
-
 	// Reusable hot-path scratch: operand values (argBuf, sized for the
 	// widest arg list, NDCONV's 14), tracker-access descriptors (accBuf, at
 	// most 3 per op) and functional staging buffers (arena).
@@ -160,6 +155,10 @@ type Machine struct {
 	// built.
 	spanRoom      int
 	spansPastRoom int64
+	// STALL-note scratch (traceStall): the note's bytes, and the current
+	// chunk its attribute slices are carved from.
+	noteBuf   []byte
+	noteAttrs []telemetry.Attr
 
 	metrics *telemetry.Registry
 	opHists opHistSet
@@ -177,7 +176,6 @@ func NewMachine(chip arch.ChipConfig, precision arch.Precision, functional bool)
 		Functional: functional,
 		ext:        &extMem{},
 		poolRoute:  map[[2]int64][]int32{},
-		decoded:    map[*isa.Program]*decodedProg{},
 		precision:  precision,
 		elemBytes:  precision.Bytes(),
 		half:       precision == arch.Half,
@@ -221,9 +219,9 @@ func (m *Machine) compIndex(row, ccol int, s Step) int {
 	return (ccol*m.Chip.Rows+row)*int(stepsPerCell) + int(s)
 }
 
-// LoadProgram installs a program on the CompHeavy tile at (row, ccol, step),
-// predecoding it once (decoded programs are cached, so tiles sharing one
-// program share its decode).
+// LoadProgram installs a program on the CompHeavy tile at (row, ccol, step).
+// The tile runs p's instructions in place, so p must not change until the
+// machine is Reset.
 func (m *Machine) LoadProgram(row, ccol int, s Step, p *isa.Program) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -231,15 +229,8 @@ func (m *Machine) LoadProgram(row, ccol int, s Step, p *isa.Program) error {
 	if row < 0 || row >= m.Chip.Rows || ccol < 0 || ccol >= m.Chip.Cols {
 		return fmt.Errorf("sim: tile (r%d,c%d) outside %dx%d chip", row, ccol, m.Chip.Rows, m.Chip.Cols)
 	}
-	d, ok := m.decoded[p]
-	if !ok {
-		d = decodeProgram(p)
-		m.decoded[p] = d
-		m.declareOpHists(d)
-	}
-	ct := m.comp[m.compIndex(row, ccol, s)]
-	ct.prog = p
-	ct.dec = d
+	m.comp[m.compIndex(row, ccol, s)].prog = p
+	m.declareOpHists(p)
 	return nil
 }
 
@@ -422,7 +413,6 @@ func (m *Machine) Reset() {
 	}
 	m.ext.reset()
 	clear(m.poolRoute)
-	clear(m.decoded)
 	m.freqHz = 0
 	m.finished = 0
 	m.stats = Stats{}

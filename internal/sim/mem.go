@@ -19,8 +19,9 @@ type memTile struct {
 	data     []float32 // nil in timing-only mode
 	capacity int64     // elements
 
-	trackers   []*tracker
-	queueDepth int
+	trackers    []*tracker // sorted by (addr, size); see findTracker
+	trackerPool []*tracker // every tracker allocated, in arming order; see arm
+	queueDepth  int
 
 	sfuBusy Cycle
 	dmaBusy Cycle
@@ -33,21 +34,42 @@ type memTile struct {
 
 func (m *memTile) name() string { return fmt.Sprintf("mem[r%d,c%d]", m.row, m.mcol) }
 
-// findTracker returns the armed tracker overlapping [addr, addr+size), if
-// any. Compiled code arms at most one tracker per range; overlapping
-// distinct trackers are a compiler bug and panic at arm time.
+// findTracker returns the earliest-armed tracker overlapping [addr,
+// addr+size), or nil. Compiled code arms at most one tracker per range, and
+// arm refuses a negative size and a tracker that overlaps an armed one, so
+// the trackers are disjoint: kept sorted by (addr, size), their ends ascend
+// too, and the trackers one access overlaps form a contiguous run. A binary
+// search finds the first tracker ending past addr; the run continues while
+// trackers start before the access ends.
 func (m *memTile) findTracker(addr, size int64) *tracker {
-	for _, t := range m.trackers {
-		if t.overlaps(addr, size) {
-			return t
+	ts := m.trackers
+	lo, hi := 0, len(ts)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if t := ts[h]; t.addr+t.size <= addr {
+			lo = h + 1
+		} else {
+			hi = h
 		}
 	}
-	return nil
+	var first *tracker
+	for _, t := range ts[lo:] {
+		if t.addr >= addr+size {
+			break
+		}
+		if first == nil || t.seq < first.seq {
+			first = t
+		}
+	}
+	return first
 }
 
 // arm installs a tracker; idempotent for an identical range (re-arming by
 // the MEMTRACK instruction after a manifest pre-arm is a no-op).
 func (m *memTile) arm(addr, size int64, numUpdates, numReads int, preloaded bool) {
+	if size < 0 {
+		panic(fmt.Sprintf("sim: %s: tracker [%d+%d) has a negative size", m.name(), addr, size))
+	}
 	if ex := m.findTracker(addr, size); ex != nil {
 		if ex.addr == addr && ex.size == size {
 			return
@@ -55,11 +77,26 @@ func (m *memTile) arm(addr, size int64, numUpdates, numReads int, preloaded bool
 		panic(fmt.Sprintf("sim: %s: tracker [%d+%d) overlaps existing [%d+%d)",
 			m.name(), addr, size, ex.addr, ex.size))
 	}
-	t := &tracker{addr: addr, size: size, numUpdates: numUpdates, numReads: numReads}
+	// Trackers armed before the last Reset are reused in arming order, their
+	// wait queues keeping capacity: nothing refers to them after Reset.
+	n := len(m.trackers)
+	if n == len(m.trackerPool) {
+		m.trackerPool = append(m.trackerPool, new(tracker))
+	}
+	t := m.trackerPool[n]
+	*t = tracker{addr: addr, size: size, numUpdates: numUpdates, numReads: numReads, seq: n,
+		waitReaders: t.waitReaders[:0], waitWriters: t.waitWriters[:0]}
 	if preloaded {
 		t.updatesSeen = numUpdates
 	}
-	m.trackers = append(m.trackers, t)
+	// Insert after every tracker ordered at or before (addr, size). A
+	// compiler arms a tile's ranges in allocation order, ascending, so this
+	// is nearly always an append.
+	i := len(m.trackers)
+	for i > 0 && (m.trackers[i-1].addr > addr || m.trackers[i-1].addr == addr && m.trackers[i-1].size > size) {
+		i--
+	}
+	m.trackers = slices.Insert(m.trackers, i, t)
 }
 
 // touch bounds-checks an access and records its high-water mark. The check
@@ -180,46 +217,20 @@ func (m *Machine) resolvePort(ct *compTile, port int64) location {
 }
 
 // access describes one read or write a coarse operation performs against a
-// location, for tracker arbitration and traffic accounting.
+// location, for tracker arbitration and traffic accounting. admit fills tk
+// with the access's tracker (nil for untracked ranges) when it checks it.
 type access struct {
 	loc   location
 	addr  int64
 	size  int64
 	write bool
+	tk    *tracker
 }
 
-// blockedOn returns the first tracker that forbids the access, or nil.
-func (a access) blockedOn() *tracker {
-	if a.loc.mem == nil {
-		return nil // external memory is untracked
-	}
-	t := a.loc.mem.findTracker(a.addr, a.size)
-	if t == nil {
-		return nil
-	}
-	if a.write && !t.canWrite() {
-		return t
-	}
-	if !a.write && !t.canRead() {
-		return t
-	}
-	return nil
-}
-
-// note records the completed access on its tracker (if any) and returns the
-// tracker so the machine can wake its waiters.
-func (a access) note() *tracker {
-	if a.loc.mem == nil {
-		return nil
-	}
-	t := a.loc.mem.findTracker(a.addr, a.size)
-	if t == nil {
-		return nil
-	}
+// blockedBy reports whether tracker t forbids the access now.
+func (a *access) blockedBy(t *tracker) bool {
 	if a.write {
-		t.noteWrite()
-	} else {
-		t.noteRead()
+		return !t.canWrite()
 	}
-	return t
+	return !t.canRead()
 }

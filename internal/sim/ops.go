@@ -14,9 +14,9 @@ import (
 // ...), which is bit-identical to the naive reference, so simulator output
 // matches the golden model exactly for identical operation orders (and
 // within float tolerance under tracker-permuted accumulation orders).
-// Kernel outputs are staged in the per-op arena and the im2col panel lives
-// in the machine-persistent convScratch, so the functional hot loop stays
-// allocation-free.
+// Kernel operands, outputs and the tensor headers viewing them are staged in
+// the per-op arena and the im2col panel lives in the machine-persistent
+// convScratch, so the functional hot loop stays allocation-free.
 
 func (m *Machine) readVec(loc location, addr, size int64) []float32 {
 	if loc.mem != nil {
@@ -196,27 +196,31 @@ func (m *Machine) addOperandTraffic(ct *compTile, accs []access) {
 func (m *Machine) ndconvData(mode int64, inLoc location, in int64, inH, inW int,
 	kLoc location, kAddr int64, kSize int, cp tensor.ConvParams,
 	outLoc location, out int64, nk, oh, ow int, acc bool) {
+	a := &m.arena
 	switch mode {
 	case isa.ModeFwd:
 		// All nk kernels are contiguous at kAddr, so one stacked Conv2DInto
 		// call produces the nk partial output features: each output channel
 		// is an independent GEMM row with the oracle's (ic,ky,kx) tap order,
 		// so the stacked call is bit-identical to nk single-kernel Conv2Ds.
-		inF := tensor.FromSlice(m.copyVec(m.readVec(inLoc, in, int64(inH*inW))), 1, inH, inW)
-		kern := tensor.FromSlice(m.copyVec(m.readVec(kLoc, kAddr, int64(nk*kSize*kSize))), nk, 1, kSize, kSize)
-		o := tensor.FromSlice(m.arena.take(nk*oh*ow), nk, oh, ow)
+		inF := a.tensor(m.copyVec(m.readVec(inLoc, in, int64(inH*inW))), 1, inH, inW)
+		kern := a.tensor(m.copyVec(m.readVec(kLoc, kAddr, int64(nk*kSize*kSize))), nk, 1, kSize, kSize)
+		o := a.tensor(a.take(nk*oh*ow), nk, oh, ow)
 		tensor.Conv2DInto(o, inF, kern, nil, cp, &m.convScratch)
 		m.writeVec(outLoc, out, o.Data, int64(nk*oh*ow), acc)
 	case isa.ModeBwdData:
 		// The per-j decomposition is kept: folding the nk error features
 		// into one call would re-associate each input-error element's sum
-		// across j, breaking bit-identity with the reference order.
-		res := tensor.FromSlice(m.arena.take(oh*ow), 1, oh, ow)
+		// across j, breaking bit-identity with the reference order. Each
+		// j's error feature and kernel are staged in the same two buffers.
+		res := a.tensor(a.take(oh*ow), 1, oh, ow)
 		res.Zero()
-		g := tensor.FromSlice(m.arena.take(oh*ow), 1, oh, ow)
+		g := a.tensor(a.take(oh*ow), 1, oh, ow)
+		errF := a.tensor(a.take(inH*inW), 1, inH, inW)
+		kern := a.tensor(a.take(kSize*kSize), 1, 1, kSize, kSize)
 		for j := 0; j < nk; j++ {
-			errF := tensor.FromSlice(m.copyVec(m.readVec(inLoc, in+int64(j*inH*inW), int64(inH*inW))), 1, inH, inW)
-			kern := tensor.FromSlice(m.copyVec(m.readVec(kLoc, kAddr+int64(j*kSize*kSize), int64(kSize*kSize))), 1, 1, kSize, kSize)
+			copy(errF.Data, m.readVec(inLoc, in+int64(j*inH*inW), int64(inH*inW)))
+			copy(kern.Data, m.readVec(kLoc, kAddr+int64(j*kSize*kSize), int64(kSize*kSize)))
 			tensor.Conv2DBackwardDataInto(g, errF, kern, cp, oh, ow)
 			tensor.Add(res, g)
 		}
@@ -228,9 +232,9 @@ func (m *Machine) ndconvData(mode int64, inLoc location, in int64, inH, inW int,
 		// one weight-gradient GEMM (gradW row j depends only on error j).
 		errH := kSize
 		cp.KH, cp.KW = oh, ow
-		inF := tensor.FromSlice(m.copyVec(m.readVec(inLoc, in, int64(inH*inW))), 1, inH, inW)
-		errF := tensor.FromSlice(m.copyVec(m.readVec(kLoc, kAddr, int64(nk*errH*errH))), nk, errH, errH)
-		gw := tensor.FromSlice(m.arena.take(nk*oh*ow), nk, 1, oh, ow)
+		inF := a.tensor(m.copyVec(m.readVec(inLoc, in, int64(inH*inW))), 1, inH, inW)
+		errF := a.tensor(m.copyVec(m.readVec(kLoc, kAddr, int64(nk*errH*errH))), nk, errH, errH)
+		gw := a.tensor(a.take(nk*oh*ow), nk, 1, oh, ow)
 		gw.Zero()
 		tensor.Conv2DBackwardWeightsInto(inF, errF, gw, cp, &m.convScratch)
 		m.writeVec(outLoc, out, gw.Data, int64(nk*oh*ow), acc)
@@ -275,9 +279,9 @@ func (m *Machine) execMatMul(ct *compTile, v []int64) (bool, Cycle) {
 	m.addOperandTraffic(ct, accs)
 
 	if m.Functional {
-		wT := tensor.FromSlice(m.copyVec(m.readVec(wLoc, w, rows*cols)), int(rows), int(cols))
-		xT := tensor.FromSlice(m.copyVec(m.readVec(xLoc, x, xSize)), int(xSize))
-		o := tensor.FromSlice(m.arena.take(int(outSize)), int(outSize))
+		wT := m.arena.tensor(m.copyVec(m.readVec(wLoc, w, rows*cols)), int(rows), int(cols))
+		xT := m.arena.tensor(m.copyVec(m.readVec(xLoc, x, xSize)), int(xSize))
+		o := m.arena.tensor(m.arena.take(int(outSize)), int(outSize))
 		if mode == isa.ModeFwd {
 			tensor.MatVecInto(o, wT, xT, nil)
 		} else {
@@ -382,7 +386,7 @@ func (m *Machine) execSubsamp(ct *compTile, v []int64) (bool, Cycle) {
 	m.noteSFU(outLoc, inH*inW, end)
 
 	if m.Functional {
-		inF := tensor.FromSlice(m.copyVec(m.readVec(inLoc, in, inH*inW)), 1, int(inH), int(inW))
+		inF := m.arena.tensor(m.copyVec(m.readVec(inLoc, in, inH*inW)), 1, int(inH), int(inW))
 		o, arg := tensor.Pool2D(inF, pp)
 		m.writeVec(outLoc, out, o.Data, outSize, false)
 		if arg != nil {
@@ -415,7 +419,7 @@ func (m *Machine) execUpsamp(ct *compTile, v []int64) (bool, Cycle) {
 	m.noteSFU(dstLoc, dstSize, end)
 
 	if m.Functional {
-		gT := tensor.FromSlice(m.copyVec(m.readVec(gLoc, g, gSize)), 1, oh, ow)
+		gT := m.arena.tensor(m.copyVec(m.readVec(gLoc, g, gSize)), 1, oh, ow)
 		var arg []int32
 		if pp.Kind == tensor.MaxPool {
 			var ok bool
@@ -486,9 +490,9 @@ func (m *Machine) execVecMul(ct *compTile, v []int64) (bool, Cycle) {
 	if m.Functional {
 		// The slice written in place is taken last: a later readVec could
 		// back new external memory and move it.
-		gT := tensor.FromSlice(m.copyVec(m.readVec(gLoc, g, gLen)), int(gLen))
-		xT := tensor.FromSlice(m.copyVec(m.readVec(xLoc, x, xLen)), int(xLen))
-		gw := tensor.FromSlice(m.readVec(dstLoc, dst, size), int(gLen), int(xLen))
+		gT := m.arena.tensor(m.copyVec(m.readVec(gLoc, g, gLen)), int(gLen))
+		xT := m.arena.tensor(m.copyVec(m.readVec(xLoc, x, xLen)), int(xLen))
+		gw := m.arena.tensor(m.readVec(dstLoc, dst, size), int(gLen), int(xLen))
 		tensor.OuterAcc(gw, gT, xT)
 		if m.half {
 			tensor.RoundHalfSlice(gw.Data)

@@ -111,15 +111,17 @@ func (m *Machine) SetMetrics(reg *telemetry.Registry) {
 	// (LoadProgram declares them for programs installed after this call).
 	m.declaredOpHist = false
 	m.declaredOps = [isa.NumOpcodes]bool{}
-	for _, d := range m.decoded {
-		m.declareOpHists(d)
+	for _, ct := range m.comp {
+		if ct.prog != nil {
+			m.declareOpHists(ct.prog)
+		}
 	}
 }
 
 // declareOpHists pre-creates the registry entries for sim.op.cycles (global
-// and per-opcode, for the opcodes d can execute), so the end-of-run flush
-// never allocates histograms inside the measured run.
-func (m *Machine) declareOpHists(d *decodedProg) {
+// and per-opcode, for the opcodes p contains), so the end-of-run flush never
+// allocates histograms inside the measured run.
+func (m *Machine) declareOpHists(p *isa.Program) {
 	if m.metrics == nil {
 		return
 	}
@@ -129,8 +131,8 @@ func (m *Machine) declareOpHists(d *decodedProg) {
 		m.declaredOpHist = true
 		hs = append(hs, opHistDesc.histogram(&zero))
 	}
-	for i := range d.ins {
-		if op := d.ins[i].op; !m.declaredOps[op] {
+	for i := range p.Instrs {
+		if op := p.Instrs[i].Op; !m.declaredOps[op] {
 			m.declaredOps[op] = true
 			hs = append(hs, opDescs[op].histogram(&zero))
 		}
@@ -154,7 +156,7 @@ func (m *Machine) spanFits() bool {
 
 // emitSpan buffers one op/stall span; Run flushes the batch to the lane in
 // one call (flushSpans), so the hot path never takes the trace's lock.
-func (m *Machine) emitSpan(track, name string, start, end Cycle, attrs ...telemetry.Attr) {
+func (m *Machine) emitSpan(track, name string, start, end Cycle, attrs []telemetry.Attr) {
 	m.spanBuf = append(m.spanBuf, telemetry.Span{
 		Track: track, Name: name,
 		Start: int64(start), Dur: int64(end - start), Attrs: attrs,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"scaledeep/internal/isa"
 	"scaledeep/internal/telemetry"
 )
 
@@ -13,20 +14,41 @@ import (
 // attribute naming the tracker. They go to the trace lane attached with
 // SetSpanSink.
 
-func (m *Machine) traceOp(ct *compTile, ins *dinstr, start, end Cycle) {
+func (m *Machine) traceOp(ct *compTile, op isa.Opcode, start, end Cycle) {
 	if m.spans.Enabled() && m.spanFits() {
-		m.emitSpan(ct.name(), ins.name, start, end)
+		m.emitSpan(ct.name(), opTab[op].name, start, end, nil)
 	}
 	if m.metrics != nil {
-		m.observeOp(ins.op, end-start)
+		m.observeOp(op, end-start)
 	}
 }
 
+// traceStall records a STALL span whose note reads "<desc> on <tracker>".
+// The note is appended into the machine's reusable buffer and copied out as
+// one string, and its one-element attribute slice is carved from noteAttrs.
 func (m *Machine) traceStall(ct *compTile, t *tracker, desc string) {
 	if m.spans.Enabled() && m.spanFits() {
-		m.emitSpan(ct.name(), "STALL", ct.time, ct.time, telemetry.Attr{Key: "note", Value: desc + " on " + t.String()})
+		b := append(m.noteBuf[:0], desc...)
+		b = t.appendTo(append(b, " on "...))
+		m.noteBuf = b
+		m.emitSpan(ct.name(), "STALL", ct.time, ct.time, m.noteAttr(string(b)))
 	}
 }
+
+// noteAttr returns a one-element, capacity-capped attribute slice holding
+// note. Spans keep their attributes after the run, so a filled chunk is
+// never reused: the next note starts a fresh one.
+func (m *Machine) noteAttr(note string) []telemetry.Attr {
+	if len(m.noteAttrs) == cap(m.noteAttrs) {
+		m.noteAttrs = make([]telemetry.Attr, 0, noteAttrChunk)
+	}
+	n := len(m.noteAttrs)
+	m.noteAttrs = append(m.noteAttrs, telemetry.Attr{Key: "note", Value: note})
+	return m.noteAttrs[n : n+1 : n+1]
+}
+
+// noteAttrChunk is how many STALL attributes share one allocation.
+const noteAttrChunk = 64
 
 // FormatTrace renders simulator spans as text, one event per line.
 func FormatTrace(spans []telemetry.Span) string {

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // tracker implements one hardware data-flow tracker (§3.2.4): for an address
 // range it enforces the compile-time-known access sequence
@@ -16,6 +19,7 @@ type tracker struct {
 	addr, size int64 // element range [addr, addr+size)
 	numUpdates int
 	numReads   int
+	seq        int // arming order on its MemHeavy tile (findTracker's tie-break)
 
 	updatesSeen int
 	readsSeen   int
@@ -28,10 +32,6 @@ type tracker struct {
 type waiter struct {
 	tile int
 	desc string
-}
-
-func (t *tracker) overlaps(addr, size int64) bool {
-	return addr < t.addr+t.size && t.addr < addr+size
 }
 
 // canRead reports whether a read of the range may proceed now.
@@ -62,8 +62,27 @@ func (t *tracker) noteRead() {
 	}
 }
 
-func (t *tracker) String() string {
-	return fmt.Sprintf("track[%d+%d] upd %d/%d rd %d/%d (%dR %dW queued)",
-		t.addr, t.size, t.updatesSeen, t.numUpdates, t.readsSeen, t.numReads,
-		len(t.waitReaders), len(t.waitWriters))
+func (t *tracker) String() string { return string(t.appendTo(nil)) }
+
+// appendTo appends t's description to b:
+//
+//	track[addr+size] upd seen/updates rd seen/reads (nR nW queued)
+func (t *tracker) appendTo(b []byte) []byte {
+	b = append(b, "track["...)
+	b = strconv.AppendInt(b, t.addr, 10)
+	b = append(b, '+')
+	b = strconv.AppendInt(b, t.size, 10)
+	b = append(b, "] upd "...)
+	b = strconv.AppendInt(b, int64(t.updatesSeen), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(t.numUpdates), 10)
+	b = append(b, " rd "...)
+	b = strconv.AppendInt(b, int64(t.readsSeen), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(t.numReads), 10)
+	b = append(b, " ("...)
+	b = strconv.AppendInt(b, int64(len(t.waitReaders)), 10)
+	b = append(b, "R "...)
+	b = strconv.AppendInt(b, int64(len(t.waitWriters)), 10)
+	return append(b, "W queued)"...)
 }
