@@ -6,13 +6,9 @@
 //
 //	sdsim [-train] [-mb N] [-iters N] [-trace-out t.json] \
 //	      [-metrics-out m.json] [-serve :6060] [-log-out PATH|-] [-log-level LEVEL]
-//	sdsim -batch 1,2,4 [-parallel N] [-train] [-metrics-out m.json] [-serve :6060] [-store-dir DIR]
 //
-// With -batch, sdsim sweeps the listed minibatch sizes through the sharded
-// sweep engine instead of running a single simulation; -parallel sets the
-// worker count, -serve adds a live /progress endpoint, and -store-dir
-// persists each cell's result in the content-addressed store so repeated
-// batches replay from disk byte-identically.
+// A minibatch sweep of the same network is sdsweep -workloads simnet
+// -archs baseline -mb 1,2,4.
 package main
 
 import (
@@ -20,11 +16,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"scaledeep/internal/arch"
@@ -34,8 +27,6 @@ import (
 	"scaledeep/internal/profile"
 	"scaledeep/internal/report"
 	"scaledeep/internal/sim"
-	"scaledeep/internal/store"
-	"scaledeep/internal/sweep"
 	"scaledeep/internal/telemetry"
 	"scaledeep/internal/tensor"
 )
@@ -50,10 +41,6 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write a metrics snapshot JSON file")
 	spanCap := flag.Int("span-cap", 1<<18, "spans the run's trace keeps (its first N) for -trace, -trace-out and -serve")
 	serveAddr := flag.String("serve", "", "serve /metrics, /trace, /profile and /debug/pprof/ on this address and stay up after the run")
-	batch := flag.String("batch", "", "comma-separated minibatch sizes to sweep instead of a single run")
-	parallel := flag.Int("parallel", 0, "batch-mode sweep workers (0 = GOMAXPROCS); each worker past the first takes one of GOMAXPROCS budget tokens, so at most GOMAXPROCS+1 run at once")
-	storeDir := flag.String("store-dir", "", "batch mode: persist results in a content-addressed store at this directory")
-	verifyStore := flag.Bool("verify-store", false, "batch mode: re-simulate a deterministic sample of store hits and fail on divergence")
 	logOut := flag.String("log-out", "", "structured JSON log destination (path, - for stderr, empty = off)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
 	flag.Parse()
@@ -64,11 +51,6 @@ func main() {
 		os.Exit(1)
 	}
 	defer closeLog()
-
-	if *batch != "" {
-		runBatch(*batch, *parallel, *train, *iters, *metricsOut, *serveAddr, *storeDir, *verifyStore, logger)
-		return
-	}
 
 	b := dnn.NewBuilder("simnet")
 	in := b.Input(3, 12, 12)
@@ -222,108 +204,6 @@ func main() {
 			}
 		}
 		fmt.Println("run complete; observability endpoints stay up — Ctrl-C to drain and exit")
-		if err := bs.ShutdownOnSignal(context.Background(), 5*time.Second); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-}
-
-// runBatch sweeps the listed minibatch sizes through the sharded sweep
-// engine and prints one table row per size. Rows come out in list order and
-// are byte-identical for any -parallel value.
-func runBatch(batch string, parallel int, train bool, iters int, metricsOut, serveAddr, storeDir string, verifyStore bool, logger *slog.Logger) {
-	grid := sweep.Grid{
-		Workloads: []string{"simnet"},
-		Archs:     []string{"baseline"},
-		Modes:     []string{"eval"},
-	}
-	if train {
-		grid.Modes = []string{"train"}
-		grid.Iterations = iters
-	}
-	for _, s := range strings.Split(batch, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sdsim: bad -batch entry %q\n", s)
-			os.Exit(1)
-		}
-		grid.Minibatches = append(grid.Minibatches, n)
-	}
-	jobs, err := grid.Jobs()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	var st *store.Store
-	if storeDir != "" {
-		st, err = store.Open(storeDir, store.Options{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer st.Close()
-	}
-
-	metrics := telemetry.NewRegistry()
-	progVar := telemetry.NewJSONVar(fmt.Sprintf(`{"state":"running","done":0,"total":%d}`, len(jobs)))
-	var bs *telemetry.BackgroundServer
-	if serveAddr != "" {
-		mux := telemetry.NewHTTPMux(metrics, nil, nil)
-		telemetry.HandleJSON(mux, "/progress", progVar.Get)
-		bs, err = telemetry.ServeBackground(serveAddr, mux)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("observability endpoints on http://%s (/progress /metrics /debug/pprof/)\n", bs.Addr())
-	}
-	if logger != nil {
-		logger.Info("sweep.started", "cells", len(jobs), "workers", parallel)
-	}
-	batchStart := time.Now()
-	results, err := sweep.RunGrid(context.Background(), grid, sweep.Options{
-		Workers:     parallel,
-		Metrics:     metrics,
-		Store:       st,
-		VerifyStore: verifyStore,
-		Progress: func(done, total int) {
-			progVar.Set([]byte(fmt.Sprintf(`{"state":"running","done":%d,"total":%d}`, done, total)))
-			if logger != nil {
-				logger.Debug("cell.done", "done", done, "total", total)
-			}
-		},
-	})
-	if err != nil {
-		if logger != nil {
-			logger.Error("sweep.failed", "error", err.Error())
-		}
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if logger != nil {
-		logger.Info("sweep.done", "cells", len(results), "duration_ms", time.Since(batchStart).Milliseconds())
-	}
-	progVar.Set([]byte(fmt.Sprintf(`{"state":"done","done":%d,"total":%d}`, len(results), len(results))))
-	fmt.Print(sweep.FormatText(results))
-	report.AddKernelStats(metrics)
-	if st != nil {
-		report.AddStoreStats(metrics, st.Stats())
-	}
-	if metricsOut != "" {
-		data, err := report.MetricsJSON(metrics)
-		if err == nil {
-			err = outfile.Write(metricsOut, data)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote merged metrics snapshot to %s\n", metricsOut)
-	}
-	if bs != nil {
-		fmt.Println("batch complete; observability endpoints stay up — Ctrl-C to drain and exit")
 		if err := bs.ShutdownOnSignal(context.Background(), 5*time.Second); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -114,9 +114,6 @@ type Config struct {
 	// (the evicted client re-enters later with a fresh burst, which only
 	// errs in its favor). 0 means 1024.
 	MaxClients int
-	// Metrics receives server counters and every job's merged sweep
-	// telemetry; nil allocates a fresh registry (exposed on /metrics).
-	Metrics *telemetry.Registry
 	// Logger receives one JSON line per job lifecycle event (accepted,
 	// started, done, failed, cancelled, evicted; cell progress at Debug).
 	// nil disables structured logging.
@@ -220,13 +217,9 @@ func New(cfg Config) *Server {
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
 	s := &Server{
 		cfg:     cfg,
-		reg:     reg,
+		reg:     telemetry.NewRegistry(),
 		flight:  telemetry.NewFlightRecorder(cfg.FlightN),
 		queue:   jobQueue{max: cfg.MaxQueue},
 		jobs:    map[string]*JobState{},
@@ -357,7 +350,6 @@ func (s *Server) drainLocked() {
 		s.logJob(slog.LevelWarn, "job.cancelled", job,
 			"queued_ms", s.cfg.now().Sub(job.submitted).Milliseconds())
 	}
-	s.reg.Gauge("server.queue.depth").Set(0)
 	s.cond.Broadcast()
 }
 
@@ -404,8 +396,6 @@ func (s *Server) runLoop(ctx context.Context) {
 		job.state = "running"
 		job.dequeued = s.cfg.now()
 		s.running++
-		s.reg.Gauge("server.queue.depth").Set(float64(s.queue.Len()))
-		s.reg.Gauge("server.jobs.running").Set(float64(s.running))
 		if job.trace != nil {
 			// The queue-wait span covers submit → dequeue on the job lane.
 			job.trace.Context(telemetry.LaneJob, "job").
@@ -427,7 +417,6 @@ func (s *Server) runJob(ctx context.Context, job *JobState) {
 	par.Release()
 	s.mu.Lock()
 	s.running--
-	s.reg.Gauge("server.jobs.running").Set(float64(s.running))
 	s.mu.Unlock()
 }
 
@@ -560,8 +549,9 @@ func (s *Server) Mux() http.Handler {
 	return telemetry.Instrument(s.reg, mux)
 }
 
-// refreshScrapeGauges recomputes derived gauges just before a /metrics
-// scrape, so scraped values are current instead of last-event-stale.
+// refreshScrapeGauges recomputes the gauges derived from server state just
+// before a /metrics scrape. It is their only writer, so a scrape always
+// reads current values and no event path has to keep them in step.
 func (s *Server) refreshScrapeGauges(reg *telemetry.Registry) {
 	s.mu.Lock()
 	reg.Gauge("server.queue.depth").Set(float64(s.queue.Len()))
@@ -762,7 +752,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
 	s.reg.Counter("server.jobs.submitted").Inc()
-	s.reg.Gauge("server.queue.depth").Set(float64(s.queue.Len()))
 	s.logJob(slog.LevelInfo, "job.accepted", job,
 		"cells", job.gridJobs, "priority", job.Priority, "spec", specDigest(spec))
 	s.cond.Signal()

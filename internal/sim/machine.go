@@ -145,9 +145,10 @@ type Machine struct {
 	opQueueWait  Cycle
 	opBytes      int64
 
-	// Telemetry hooks (zero/nil = disabled; see telemetry.go). Counter
-	// updates are batched: ops bucket durations into the local opHists
-	// shadow and per-tile counters, flushed to the registry once per Run.
+	// Telemetry hooks (zero/nil = disabled; see telemetry.go). Ops bucket
+	// durations into the local opHists shadow and count into per-tile
+	// fields; Run publishes both once, through handles resolved when the
+	// registry is attached and programs are loaded.
 	spans   telemetry.TraceContext
 	spanBuf []telemetry.Span // per-Run span batch, flushed by flushSpans
 	// spanRoom is how many spans this Run may buffer, read from the lane at
@@ -160,13 +161,9 @@ type Machine struct {
 	noteBuf   []byte
 	noteAttrs []telemetry.Attr
 
-	metrics *telemetry.Registry
-	opHists opHistSet
-	pub     pubScratch
-	// Registry entries already pre-created for op-duration histograms
-	// (declareOpHists), so the per-Run flush only updates existing metrics.
-	declaredOpHist bool
-	declaredOps    [isa.NumOpcodes]bool
+	metrics      *telemetry.Registry
+	statsMetrics statsMetrics // sim.* counters and gauges in metrics
+	opHists      opHistSet
 }
 
 // NewMachine builds a simulator for one chip of the given configuration.
@@ -230,7 +227,7 @@ func (m *Machine) LoadProgram(row, ccol int, s Step, p *isa.Program) error {
 		return fmt.Errorf("sim: tile (r%d,c%d) outside %dx%d chip", row, ccol, m.Chip.Rows, m.Chip.Cols)
 	}
 	m.comp[m.compIndex(row, ccol, s)].prog = p
-	m.declareOpHists(p)
+	m.resolveOpHists(p)
 	return nil
 }
 

@@ -6,13 +6,15 @@ import (
 )
 
 // This file wires the simulator into internal/telemetry: per-tile op and
-// stall spans into a JobTrace lane, and metrics through a registry. Metric
-// updates are batched: the hot path buckets op durations into a local
-// shadow histogram set and counts NACKs/DMAs/link bytes in per-tile fields,
-// and Run flushes everything to the registry once at completion
-// (publishMetrics) — so telemetry-on runs pay no atomic read-modify-write
-// per instruction. Both hooks are off by default and every hot-path check
-// is a plain nil test.
+// stall spans into a JobTrace lane, and metrics through a registry's
+// instrument handles. SetMetrics resolves the sim.* counters and gauges,
+// and SetMetrics and LoadProgram the sim.op.cycles histograms of the loaded
+// opcodes, so no registry lookup happens during a run. The hot path buckets
+// op durations into a local shadow histogram set and counts NACKs/DMAs/link
+// bytes in per-tile fields, and Run publishes through the handles once at
+// completion (publishMetrics) — so telemetry-on runs pay no atomic
+// read-modify-write per instruction. Both hooks are off by default and
+// every hot-path check is a plain nil test.
 
 // SetSpanSink attaches a trace lane (the zero TraceContext detaches). Spans
 // carry cycle timestamps: one complete span per coarse operation on a
@@ -49,12 +51,13 @@ func init() {
 }
 
 // opHist is one shadow histogram: per-run local bucket counts, flushed into
-// the registry's atomic histogram by Histogram.AddBatch. The running sum is
+// its registry histogram h by Histogram.AddBatch. The running sum is
 // integral (durations are cycles) and converted once at flush time.
 type opHist struct {
 	counts [numOpCycleSlots]int64
 	n      int64
 	sum    int64
+	h      *telemetry.Histogram
 }
 
 // opHistSet shadows sim.op.cycles (global) and sim.op.cycles{op=...}.
@@ -88,59 +91,43 @@ func (m *Machine) observeOp(op isa.Opcode, d Cycle) {
 	h.sum += int64(d)
 }
 
-// SetMetrics attaches a metrics registry (nil detaches). Updates are
-// buffered machine-locally while the simulation runs; Run publishes the
-// aggregate once it completes.
+// SetMetrics attaches a metrics registry (nil detaches) and resolves the
+// handles Run publishes through: the sim.* counters and gauges, created
+// zero-valued now, and the op-duration histograms of the programs already
+// loaded (LoadProgram resolves them for programs installed later). The run
+// itself buffers machine-locally; Run publishes the aggregate once it
+// completes.
 func (m *Machine) SetMetrics(reg *telemetry.Registry) {
 	m.metrics = reg
 	m.opHists = opHistSet{}
 	if reg == nil {
+		m.statsMetrics = statsMetrics{}
 		return
 	}
-	if cap(m.pub.counters) == 0 {
-		// Pre-size the flush buffers so publishMetrics never grows them.
-		m.pub.counters = make([]telemetry.CounterUpdate, 0, 7+NumAttrBuckets)
-		m.pub.gauges = make([]telemetry.GaugeUpdate, 0, len(gaugeDescs))
-		m.pub.hists = make([]telemetry.HistogramUpdate, 0, 8)
-	}
-	// Declare the static counter/gauge schema now (zero-valued), so the
-	// end-of-run flush updates existing entries instead of creating them.
-	cs, gs := Stats{}.statsUpdates(m.pub.counters[:0], m.pub.gauges[:0])
-	reg.Apply(cs, gs, nil)
-	// Same for the op-duration histograms of any already-loaded programs
-	// (LoadProgram declares them for programs installed after this call).
-	m.declaredOpHist = false
-	m.declaredOps = [isa.NumOpcodes]bool{}
+	m.statsMetrics = newStatsMetrics(reg)
 	for _, ct := range m.comp {
 		if ct.prog != nil {
-			m.declareOpHists(ct.prog)
+			m.resolveOpHists(ct.prog)
 		}
 	}
 }
 
-// declareOpHists pre-creates the registry entries for sim.op.cycles (global
-// and per-opcode, for the opcodes p contains), so the end-of-run flush never
-// allocates histograms inside the measured run.
-func (m *Machine) declareOpHists(p *isa.Program) {
+// resolveOpHists resolves the sim.op.cycles histograms, global and
+// per-opcode for the opcodes p contains, creating them zero-valued, so the
+// end-of-run flush never creates a histogram inside the measured run.
+func (m *Machine) resolveOpHists(p *isa.Program) {
 	if m.metrics == nil {
 		return
 	}
-	var zero opHist
-	hs := m.pub.hists[:0]
-	if !m.declaredOpHist {
-		m.declaredOpHist = true
-		hs = append(hs, opHistDesc.histogram(&zero))
+	if m.opHists.all.h == nil {
+		m.opHists.all.h = m.metrics.Histogram("sim.op.cycles", opCycleBuckets)
 	}
 	for i := range p.Instrs {
-		if op := p.Instrs[i].Op; !m.declaredOps[op] {
-			m.declaredOps[op] = true
-			hs = append(hs, opDescs[op].histogram(&zero))
+		op := p.Instrs[i].Op
+		if h := &m.opHists.byOp[op]; h.h == nil {
+			h.h = m.metrics.Histogram("sim.op.cycles", opCycleBuckets, telemetry.Label{Key: "op", Value: op.String()})
 		}
 	}
-	if len(hs) > 0 {
-		m.metrics.Apply(nil, nil, hs)
-	}
-	m.pub.hists = hs[:0]
 }
 
 // spanFits reports whether the run's next span fits the lane's room. A span
@@ -184,117 +171,74 @@ func (m *Machine) addLinkBytes(ct *compTile, class linkClass, bytes int64) {
 	ct.linkBytes[class] += bytes
 }
 
-// publishMetrics flushes the run's buffered telemetry — the Stats-derived
-// counters and gauges plus the shadow op-duration histograms — into the
-// attached registry as one batched Apply (a single registry lock).
+// publishMetrics flushes the run's buffered telemetry into the attached
+// registry: the Stats-derived counters and gauges, and every non-empty
+// shadow op-duration histogram.
 func (m *Machine) publishMetrics() {
 	if m.metrics == nil {
 		return
 	}
-	p := &m.pub
-	p.counters, p.gauges, p.hists = p.counters[:0], p.gauges[:0], p.hists[:0]
-	p.counters, p.gauges = m.stats.statsUpdates(p.counters, p.gauges)
-	if m.opHists.all.n > 0 {
-		p.hists = append(p.hists, opHistDesc.histogram(&m.opHists.all))
+	m.statsMetrics.publish(m.stats)
+	if h := &m.opHists.all; h.n > 0 {
+		h.h.AddBatch(h.counts[:], float64(h.sum), h.n)
 	}
 	for op := range m.opHists.byOp {
 		if h := &m.opHists.byOp[op]; h.n > 0 {
-			p.hists = append(p.hists, opDescs[op].histogram(h))
+			h.h.AddBatch(h.counts[:], float64(h.sum), h.n)
 		}
 	}
-	m.metrics.Apply(p.counters, p.gauges, p.hists)
 }
 
-// pubScratch holds the reusable update buffers behind publishMetrics.
-type pubScratch struct {
-	counters []telemetry.CounterUpdate
-	gauges   []telemetry.GaugeUpdate
-	hists    []telemetry.HistogramUpdate
+// statsMetrics are the handles of the sim.* counters and gauges that one
+// run's Stats publish to.
+type statsMetrics struct {
+	nacks, dmaTransfers, flops, instructions *telemetry.Counter
+
+	linkBytes [3]*telemetry.Counter // by linkClass
+	attr      [NumAttrBuckets]*telemetry.Counter
+
+	cycles, peUtil, sfuUtil, activeComp *telemetry.Gauge
 }
 
-// metricDesc is one statically known metric identity: name, label slice and
-// precomputed registry key. The label slices are shared (the registry
-// retains them on creation), so the per-run flush allocates neither label
-// slices nor key strings.
-type metricDesc struct {
-	name   string
-	key    string
-	labels []telemetry.Label
-}
-
-func newDesc(name string, labels ...telemetry.Label) metricDesc {
-	return metricDesc{name: name, key: telemetry.MetricKey(name, labels...), labels: labels}
-}
-
-var (
-	descNACKs        = newDesc("sim.nacks")
-	descDMATransfers = newDesc("sim.dma.transfers")
-	descFLOPs        = newDesc("sim.flops")
-	descInstructions = newDesc("sim.instructions")
-	linkDescs        = [3]metricDesc{
-		newDesc("sim.link.bytes", telemetry.Label{Key: "link", Value: "comp-mem"}),
-		newDesc("sim.link.bytes", telemetry.Label{Key: "link", Value: "mem-mem"}),
-		newDesc("sim.link.bytes", telemetry.Label{Key: "link", Value: "ext"}),
+// newStatsMetrics resolves the sim.* counters and gauges in reg, creating
+// them zero-valued.
+func newStatsMetrics(reg *telemetry.Registry) statsMetrics {
+	sm := statsMetrics{
+		nacks:        reg.Counter("sim.nacks"),
+		dmaTransfers: reg.Counter("sim.dma.transfers"),
+		flops:        reg.Counter("sim.flops"),
+		instructions: reg.Counter("sim.instructions"),
+		cycles:       reg.Gauge("sim.cycles"),
+		peUtil:       reg.Gauge("sim.pe_utilization"),
+		sfuUtil:      reg.Gauge("sim.sfu_utilization"),
+		activeComp:   reg.Gauge("sim.active_comp_tiles"),
 	}
-	attrDescs = func() [NumAttrBuckets]metricDesc {
-		var out [NumAttrBuckets]metricDesc
-		for b := AttrBucket(0); b < NumAttrBuckets; b++ {
-			out[b] = newDesc("sim.cycles.attr", telemetry.Label{Key: "bucket", Value: b.String()})
-		}
-		return out
-	}()
-	gaugeDescs = [4]metricDesc{
-		newDesc("sim.cycles"),
-		newDesc("sim.pe_utilization"),
-		newDesc("sim.sfu_utilization"),
-		newDesc("sim.active_comp_tiles"),
+	for class, name := range [...]string{linkCompMem: "comp-mem", linkMemMem: "mem-mem", linkExt: "ext"} {
+		sm.linkBytes[class] = reg.Counter("sim.link.bytes", telemetry.Label{Key: "link", Value: name})
 	}
-	opHistDesc = newDesc("sim.op.cycles")
-	opDescs    = func() [isa.NumOpcodes]metricDesc {
-		var out [isa.NumOpcodes]metricDesc
-		for op := range out {
-			out[op] = newDesc("sim.op.cycles", telemetry.Label{Key: "op", Value: isa.Opcode(op).String()})
-		}
-		return out
-	}()
-)
-
-func (d metricDesc) counter(v int64) telemetry.CounterUpdate {
-	return telemetry.CounterUpdate{Name: d.name, Labels: d.labels, Key: d.key, Value: v}
+	for b := range sm.attr {
+		sm.attr[b] = reg.Counter("sim.cycles.attr", telemetry.Label{Key: "bucket", Value: AttrBucket(b).String()})
+	}
+	return sm
 }
 
-func (d metricDesc) gauge(v float64) telemetry.GaugeUpdate {
-	return telemetry.GaugeUpdate{Name: d.name, Labels: d.labels, Key: d.key, Value: v}
-}
-
-func (d metricDesc) histogram(h *opHist) telemetry.HistogramUpdate {
-	return telemetry.HistogramUpdate{
-		Name: d.name, Labels: d.labels, Key: d.key,
-		Bounds: opCycleBuckets, Counts: h.counts[:], Sum: float64(h.sum), N: h.n,
+// publish writes s through the handles. Counters are raised to their
+// aggregate value (monotonic; re-publishing the same stats is a no-op).
+func (sm *statsMetrics) publish(s Stats) {
+	sm.nacks.RaiseTo(s.NACKs)
+	sm.dmaTransfers.RaiseTo(s.DMATransfers)
+	sm.linkBytes[linkCompMem].RaiseTo(s.CompMemBytes)
+	sm.linkBytes[linkMemMem].RaiseTo(s.MemMemBytes)
+	sm.linkBytes[linkExt].RaiseTo(s.ExtMemBytes)
+	sm.flops.RaiseTo(s.FLOPs)
+	sm.instructions.RaiseTo(s.Instructions)
+	for b, c := range s.AttrTotal() {
+		sm.attr[b].RaiseTo(int64(c))
 	}
-}
-
-// statsUpdates collects the full aggregate as batch updates. The slices are
-// appended to in place (pass reusable buffers, or nil for fresh ones).
-func (s Stats) statsUpdates(cs []telemetry.CounterUpdate, gs []telemetry.GaugeUpdate) ([]telemetry.CounterUpdate, []telemetry.GaugeUpdate) {
-	cs = append(cs,
-		descNACKs.counter(s.NACKs),
-		descDMATransfers.counter(s.DMATransfers),
-		linkDescs[linkCompMem].counter(s.CompMemBytes),
-		linkDescs[linkMemMem].counter(s.MemMemBytes),
-		linkDescs[linkExt].counter(s.ExtMemBytes),
-		descFLOPs.counter(s.FLOPs),
-		descInstructions.counter(s.Instructions))
-	total := s.AttrTotal()
-	for b := AttrBucket(0); b < NumAttrBuckets; b++ {
-		cs = append(cs, attrDescs[b].counter(int64(total[b])))
-	}
-	gs = append(gs,
-		gaugeDescs[0].gauge(float64(s.Cycles)),
-		gaugeDescs[1].gauge(s.PEUtilization()),
-		gaugeDescs[2].gauge(s.SFUUtilization()),
-		gaugeDescs[3].gauge(float64(s.ActiveComp)))
-	return cs, gs
+	sm.cycles.Set(float64(s.Cycles))
+	sm.peUtil.Set(s.PEUtilization())
+	sm.sfuUtil.Set(s.SFUUtilization())
+	sm.activeComp.Set(float64(s.ActiveComp))
 }
 
 // Publish writes the run's aggregate statistics into reg using the
@@ -302,8 +246,8 @@ func (s Stats) statsUpdates(cs []telemetry.CounterUpdate, gs []telemetry.GaugeUp
 // printed Stats exactly. Counters are raised to their aggregate value
 // (monotonic; re-publishing the same stats is a no-op).
 func (s Stats) Publish(reg *telemetry.Registry) {
-	cs, gs := s.statsUpdates(nil, nil)
-	reg.Apply(cs, gs, nil)
+	sm := newStatsMetrics(reg)
+	sm.publish(s)
 }
 
 // StatsRegistry builds a fresh registry holding one run's statistics — the

@@ -1,15 +1,19 @@
 package sweep
 
 import (
+	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"runtime"
 	"sort"
 	"testing"
 
 	"scaledeep/internal/compiler"
 	"scaledeep/internal/isa"
+	"scaledeep/internal/telemetry"
 )
 
 // zoo48ProgramsSHA256 is the digest of every zoo48 cell's compiled programs,
@@ -24,12 +28,7 @@ const zoo48ProgramsSHA256 = "665dc14dba808a42cca44e4a7d2411500fc73a1f9f964e5de08
 // TestCompiledProgramsPinned compiles every zoo48 cell exactly as runJob
 // does and compares the digest of the result with the pinned one.
 func TestCompiledProgramsPinned(t *testing.T) {
-	jobs, err := Grid{
-		Workloads:   Workloads(),
-		Archs:       Archs(),
-		Minibatches: []int{1, 2, 4},
-		Modes:       []string{"eval", "train"},
-	}.Jobs()
+	jobs, err := zoo48Grid().Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +58,72 @@ func TestCompiledProgramsPinned(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != zoo48ProgramsSHA256 {
 		t.Fatalf("zoo48 programs digest %s, pinned %s", got, zoo48ProgramsSHA256)
+	}
+}
+
+// zoo48Grid is the 48-cell zoo: every catalogue workload × arch × mb
+// {1,2,4} × eval/train.
+func zoo48Grid() Grid {
+	return Grid{
+		Workloads:   Workloads(),
+		Archs:       Archs(),
+		Minibatches: []int{1, 2, 4},
+		Modes:       []string{"eval", "train"},
+	}
+}
+
+// zoo48MetricsSHA256 is the digest of the zoo48 grid's merged metrics
+// registry as Registry.WriteJSON renders it (21,382 bytes), and
+// zoo48BlobsSHA256 the digest of every zoo48 cell's store blob in job
+// order, each length-prefixed (104,532 payload bytes). zoo48.golden.csv
+// pins results and TestStoreKeyPinned pins keys; these pin the bytes the
+// simulator's metric publishing writes into -metrics-out files, /metrics
+// scrapes and the store.
+const (
+	zoo48MetricsSHA256 = "58fd11654de3cade00621dba12eca112cf3bb1ceb1b14389a301674da460606b"
+	zoo48BlobsSHA256   = "02b59a8073338f9fce7a7ffd9d411afeb98f9c87d85908f7b8a7ac818664ec63"
+)
+
+// TestZooMetricsPinned runs the zoo48 grid with a metrics registry at one
+// and two workers, and every zoo48 cell on its own through runJob and
+// encodeBlob, and compares both digests with the pinned ones.
+func TestZooMetricsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests were recorded on amd64; the compiler may fuse multiply-adds on %s, which moves checksums", runtime.GOARCH)
+	}
+	for _, workers := range []int{1, 2} {
+		widenBudget(t, workers)
+		reg := telemetry.NewRegistry()
+		if _, err := RunGrid(context.Background(), zoo48Grid(), Options{Workers: workers, Metrics: reg}); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := reg.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != zoo48MetricsSHA256 {
+			t.Errorf("workers=%d: zoo48 metrics digest %s (%d bytes), pinned %s", workers, got, buf.Len(), zoo48MetricsSHA256)
+		}
+	}
+
+	jobs, err := zoo48Grid().Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, job := range jobs {
+		reg := telemetry.NewRegistry()
+		r, err := runJob(job, reg, telemetry.TraceContext{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob := encodeBlob(r, reg)
+		writeInt(h, int64(len(blob)))
+		h.Write(blob)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != zoo48BlobsSHA256 {
+		t.Errorf("zoo48 blobs digest %s, pinned %s", got, zoo48BlobsSHA256)
 	}
 }
 

@@ -29,6 +29,18 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
+// RaiseTo lifts the counter to v if it is below v and never lowers it, so a
+// producer that tracks a cumulative total (the simulator's Stats, a trace's
+// dropped-span count) can publish it repeatedly, from any goroutine.
+func (c *Counter) RaiseTo(v int64) {
+	for {
+		old := c.v.Load()
+		if old >= v || c.v.CompareAndSwap(old, v) {
+			return
+		}
+	}
+}
+
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
@@ -306,21 +318,7 @@ func (r *Registry) MergeFrom(src *Registry) error {
 				return fmt.Errorf("telemetry: merge of histogram %q: bound %v != %v", hc.name, b, hc.bounds[i])
 			}
 		}
-		for i, c := range hc.counts {
-			if c != 0 {
-				h.counts[i].Add(c)
-			}
-		}
-		if hc.total != 0 {
-			h.total.Add(hc.total)
-			for {
-				old := h.sumBits.Load()
-				next := math.Float64bits(math.Float64frombits(old) + hc.sum)
-				if h.sumBits.CompareAndSwap(old, next) {
-					break
-				}
-			}
-		}
+		h.AddBatch(hc.counts, hc.sum, hc.total)
 	}
 	return nil
 }

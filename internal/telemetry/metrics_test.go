@@ -19,6 +19,12 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if r.Counter("sim.nacks") != c {
 		t.Fatal("same name+labels did not return the same counter")
 	}
+	// RaiseTo lifts a counter to a cumulative total and never lowers it.
+	c.RaiseTo(9)
+	c.RaiseTo(7)
+	if got := c.Value(); got != 9 {
+		t.Fatalf("counter after RaiseTo(9), RaiseTo(7) = %d, want 9", got)
+	}
 	g := r.Gauge("sim.cycles")
 	g.Set(1234.5)
 	if got := g.Value(); got != 1234.5 {
@@ -101,6 +107,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 func TestConcurrentRecording(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
+	raised := r.Counter("raised")
 	h := r.Histogram("h", []float64{10, 100})
 	g := r.Gauge("g")
 	var wg sync.WaitGroup
@@ -111,6 +118,8 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
+				// Every worker raises to values no other worker uses.
+				raised.RaiseTo(int64(i*workers + w))
 				h.Observe(float64(i % 200))
 				g.Set(float64(w))
 				// Lookup path must also be safe concurrently.
@@ -121,6 +130,9 @@ func TestConcurrentRecording(t *testing.T) {
 	wg.Wait()
 	if c.Value() != workers*per {
 		t.Fatalf("counter = %d, want %d", c.Value(), workers*per)
+	}
+	if got := raised.Value(); got != workers*per-1 {
+		t.Fatalf("raised counter = %d, want the largest value raised to, %d", got, workers*per-1)
 	}
 	if h.Count() != workers*per {
 		t.Fatalf("histogram count = %d", h.Count())

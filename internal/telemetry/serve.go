@@ -142,8 +142,8 @@ func NewHTTPMux(reg *Registry, tr *JobTrace, profileFn ProfileFunc, opts ...MuxO
 		}
 		if tr != nil {
 			// Surface the trace's dropped-span count as a monotonic counter;
-			// Apply raises to at-least-value, so concurrent scrapes are safe.
-			src.Apply([]CounterUpdate{{Name: "telemetry.trace.dropped_spans", Value: tr.Dropped()}}, nil, nil)
+			// RaiseTo never lowers it, so concurrent scrapes are safe.
+			src.Counter("telemetry.trace.dropped_spans").RaiseTo(tr.Dropped())
 		}
 		if cfg.scrapeHook != nil {
 			cfg.scrapeHook(src)

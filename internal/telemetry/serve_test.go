@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 )
@@ -228,24 +229,59 @@ func TestHTTPMuxSurfacesDroppedSpans(t *testing.T) {
 	srv := httptest.NewServer(NewHTTPMux(reg, tr, nil))
 	defer srv.Close()
 
-	// /metrics raises telemetry.trace.dropped_spans to the trace's count.
-	_, body := get(t, srv, "/metrics?format=openmetrics")
-	fams, err := ParseOpenMetrics(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dropped float64 = -1
-	for _, f := range fams {
-		if f.Name == "telemetry_trace_dropped_spans" {
-			dropped = f.Samples[0].Value
+	// scrapeDropped reads telemetry_trace_dropped_spans off one /metrics
+	// scrape; it reports errors rather than failing, so goroutines can call
+	// it.
+	scrapeDropped := func() (float64, error) {
+		resp, err := http.Get(srv.URL + "/metrics?format=openmetrics")
+		if err != nil {
+			return 0, err
 		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return 0, err
+		}
+		fams, err := ParseOpenMetrics(body)
+		if err != nil {
+			return 0, err
+		}
+		for _, f := range fams {
+			if f.Name == "telemetry_trace_dropped_spans" {
+				return f.Samples[0].Value, nil
+			}
+		}
+		return 0, fmt.Errorf("no telemetry_trace_dropped_spans in %s", body)
 	}
-	if dropped != 3 {
-		t.Errorf("telemetry_trace_dropped_spans = %v, want 3", dropped)
+
+	// /metrics raises telemetry.trace.dropped_spans to the trace's count.
+	// Concurrent scrapes share the registry, and every one must read the
+	// count exactly: no scrape lowers the counter or adds to it twice.
+	const scrapes = 16
+	var (
+		wg      sync.WaitGroup
+		dropped [scrapes]float64
+		errs    [scrapes]error
+	)
+	for i := range dropped {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			dropped[i], errs[i] = scrapeDropped()
+		}(i)
+	}
+	wg.Wait()
+	for i := range dropped {
+		if errs[i] != nil {
+			t.Fatalf("scrape %d: %v", i, errs[i])
+		}
+		if dropped[i] != 3 {
+			t.Errorf("scrape %d: telemetry_trace_dropped_spans = %v, want 3", i, dropped[i])
+		}
 	}
 
 	// /trace carries the dropped count as a metadata event.
-	_, body = get(t, srv, "/trace")
+	_, body := get(t, srv, "/trace")
 	var events []map[string]any
 	if err := json.Unmarshal(body, &events); err != nil {
 		t.Fatal(err)
@@ -261,6 +297,14 @@ func TestHTTPMuxSurfacesDroppedSpans(t *testing.T) {
 	}
 	if !foundMeta {
 		t.Errorf("/trace missing trace.dropped_spans metadata: %s", body)
+	}
+
+	// Spans dropped after a scrape show in the next one.
+	for i := 0; i < 4; i++ {
+		lane.RecordSpan(Span{Name: "s", Start: int64(5 + i)})
+	}
+	if d, err := scrapeDropped(); err != nil || d != 7 {
+		t.Errorf("after 4 more drops: telemetry_trace_dropped_spans = %v (err %v), want 7", d, err)
 	}
 }
 
