@@ -30,16 +30,19 @@ race:
 # fuzz runs each native fuzz target for a bounded time: the store blob
 # decoder, the ISA assembler, the store's key handling, the Chrome trace
 # encoder (against its encoding/json oracle), sdserve's POST /jobs spec
-# handling, the predictor model loader and the OpenMetrics parser. Their
-# seeds (a real encoded cell and a corrupted copy; the package's test
-# programs; the rejected keys of TestInvalidKeysRejected and one valid key;
-# the span sets of chrome_test.go and a set of hostile strings and times; a
-# small, an oversized and a predict spec, truncated JSON, an unknown mode
-# and format and a spec with trailing bytes; a fitted model, a truncated
-# copy, one with an overlong centroid and one with a sixth stall-bucket
-# weight vector; a registry scrape and the
-# documents of openmetrics_test.go) also run as ordinary tests under
-# `go test`.
+# handling, the predictor model loader, the OpenMetrics parser and the
+# backward convolution kernels (against the naive backward-data kernel and
+# the im2col backward-weights kernel they replaced). Their seeds (a real
+# encoded cell and a corrupted copy; the package's test programs; the
+# rejected keys of TestInvalidKeysRejected and one valid key; the span sets
+# of chrome_test.go and a set of hostile strings and times; a small, an
+# oversized and a predict spec, truncated JSON, an unknown mode and format
+# and a spec with trailing bytes; a fitted model, a truncated copy, one with
+# an overlong centroid and one with a sixth stall-bucket weight vector; a
+# registry scrape and the documents of openmetrics_test.go; the simulator's
+# one-feature 3×3 shape, the convCases grid, a NaN error at a padding tap, a
+# −0 starting gradient and a kernel wider than its input) also run as
+# ordinary tests under `go test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlob$$' -fuzztime 10s ./internal/sweep/
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 10s ./internal/isa/
@@ -48,6 +51,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmitSpec$$' -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeModel$$' -fuzztime 10s ./internal/predict/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseOpenMetrics$$' -fuzztime 10s ./internal/telemetry/
+	$(GO) test -run '^$$' -fuzz '^FuzzConvBackward$$' -fuzztime 10s ./internal/tensor/
 
 # bench runs the tier-1 simulator benchmarks (the telemetry-off/on hot-path
 # pair among them: the nil-sink fast path must not cost anything when

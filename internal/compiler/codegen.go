@@ -104,6 +104,8 @@ type gen struct {
 	feat   []map[int][]*region
 	errRaw []map[int][]*region
 	errDrv []map[int][]*region
+
+	locals []map[TileCoord][]int // localInputs' lists, by layer and tile
 }
 
 type gradMap = map[int]map[int]*region
@@ -124,10 +126,11 @@ func generate(m *Mapping, opts Options, base time.Time) (*Compiled, error) {
 	}
 	capElems := int64(m.Chip.MemHeavy.CapacityKB) * 1024 / 4
 	al := newAllocator(m.Chip.Rows, m.Chip.Rows*(m.Chip.Cols+1), capElems)
+	maps := m.MappedLayers()
 	g := &gen{
 		m: m, chip: m.Chip, opts: opts,
 		em: newEmitter(al), al: al,
-		maps: m.MappedLayers(),
+		maps: maps, locals: make([]map[TileCoord][]int, len(maps)),
 		out: &Compiled{
 			Mapping: m, Opts: opts,
 			weightRegions:  map[int]map[int]*region{},
@@ -361,15 +364,19 @@ func (g *gen) fcComputeTile(lm *LayerMap, s int) TileCoord {
 }
 
 // localInputs returns the input features of conv/pool layer mi whose storage
-// tile is tc.
+// tile is tc, in ascending order. A layer's lists are built once per
+// compile, on first use, and shared by every image's emitters.
 func (g *gen) localInputs(mi int, lm *LayerMap, tc TileCoord) []int {
-	var out []int
-	for g2 := 0; g2 < lm.Layer.In.C; g2++ {
-		if g.convInputTile(mi, lm, g2) == tc {
-			out = append(out, g2)
+	byTile := g.locals[mi]
+	if byTile == nil {
+		byTile = map[TileCoord][]int{}
+		for g2 := 0; g2 < lm.Layer.In.C; g2++ {
+			t := g.convInputTile(mi, lm, g2)
+			byTile[t] = append(byTile[t], g2)
 		}
+		g.locals[mi] = byTile
 	}
-	return out
+	return byTile[tc]
 }
 
 // inputOperand returns the operand and ledger access for reading input

@@ -132,8 +132,13 @@ func (e *Executor) Forward(input *tensor.Tensor) *tensor.Tensor {
 			e.Acts[i] = tensor.ActivateInto(out, out, l.Act)
 		case Pool:
 			in := e.Acts[l.Inputs[0]]
-			out, arg := tensor.Pool2D(in, l.PoolP)
-			e.Acts[i] = out
+			oh, ow := l.PoolP.OutShape(in.Shape[1], in.Shape[2])
+			out := tensor.New(in.Shape[0], oh, ow)
+			var arg []int32
+			if l.PoolP.Kind == tensor.MaxPool {
+				arg = make([]int32, out.Len())
+			}
+			e.Acts[i] = tensor.Pool2DInto(out, in, arg, l.PoolP)
 			e.poolArg[i] = arg
 		case FC:
 			in := flatten(e.Acts[l.Inputs[0]])
@@ -242,7 +247,7 @@ func (e *Executor) backprop(grads []*tensor.Tensor, label int) {
 			}
 		case Pool:
 			in := e.Acts[l.Inputs[0]]
-			gin := tensor.Pool2DBackward(g, e.poolArg[i], l.PoolP, in.Shape[1], in.Shape[2])
+			gin := tensor.Pool2DBackwardInto(tensor.New(in.Shape[0], in.Shape[1], in.Shape[2]), g, e.poolArg[i], l.PoolP)
 			accumGrad(grads, l.Inputs[0], gin)
 		case FC:
 			g = tensor.ActivateBackwardInto(g, g, e.Acts[i], l.Act)

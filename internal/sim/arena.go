@@ -12,8 +12,8 @@ import (
 // each coarse operation, so buffers and headers live exactly one op and are
 // reused run-wide instead of allocated per instruction. Slices handed out
 // are NOT zeroed — every caller fully overwrites its buffer — and nothing
-// may escape the op (data that outlives the op, like NDUPSAMP pool routing,
-// is copied out).
+// may escape the op (data that outlives the op, like the argmax routing an
+// NDSUBSAMP records for NDUPSAMP, is allocated on its own).
 type f32Arena struct {
 	buf  []float32
 	off  int

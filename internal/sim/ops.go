@@ -14,9 +14,12 @@ import (
 // ...), which is bit-identical to the naive reference, so simulator output
 // matches the golden model exactly for identical operation orders (and
 // within float tolerance under tracker-permuted accumulation orders).
-// Kernel operands, outputs and the tensor headers viewing them are staged in
-// the per-op arena and the im2col panel lives in the machine-persistent
-// convScratch, so the functional hot loop stays allocation-free.
+// Kernel outputs and the tensor headers the kernels take are staged in the
+// per-op arena, and so are operand copies. NDCONV and the pool ops read
+// scratchpad operands in place and copy only external-memory ones (see
+// operand). The im2col panel and the backward-weights padded copy live in
+// the machine-persistent convScratch. A MaxPool's argmax, which outlives
+// its op, is the only per-op allocation of the functional hot loop.
 
 func (m *Machine) readVec(loc location, addr, size int64) []float32 {
 	if loc.mem != nil {
@@ -203,42 +206,61 @@ func (m *Machine) ndconvData(mode int64, inLoc location, in int64, inH, inW int,
 		// call produces the nk partial output features: each output channel
 		// is an independent GEMM row with the oracle's (ic,ky,kx) tap order,
 		// so the stacked call is bit-identical to nk single-kernel Conv2Ds.
-		inF := a.tensor(m.copyVec(m.readVec(inLoc, in, int64(inH*inW))), 1, inH, inW)
-		kern := a.tensor(m.copyVec(m.readVec(kLoc, kAddr, int64(nk*kSize*kSize))), nk, 1, kSize, kSize)
+		inF := a.tensor(m.operand(inLoc, in, int64(inH*inW)), 1, inH, inW)
+		kern := a.tensor(m.operand(kLoc, kAddr, int64(nk*kSize*kSize)), nk, 1, kSize, kSize)
 		o := a.tensor(a.take(nk*oh*ow), nk, oh, ow)
 		tensor.Conv2DInto(o, inF, kern, nil, cp, &m.convScratch)
 		m.writeVec(outLoc, out, o.Data, int64(nk*oh*ow), acc)
 	case isa.ModeBwdData:
 		// The per-j decomposition is kept: folding the nk error features
 		// into one call would re-associate each input-error element's sum
-		// across j, breaking bit-identity with the reference order. Each
-		// j's error feature and kernel are staged in the same two buffers.
+		// across j, breaking bit-identity with the reference order. Error
+		// feature 0's gradient is written straight into the result, which
+		// is exact (0 + g == g bitwise: a sum started at +0 is never -0);
+		// each later j's gradient is staged in g and added.
+		errs := m.operand(inLoc, in, int64(nk*inH*inW))
+		kerns := m.operand(kLoc, kAddr, int64(nk*kSize*kSize))
 		res := a.tensor(a.take(oh*ow), 1, oh, ow)
-		res.Zero()
-		g := a.tensor(a.take(oh*ow), 1, oh, ow)
-		errF := a.tensor(a.take(inH*inW), 1, inH, inW)
-		kern := a.tensor(a.take(kSize*kSize), 1, 1, kSize, kSize)
-		for j := 0; j < nk; j++ {
-			copy(errF.Data, m.readVec(inLoc, in+int64(j*inH*inW), int64(inH*inW)))
-			copy(kern.Data, m.readVec(kLoc, kAddr+int64(j*kSize*kSize), int64(kSize*kSize)))
-			tensor.Conv2DBackwardDataInto(g, errF, kern, cp, oh, ow)
-			tensor.Add(res, g)
+		errF := a.tensor(errs[:inH*inW], 1, inH, inW)
+		kern := a.tensor(kerns[:kSize*kSize], 1, 1, kSize, kSize)
+		tensor.Conv2DBackwardDataInto(res, errF, kern, cp, oh, ow)
+		if nk > 1 {
+			g := a.tensor(a.take(oh*ow), 1, oh, ow)
+			for j := 1; j < nk; j++ {
+				errF.Data = errs[j*inH*inW : (j+1)*inH*inW]
+				kern.Data = kerns[j*kSize*kSize : (j+1)*kSize*kSize]
+				tensor.Conv2DBackwardDataInto(g, errF, kern, cp, oh, ow)
+				tensor.Add(res, g)
+			}
 		}
 		m.writeVec(outLoc, out, res.Data, int64(oh*ow), acc)
 	case isa.ModeBwdWeight:
 		// cp arrived with KH=error side; the tensor reference wants the
 		// forward kernel geometry, which is the op's output size here.
 		// The nk error features stack as nk independent output channels of
-		// one weight-gradient GEMM (gradW row j depends only on error j).
+		// one weight-gradient call (gradW row j depends only on error j).
 		errH := kSize
 		cp.KH, cp.KW = oh, ow
-		inF := a.tensor(m.copyVec(m.readVec(inLoc, in, int64(inH*inW))), 1, inH, inW)
-		errF := a.tensor(m.copyVec(m.readVec(kLoc, kAddr, int64(nk*errH*errH))), nk, errH, errH)
+		inF := a.tensor(m.operand(inLoc, in, int64(inH*inW)), 1, inH, inW)
+		errF := a.tensor(m.operand(kLoc, kAddr, int64(nk*errH*errH)), nk, errH, errH)
 		gw := a.tensor(a.take(nk*oh*ow), nk, 1, oh, ow)
 		gw.Zero()
 		tensor.Conv2DBackwardWeightsInto(inF, errF, gw, cp, &m.convScratch)
 		m.writeVec(outLoc, out, gw.Data, int64(nk*oh*ow), acc)
 	}
+}
+
+// operand returns the values of [addr, addr+size) for a kernel to read
+// during this op. A scratchpad range is read in place: nothing moves it
+// and every op writes its result only after its kernel has run. An
+// external-memory range is copied into the arena, since a later readVec
+// can back new external memory and move the slice it returned.
+func (m *Machine) operand(loc location, addr, size int64) []float32 {
+	v := m.readVec(loc, addr, size)
+	if loc.ext != nil {
+		return m.copyVec(v)
+	}
+	return v
 }
 
 // copyVec stages a snapshot of v in the per-op scratch arena (fresh memory,
@@ -386,8 +408,13 @@ func (m *Machine) execSubsamp(ct *compTile, v []int64) (bool, Cycle) {
 	m.noteSFU(outLoc, inH*inW, end)
 
 	if m.Functional {
-		inF := m.arena.tensor(m.copyVec(m.readVec(inLoc, in, inH*inW)), 1, int(inH), int(inW))
-		o, arg := tensor.Pool2D(inF, pp)
+		inF := m.arena.tensor(m.operand(inLoc, in, inH*inW), 1, int(inH), int(inW))
+		o := m.arena.tensor(m.arena.take(int(outSize)), 1, oh, ow)
+		var arg []int32
+		if pp.Kind == tensor.MaxPool {
+			arg = make([]int32, outSize) // kept past the op for NDUPSAMP
+		}
+		tensor.Pool2DInto(o, inF, arg, pp)
 		m.writeVec(outLoc, out, o.Data, outSize, false)
 		if arg != nil {
 			m.poolRoute[routeKey(outLoc, out)] = arg
@@ -419,7 +446,7 @@ func (m *Machine) execUpsamp(ct *compTile, v []int64) (bool, Cycle) {
 	m.noteSFU(dstLoc, dstSize, end)
 
 	if m.Functional {
-		gT := m.arena.tensor(m.copyVec(m.readVec(gLoc, g, gSize)), 1, oh, ow)
+		gT := m.arena.tensor(m.operand(gLoc, g, gSize), 1, oh, ow)
 		var arg []int32
 		if pp.Kind == tensor.MaxPool {
 			var ok bool
@@ -428,7 +455,8 @@ func (m *Machine) execUpsamp(ct *compTile, v []int64) (bool, Cycle) {
 				panic("sim: NDUPSAMP with no recorded max-pool routing")
 			}
 		}
-		gin := tensor.Pool2DBackward(gT, arg, pp, int(inH), int(inW))
+		gin := m.arena.tensor(m.arena.take(int(dstSize)), 1, int(inH), int(inW))
+		tensor.Pool2DBackwardInto(gin, gT, arg, pp)
 		m.writeVec(dstLoc, dst, gin.Data, dstSize, false)
 	}
 	return true, end

@@ -25,13 +25,13 @@ func runColdCell(tb testing.TB) {
 }
 
 // Bytes and allocations per coldCell run on a reused machine, measured on a
-// 2-vCPU VM with go1.24: 9.59 MB and 10,765 allocations (about 12.2 MB
+// 2-vCPU VM with go1.24: 9.47 MB and 8,862 allocations (about 12.1 MB
 // under -race). A simulator that predecoded each program and staged tensor
 // headers on the heap, behind an emitter that allocated each op's Args,
 // took 23.5 MB and 75,450.
 const (
-	coldCellBytes  = 9.59e6
-	coldCellAllocs = 10765
+	coldCellBytes  = 9.47e6
+	coldCellAllocs = 8862
 )
 
 // TestColdCellAllocBudget fails when a cold cell's bytes or allocations

@@ -7,7 +7,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -161,43 +160,75 @@ func NewRegistry() *Registry {
 	}
 }
 
+// appendMetricKey appends the registry key of a series to b: its name, then
+// "|key=value" for each label in key order. Up to four labels are sorted in
+// a stack array, so an instrument lookup that builds its key in a stack
+// buffer and finds the instrument allocates nothing.
+func appendMetricKey(b []byte, name string, labels []Label) []byte {
+	b = append(b, name...)
+	var buf [4]Label
+	if len(labels) > 1 {
+		if len(labels) <= len(buf) {
+			labels = sortLabels(buf[:copy(buf[:], labels)])
+		} else {
+			labels = sortedLabels(labels)
+		}
+	}
+	for _, l := range labels {
+		b = append(b, '|')
+		b = append(b, l.Key...)
+		b = append(b, '=')
+		b = append(b, l.Value...)
+	}
+	return b
+}
+
+// metricKey returns the registry key of a series (appendMetricKey): the
+// name itself when the series has no labels.
 func metricKey(name string, labels []Label) string {
-	switch len(labels) {
-	case 0:
+	if len(labels) == 0 {
 		return name
-	case 1:
-		// Common case (one label): a single-allocation concat, no sort.
-		return name + "|" + labels[0].Key + "=" + labels[0].Value
 	}
-	var b strings.Builder
-	b.WriteString(name)
-	for _, l := range sortedLabels(labels) {
-		b.WriteByte('|')
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
-	}
-	return b.String()
+	var buf [128]byte
+	return string(appendMetricKey(buf[:0], name, labels))
 }
 
 // sortedLabels returns a copy of labels sorted by key.
 func sortedLabels(labels []Label) []Label {
-	sorted := append([]Label(nil), labels...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	return sorted
+	return sortLabels(copyLabels(labels))
+}
+
+// copyLabels returns a copy of labels that shares no memory with them, so an
+// instrument created from variadic labels does not keep the caller's array.
+func copyLabels(labels []Label) []Label {
+	if len(labels) == 0 {
+		return nil
+	}
+	return append(make([]Label, 0, len(labels)), labels...)
+}
+
+// sortLabels sorts labels by key in place, keeping the order of equal keys,
+// and returns them.
+func sortLabels(labels []Label) []Label {
+	for i := 1; i < len(labels); i++ {
+		for j := i; j > 0 && labels[j].Key < labels[j-1].Key; j-- {
+			labels[j], labels[j-1] = labels[j-1], labels[j]
+		}
+	}
+	return labels
 }
 
 // Counter returns the counter with the given name and labels, creating it on
-// first use. The labels slice is retained on creation; callers must not
-// mutate it afterwards (variadic call sites always satisfy this).
+// first use with its own copy of the labels.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	key := metricKey(name, labels)
+	var buf [128]byte
+	key := appendMetricKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.counters[key]
+	e, ok := r.counters[string(key)]
 	if !ok {
-		e = &counterEntry{name: name, labels: labels}
-		r.counters[key] = e
+		e = &counterEntry{name: name, labels: copyLabels(labels)}
+		r.counters[string(key)] = e
 	}
 	return &e.c
 }
@@ -205,13 +236,14 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 // Gauge returns the gauge with the given name and labels, creating it on
 // first use.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	key := metricKey(name, labels)
+	var buf [128]byte
+	key := appendMetricKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.gauges[key]
+	e, ok := r.gauges[string(key)]
 	if !ok {
-		e = &gaugeEntry{name: name, labels: labels}
-		r.gauges[key] = e
+		e = &gaugeEntry{name: name, labels: copyLabels(labels)}
+		r.gauges[string(key)] = e
 	}
 	return &e.g
 }
@@ -225,19 +257,20 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 			panic(fmt.Sprintf("telemetry: histogram %q bounds not ascending", name))
 		}
 	}
-	key := metricKey(name, labels)
+	var buf [128]byte
+	key := appendMetricKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.histograms[key]
+	e, ok := r.histograms[string(key)]
 	if !ok {
 		e = newHistogramEntry(name, labels, bounds)
-		r.histograms[key] = e
+		r.histograms[string(key)] = e
 	}
 	return e.h
 }
 
 func newHistogramEntry(name string, labels []Label, bounds []float64) *histogramEntry {
-	return &histogramEntry{name: name, labels: labels, h: newHistogram(bounds)}
+	return &histogramEntry{name: name, labels: copyLabels(labels), h: newHistogram(bounds)}
 }
 
 func newHistogram(bounds []float64) *Histogram {

@@ -49,6 +49,54 @@ func TestLabeledCountersAreDistinct(t *testing.T) {
 	}
 }
 
+// TestInstrumentLookupHitAllocatesNothing pins that resolving an existing
+// counter, gauge or histogram with 0, 1 or 2 labels allocates nothing: the
+// key is built in a stack buffer and the variadic labels do not escape.
+func TestInstrumentLookupHitAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	bounds := []float64{1, 10}
+	x, y := Label{Key: "x", Value: "1"}, Label{Key: "y", Value: "2"}
+	lookups := map[string]func(){
+		"0 labels": func() {
+			r.Counter("c")
+			r.Gauge("g")
+			r.Histogram("h", bounds)
+		},
+		"1 label": func() {
+			r.Counter("c", x)
+			r.Gauge("g", x)
+			r.Histogram("h", bounds, x)
+		},
+		"2 labels": func() {
+			r.Counter("c", y, x)
+			r.Gauge("g", y, x)
+			r.Histogram("h", bounds, y, x)
+		},
+	}
+	for name, lookup := range lookups {
+		lookup() // creates the instruments
+		if n := testing.AllocsPerRun(100, lookup); n != 0 {
+			t.Errorf("%s: %v allocations per hit, want 0", name, n)
+		}
+	}
+}
+
+// TestInstrumentKeepsItsOwnLabels checks that a created instrument copies
+// its labels: a caller reusing its label slice cannot rename a series.
+func TestInstrumentKeepsItsOwnLabels(t *testing.T) {
+	r := NewRegistry()
+	labels := []Label{{Key: "link", Value: "comp-mem"}}
+	r.Counter("link.bytes", labels...).Add(3)
+	labels[0].Value = "mem-mem"
+	s := r.Snapshot()
+	if len(s.Counters) != 1 || s.Counters[0].Labels["link"] != "comp-mem" {
+		t.Fatalf("counters after the caller's slice changed: %+v", s.Counters)
+	}
+	if r.Counter("link.bytes", Label{Key: "link", Value: "comp-mem"}).Value() != 3 {
+		t.Fatal("lookup by the original labels missed the series")
+	}
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("op.cycles", []float64{1, 10, 100})

@@ -146,8 +146,22 @@ func BenchmarkKernelConvSpeedup(b *testing.B) {
 	b.ReportMetric(engine.Seconds()*1e6/float64(b.N), "engine-us")
 }
 
+// benchSimConvSides are the feature sides of the catalogue's conv layers
+// (simnet 12 and 6, minivgg 16 and 8): each NDCONV BP or WG op the
+// simulator runs is one such feature, one 3×3 kernel, pad 1.
+var benchSimConvSides = []int{6, 8, 12, 16}
+
+// BenchmarkKernelConvBackward times both backward kernels against their
+// naive oracles at the executor's c2_2 layer (unprefixed names) and at the
+// simulator's one-feature shapes (simN/).
 func BenchmarkKernelConvBackward(b *testing.B) {
-	c := benchConvCases[1] // c2_2
+	benchConvBackward(b, "", benchConvCases[1]) // c2_2
+	for _, n := range benchSimConvSides {
+		benchConvBackward(b, fmt.Sprintf("sim%d/", n), convCase{1, n, n, 1, 3, 1, 1})
+	}
+}
+
+func benchConvBackward(b *testing.B, prefix string, c convCase) {
 	p := ConvParams{KH: c.k, KW: c.k, StrideH: c.stride, StrideW: c.stride, PadH: c.pad, PadW: c.pad}
 	rng := NewRNG(3)
 	in := New(c.cin, c.h, c.w)
@@ -161,26 +175,26 @@ func BenchmarkKernelConvBackward(b *testing.B) {
 	gw := New(c.cout, c.cin, c.k, c.k)
 	var scratch ConvScratch
 
-	b.Run("data/naive", func(b *testing.B) {
+	b.Run(prefix+"data/naive", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			Conv2DBackwardData(gout, w, p, c.h, c.w)
 		}
 	})
-	b.Run("data/engine", func(b *testing.B) {
+	b.Run(prefix+"data/engine", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			Conv2DBackwardDataInto(gin, gout, w, p, c.h, c.w)
 		}
 	})
-	b.Run("weights/naive", func(b *testing.B) {
+	b.Run(prefix+"weights/naive", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			gw.Zero()
 			Conv2DBackwardWeights(in, gout, gw, p)
 		}
 	})
-	b.Run("weights/engine", func(b *testing.B) {
+	b.Run(prefix+"weights/engine", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			gw.Zero()
@@ -216,27 +230,39 @@ func BenchmarkKernelMatVec(b *testing.B) {
 // BenchmarkKernelRoundHalfSlice times quantizing a 4096-element slice
 // through binary16, as the half-precision simulator does after every
 // datapath write: the field-by-field conversion against RoundHalfSlice's
-// direct bit path.
+// direct bit path, on uniform values and on values half of which are zero
+// at random positions (a ReLU output's share).
 func BenchmarkKernelRoundHalfSlice(b *testing.B) {
 	rng := NewRNG(5)
-	src := New(4096)
-	rng.FillUniform(src, 1)
-	dst := make([]float32, len(src.Data))
+	uniform := New(4096)
+	rng.FillUniform(uniform, 1)
+	halfZeros := uniform.Clone()
+	for i := range halfZeros.Data {
+		if rng.Intn(2) == 0 {
+			halfZeros.Data[i] = 0
+		}
+	}
+	dst := make([]float32, len(uniform.Data))
 
-	b.Run("conversion", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			copy(dst, src.Data)
-			for j, v := range dst {
-				dst[j] = FromHalfBits(ToHalfBits(v))
+	for _, in := range []struct {
+		name string
+		src  *Tensor
+	}{{"uniform", uniform}, {"half-zeros", halfZeros}} {
+		b.Run("conversion/"+in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(dst, in.src.Data)
+				for j, v := range dst {
+					dst[j] = FromHalfBits(ToHalfBits(v))
+				}
 			}
-		}
-	})
-	b.Run("direct", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			copy(dst, src.Data)
-			RoundHalfSlice(dst)
-		}
-	})
+		})
+		b.Run("direct/"+in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(dst, in.src.Data)
+				RoundHalfSlice(dst)
+			}
+		})
+	}
 }

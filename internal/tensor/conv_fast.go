@@ -2,23 +2,30 @@ package tensor
 
 import "fmt"
 
-// Fast convolution kernels: forward and backward-weights are lowered onto
-// the blocked GEMM over a buffer-reused im2col panel; backward-data keeps a
-// direct loop (a GEMM lowering would re-associate its per-element sums) with
-// hoisted tap bounds. The direct loops in conv.go remain the reference
-// oracle.
+// Fast convolution kernels. Forward convolution is lowered onto the blocked
+// GEMM over a buffer-reused im2col panel. The backward kernels are row
+// sweeps: backward-data walks (oc, oy, ic, ky, kx descending, ox), so its
+// inner loop runs along a whole error row instead of a kernel row, and
+// backward-weights reads its taps from a zero-padded copy of the input and
+// accumulates each kernel's taps in one pass over the error map. The direct
+// loops in conv.go remain the reference oracle.
 //
-// Determinism: the im2col panel holds exact zeros at padding taps, so the
-// GEMM adds a ±0 product exactly where the oracle skips a tap — a bitwise
-// identity for finite operands (x + ±0 == x). Per-element contribution order
-// is the oracle's (ic,ky,kx) / (oy,ox) program order. Consequence of the
-// value-oblivious policy: a NaN/Inf *weight* multiplied by a padding zero
-// poisons that output in the fast path where the oracle's geometric skip
-// would not — poisoning is never hidden, only (conservatively) amplified.
+// Determinism: every output element gains its terms in the oracle's order,
+// (ic,ky,kx) for forward, (oc,oy,ox) for backward-data and (oy,ox) for
+// backward-weights. Backward-data visits only the taps the oracle visits.
+// Forward and backward-weights also add the products of padding taps: the
+// im2col panel and the padded copy hold exact zeros there, so they add a ±0
+// product exactly where the oracle skips a tap — a bitwise identity for
+// finite operands (x + ±0 == x) unless the running sum is −0. Consequence of
+// the value-oblivious policy: a NaN/Inf weight (forward) or error
+// (backward-weights) multiplied by a padding zero poisons that output where
+// the oracle's geometric skip would not — poisoning is never hidden, only
+// (conservatively) amplified.
 
-// ConvScratch is a reusable scratch buffer for the im2col panel. The zero
-// value is ready to use; buffers grow geometrically and are retained across
-// calls, so steady-state convolution allocates nothing.
+// ConvScratch is a reusable scratch buffer for forward convolution's im2col
+// panel and backward-weights' padded input copy. The zero value is ready to
+// use; buffers grow geometrically and are retained across calls, so
+// steady-state convolution allocates nothing.
 type ConvScratch struct {
 	buf []float32
 }
@@ -136,9 +143,12 @@ func Conv2DInto(dst, input, weights, bias *Tensor, p ConvParams, scratch *ConvSc
 }
 
 // Conv2DBackwardDataInto computes the input gradient of Conv2DBackwardData
-// into caller-owned dst (Cin·inH·inW elements, overwritten). The loop order
-// is the oracle's (oc,oy,ox,ky,kx) program order with the tap-validity
-// checks hoisted out of the inner loops. Returns dst.
+// into caller-owned dst (Cin·inH·inW elements, overwritten). For one error
+// row and one kernel tap, its inner loop adds the error row, scaled by the
+// tap, along a gradient row. The walk is (oc, oy, ic, ky, kx descending,
+// ox): within one (oc, oy, ky) a larger ox reaches a given gradient element
+// through a smaller kx, so every element gains its terms in the oracle's
+// (oc, oy, ox) order. Returns dst.
 func Conv2DBackwardDataInto(dst, gradOut, weights *Tensor, p ConvParams, inH, inW int) *Tensor {
 	cout, oh, ow := gradOut.Shape[0], gradOut.Shape[1], gradOut.Shape[2]
 	cin := weights.Shape[1]
@@ -150,44 +160,18 @@ func Conv2DBackwardDataInto(dst, gradOut, weights *Tensor, p ConvParams, inH, in
 	}
 	kstats.convBwdDat.count(2 * int64(cout) * int64(oh) * int64(ow) * int64(cin) * int64(p.KH) * int64(p.KW))
 	gin := dst.Data[:cin*inH*inW]
-	for i := range gin {
-		gin[i] = 0
-	}
+	clear(gin)
 	gd, wd := gradOut.Data, weights.Data
 	for oc := 0; oc < cout; oc++ {
 		for oy := 0; oy < oh; oy++ {
+			erow := gd[(oc*oh+oy)*ow : (oc*oh+oy)*ow+ow]
 			iy0 := oy*p.StrideH - p.PadH
-			kyLo, kyHi := 0, p.KH
-			if iy0 < 0 {
-				kyLo = -iy0
-			}
-			if iy0+p.KH > inH {
-				kyHi = inH - iy0
-			}
-			if kyLo >= kyHi {
-				continue
-			}
-			for ox := 0; ox < ow; ox++ {
-				g := gd[(oc*oh+oy)*ow+ox]
-				ix0 := ox*p.StrideW - p.PadW
-				kxLo, kxHi := 0, p.KW
-				if ix0 < 0 {
-					kxLo = -ix0
-				}
-				if ix0+p.KW > inW {
-					kxHi = inW - ix0
-				}
-				if kxLo >= kxHi {
-					continue
-				}
-				for ic := 0; ic < cin; ic++ {
-					for ky := kyLo; ky < kyHi; ky++ {
-						grow := gin[(ic*inH+iy0+ky)*inW+ix0+kxLo : (ic*inH+iy0+ky)*inW+ix0+kxHi]
-						wrow := wd[((oc*cin+ic)*p.KH+ky)*p.KW+kxLo : ((oc*cin+ic)*p.KH+ky)*p.KW+kxHi]
-						for t := range grow {
-							grow[t] += g * wrow[t]
-						}
-					}
+			kyLo, kyHi := max(0, -iy0), min(p.KH, inH-iy0)
+			for ic := 0; ic < cin; ic++ {
+				for ky := kyLo; ky < kyHi; ky++ {
+					grow := gin[(ic*inH+iy0+ky)*inW : (ic*inH+iy0+ky+1)*inW]
+					wrow := wd[((oc*cin+ic)*p.KH+ky)*p.KW : ((oc*cin+ic)*p.KH+ky+1)*p.KW]
+					bwdDataRow(grow, erow, wrow, p.PadW, p.StrideW)
 				}
 			}
 		}
@@ -195,11 +179,55 @@ func Conv2DBackwardDataInto(dst, gradOut, weights *Tensor, p ConvParams, inH, in
 	return dst
 }
 
+// bwdDataRow adds one error row through one kernel row into one gradient
+// row: for each tap kx, descending, the error row scaled by the tap lands
+// on the gradient columns ox·sw + kx − padW.
+func bwdDataRow(grow, erow, wrow []float32, padW, sw int) {
+	for kx := len(wrow) - 1; kx >= 0; kx-- {
+		ix0 := kx - padW
+		lo, hi := tapSpan(ix0, sw, len(erow), len(grow))
+		if lo == hi {
+			continue
+		}
+		wv := wrow[kx]
+		if sw == 1 {
+			e := erow[lo:hi]
+			g := grow[lo+ix0:][:len(e)]
+			for i, ev := range e {
+				g[i] += ev * wv
+			}
+			continue
+		}
+		for ox := lo; ox < hi; ox++ {
+			grow[ox*sw+ix0] += erow[ox] * wv
+		}
+	}
+}
+
+// tapSpan returns the error columns [lo, hi) whose tap lands inside a
+// gradient row of width inW: 0 <= ox·s + ix0 < inW and 0 <= ox < ow, or
+// lo == hi when no column does. Stride 1 needs no division.
+func tapSpan(ix0, s, ow, inW int) (lo, hi int) {
+	switch {
+	case ix0 >= inW:
+		return 0, 0
+	case s == 1:
+		lo, hi = max(0, -ix0), min(ow, inW-ix0)
+	default:
+		lo, hi = max(0, (-ix0+s-1)/s), min(ow, (inW-1-ix0)/s+1)
+	}
+	return lo, max(lo, hi)
+}
+
 // Conv2DBackwardWeightsInto accumulates the weight gradient of
-// Conv2DBackwardWeights into gradW via im2col: gradW[oc,r] gains the dot
-// product of gradOut row oc with im2col row r, with the (oy,ox) terms added
-// in the oracle's ascending order starting from the existing gradW value.
-// scratch may be nil.
+// Conv2DBackwardWeights into gradW. Taps are read from a zero-padded copy
+// of the input (built in scratch; the input itself when p has no padding),
+// and each (oc, ic) kernel's taps start from their gradW values and gain
+// the (oy, ox) terms in ascending order, padding taps included as ±0
+// products. Stride-1 3×3 kernels, the only shape the catalogue's networks
+// train, carry their nine taps in registers through one pass over the error
+// map; other geometries sweep the error map once per tap. scratch may be
+// nil.
 func Conv2DBackwardWeightsInto(input, gradOut, gradW *Tensor, p ConvParams, scratch *ConvScratch) {
 	cin, h, w := input.Shape[0], input.Shape[1], input.Shape[2]
 	cout, oh, ow := gradOut.Shape[0], gradOut.Shape[1], gradOut.Shape[2]
@@ -210,38 +238,98 @@ func Conv2DBackwardWeightsInto(input, gradOut, gradW *Tensor, p ConvParams, scra
 		panic("tensor: Conv2DBackwardWeightsInto gradOut spatial shape mismatch")
 	}
 	ohw := oh * ow
-	ckk := cin * p.KH * p.KW
-	kstats.convBwdWgt.count(2 * int64(cout) * int64(ckk) * int64(ohw))
+	kk := p.KH * p.KW
+	kstats.convBwdWgt.count(2 * int64(cout) * int64(cin*kk) * int64(ohw))
 	if scratch == nil {
 		scratch = &ConvScratch{}
 	}
-	cols := Im2colInto(scratch.take(ckk*ohw), input, p)
+	x := scratch.padded(input, p)
+	pw := w + 2*p.PadW
+	fsize := (h + 2*p.PadH) * pw
 	gd, wd := gradOut.Data, gradW.Data
 	for oc := 0; oc < cout; oc++ {
-		grow := gd[oc*ohw : oc*ohw+ohw]
-		base := oc * ckk
-		r := 0
-		for ; r+3 < ckk; r += 4 {
-			c0 := cols[r*ohw : r*ohw+ohw]
-			c1 := cols[(r+1)*ohw : (r+1)*ohw+ohw]
-			c2 := cols[(r+2)*ohw : (r+2)*ohw+ohw]
-			c3 := cols[(r+3)*ohw : (r+3)*ohw+ohw]
-			a0, a1, a2, a3 := wd[base+r], wd[base+r+1], wd[base+r+2], wd[base+r+3]
-			for col, gv := range grow {
-				a0 += gv * c0[col]
-				a1 += gv * c1[col]
-				a2 += gv * c2[col]
-				a3 += gv * c3[col]
+		e := gd[oc*ohw : oc*ohw+ohw]
+		for ic := 0; ic < cin; ic++ {
+			k := wd[(oc*cin+ic)*kk : (oc*cin+ic+1)*kk]
+			f := x[ic*fsize : (ic+1)*fsize]
+			if p.KH == 3 && p.KW == 3 && p.StrideH == 1 && p.StrideW == 1 {
+				wgrad3x3(k, e, f, ow, pw)
+			} else {
+				wgradTaps(k, e, f, ow, pw, p)
 			}
-			wd[base+r], wd[base+r+1], wd[base+r+2], wd[base+r+3] = a0, a1, a2, a3
 		}
-		for ; r < ckk; r++ {
-			crow := cols[r*ohw : r*ohw+ohw]
-			acc := wd[base+r]
-			for col, gv := range grow {
-				acc += gv * crow[col]
+	}
+}
+
+// padded returns input's features, each surrounded by p's zero padding:
+// Cin × (H+2·PadH) × (W+2·PadW) elements in the scratch buffer, or
+// input.Data itself when p has no padding.
+func (s *ConvScratch) padded(input *Tensor, p ConvParams) []float32 {
+	cin, h, w := input.Shape[0], input.Shape[1], input.Shape[2]
+	if p.PadH == 0 && p.PadW == 0 {
+		return input.Data[:cin*h*w]
+	}
+	ph, pw := h+2*p.PadH, w+2*p.PadW
+	buf := s.take(cin * ph * pw)
+	clear(buf)
+	for ic := 0; ic < cin; ic++ {
+		for y := 0; y < h; y++ {
+			copy(buf[(ic*ph+p.PadH+y)*pw+p.PadW:], input.Data[(ic*h+y)*w:(ic*h+y+1)*w])
+		}
+	}
+	return buf
+}
+
+// wgrad3x3 accumulates one stride-1 3×3 kernel's gradient k: each tap
+// gains, over the error map e (rows of ow) in (oy, ox) order, the error
+// times the tap under it in the padded feature f (rows of pw). Rows are cut
+// to their exact lengths, so the inner loop runs without bounds checks.
+func wgrad3x3(k, e, f []float32, ow, pw int) {
+	k = k[:9]
+	a0, a1, a2, a3, a4, a5, a6, a7, a8 := k[0], k[1], k[2], k[3], k[4], k[5], k[6], k[7], k[8]
+	for y := 0; len(e) > 0; y++ {
+		erow := e[:ow]
+		e = e[ow:]
+		r0 := f[y*pw:][:ow+2]
+		r1 := f[(y+1)*pw:][:ow+2]
+		r2 := f[(y+2)*pw:][:ow+2]
+		for ox, g := range erow {
+			a0 += g * r0[ox]
+			a1 += g * r0[ox+1]
+			a2 += g * r0[ox+2]
+			a3 += g * r1[ox]
+			a4 += g * r1[ox+1]
+			a5 += g * r1[ox+2]
+			a6 += g * r2[ox]
+			a7 += g * r2[ox+1]
+			a8 += g * r2[ox+2]
+		}
+	}
+	k[0], k[1], k[2], k[3], k[4], k[5], k[6], k[7], k[8] = a0, a1, a2, a3, a4, a5, a6, a7, a8
+}
+
+// wgradTaps is wgrad3x3 for any kernel shape and stride: each tap sweeps the
+// error map row by row with its sum in one register.
+func wgradTaps(k, e, f []float32, ow, pw int, p ConvParams) {
+	oh := len(e) / ow
+	for ky := 0; ky < p.KH; ky++ {
+		for kx := 0; kx < p.KW; kx++ {
+			acc := k[ky*p.KW+kx]
+			for oy := 0; oy < oh; oy++ {
+				erow := e[oy*ow : oy*ow+ow]
+				xrow := f[(oy*p.StrideH+ky)*pw+kx:]
+				if p.StrideW == 1 {
+					xrow = xrow[:len(erow)]
+					for ox, g := range erow {
+						acc += g * xrow[ox]
+					}
+					continue
+				}
+				for ox, g := range erow {
+					acc += g * xrow[ox*p.StrideW]
+				}
 			}
-			wd[base+r] = acc
+			k[ky*p.KW+kx] = acc
 		}
 	}
 }

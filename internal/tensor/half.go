@@ -87,18 +87,20 @@ const (
 // roundHalfDirect rounds float32 bits b that stay normal in binary16: round
 // to nearest even at bit 13, the lowest mantissa bit binary16 keeps, then
 // clear the 13 bits below it (a carry out of the mantissa bumps the
-// exponent, which is correct). ok is false for every other input.
+// exponent, which is correct). The same arithmetic leaves ±0 as it is, and
+// the datapath writes many zeros (ReLU outputs, MEMSET fills), so ±0 takes
+// this path too. ok is false for every other input.
 func roundHalfDirect(b uint32) (r uint32, ok bool) {
-	if a := b &^ (1 << 31); a-halfNormalMinBits >= halfOverflowBits-halfNormalMinBits {
+	if a := b &^ (1 << 31); a != 0 && a-halfNormalMinBits >= halfOverflowBits-halfNormalMinBits {
 		return 0, false
 	}
 	return (b + 0x0FFF + (b >> 13 & 1)) &^ 0x1FFF, true
 }
 
 // RoundHalf rounds a float32 through binary16 (the value a half-precision
-// datapath would store). Values that stay normal in binary16 round directly
-// on the float32 bits (roundHalfDirect); subnormal, overflowing, Inf and
-// NaN inputs go through FromHalfBits(ToHalfBits(f)), which
+// datapath would store). ±0 and values that stay normal in binary16 round
+// directly on the float32 bits (roundHalfDirect); subnormal, overflowing,
+// Inf and NaN inputs go through FromHalfBits(ToHalfBits(f)), which
 // TestRoundHalfMatchesConversion checks the direct path against.
 func RoundHalf(f float32) float32 {
 	if r, ok := roundHalfDirect(math.Float32bits(f)); ok {

@@ -43,17 +43,19 @@ func ceilDim(in, k, s int) int {
 	return (in-k+s-1)/s + 1
 }
 
-// Pool2D down-samples each feature independently (§2.2: SAMP layers operate
-// on each feature independently and contain no weights). For MaxPool it also
-// returns the argmax indices needed by the backward pass; for AvgPool the
-// second return is nil.
-func Pool2D(input *Tensor, p PoolParams) (*Tensor, []int32) {
+// Pool2DInto down-samples each feature independently (§2.2: SAMP layers
+// operate on each feature independently and contain no weights) into
+// caller-owned dst (C·OH·OW elements, overwritten). For MaxPool, arg (one
+// entry per dst element) receives the argmax indices the backward pass
+// routes errors through; AvgPool takes a nil arg. Returns dst.
+func Pool2DInto(dst, input *Tensor, arg []int32, p PoolParams) *Tensor {
 	c, h, w := input.Shape[0], input.Shape[1], input.Shape[2]
 	oh, ow := p.OutShape(h, w)
-	out := New(c, oh, ow)
-	var arg []int32
-	if p.Kind == MaxPool {
-		arg = make([]int32, out.Len())
+	if dst.Len() != c*oh*ow {
+		panic(fmt.Sprintf("tensor: Pool2DInto dst len %d, want %d", dst.Len(), c*oh*ow))
+	}
+	if p.Kind == MaxPool && len(arg) != dst.Len() {
+		panic(fmt.Sprintf("tensor: Pool2DInto argmax len %d, want %d", len(arg), dst.Len()))
 	}
 	for ch := 0; ch < c; ch++ {
 		for oy := 0; oy < oh; oy++ {
@@ -86,7 +88,7 @@ func Pool2D(input *Tensor, p PoolParams) (*Tensor, []int32) {
 							}
 						}
 					}
-					out.Data[oi] = best
+					dst.Data[oi] = best
 					arg[oi] = bi
 				case AvgPool:
 					var s float32
@@ -111,25 +113,30 @@ func Pool2D(input *Tensor, p PoolParams) (*Tensor, []int32) {
 							n++
 						}
 					}
-					out.Data[oi] = s / float32(n)
+					dst.Data[oi] = s / float32(n)
 				}
 			}
 		}
 	}
-	return out, arg
+	return dst
 }
 
-// Pool2DBackward up-samples errors through the SAMP layer (the BP step).
-// For MaxPool, arg is the argmax index array from the forward pass. inH/inW
-// give the forward input spatial size.
-func Pool2DBackward(gradOut *Tensor, arg []int32, p PoolParams, inH, inW int) *Tensor {
+// Pool2DBackwardInto up-samples errors through the SAMP layer (the BP step)
+// into caller-owned dst, shaped like the forward input (C, inH, inW) and
+// overwritten. For MaxPool, arg is the argmax index array from the forward
+// pass. Returns dst.
+func Pool2DBackwardInto(dst, gradOut *Tensor, arg []int32, p PoolParams) *Tensor {
 	c, oh, ow := gradOut.Shape[0], gradOut.Shape[1], gradOut.Shape[2]
-	gin := New(c, inH, inW)
+	if len(dst.Shape) != 3 || dst.Shape[0] != c {
+		panic(fmt.Sprintf("tensor: Pool2DBackwardInto dst shape %v for %d channels", dst.Shape, c))
+	}
+	inH, inW := dst.Shape[1], dst.Shape[2]
+	dst.Zero()
 	switch p.Kind {
 	case MaxPool:
 		for oi, g := range gradOut.Data {
 			if arg[oi] >= 0 {
-				gin.Data[arg[oi]] += g
+				dst.Data[arg[oi]] += g
 			}
 		}
 	case AvgPool:
@@ -150,7 +157,7 @@ func Pool2DBackward(gradOut *Tensor, arg []int32, p PoolParams, inH, inW int) *T
 					for ky := 0; ky < p.Window; ky++ {
 						for kx := 0; kx < p.Window; kx++ {
 							if y0+ky >= 0 && y0+ky < inH && x0+kx >= 0 && x0+kx < inW {
-								gin.Data[(ch*inH+y0+ky)*inW+x0+kx] += share
+								dst.Data[(ch*inH+y0+ky)*inW+x0+kx] += share
 							}
 						}
 					}
@@ -158,5 +165,5 @@ func Pool2DBackward(gradOut *Tensor, arg []int32, p PoolParams, inH, inW int) *T
 			}
 		}
 	}
-	return gin
+	return dst
 }
