@@ -62,12 +62,10 @@ fuzz:
 # $(TELEMETRY_MAX_RATIO)x the telemetry-off run, asserted by
 # sdbenchdiff -ratio right after BENCH_sim.json is written. The sweep benchmark times the
 # same 8-job grid serially and sharded across GOMAXPROCS workers and records
-# the wall-clock ratio (speedup-x) in BENCH_sweep.json. The memo benchmark
-# runs a deliberately duplicated grid both through RunGrid's cell classes
-# and simulated job by job, and records the wall-clock/allocs gap
-# (memo-speedup-x) in BENCH_memo.json. The tensor benchmarks time the naive
-# reference kernels against the blocked engine at MiniVGG GEMM/conv shapes
-# and record the naive-vs-engine ratio (speedup-x) in BENCH_tensor.json.
+# the wall-clock ratio (speedup-x) in BENCH_sweep.json. The tensor
+# benchmarks time the naive reference kernels against the blocked engine at
+# MiniVGG GEMM/conv shapes and record the naive-vs-engine ratio (speedup-x)
+# in BENCH_tensor.json.
 # The store benchmark runs the same grid cold (simulate + persist), warm
 # from a fresh process replaying disk blobs, and warm from the in-process
 # memory tier, and records the ratios (disk-speedup-x, mem-speedup-x) in
@@ -102,9 +100,6 @@ bench:
 	$(GO) test -run '^$$' -bench Grid -json ./internal/sweep/ > BENCH_sweep.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_sweep.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
 	@echo "wrote BENCH_sweep.json"
-	$(GO) test -run '^$$' -bench SweepMemo -benchmem -json ./internal/sweep/ > BENCH_memo.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_memo.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
-	@echo "wrote BENCH_memo.json"
 	$(GO) test -run '^$$' -bench Kernel -benchmem -json ./internal/tensor/ > BENCH_tensor.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_tensor.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
 	@echo "wrote BENCH_tensor.json"
@@ -128,7 +123,7 @@ bench:
 # first; with the working tree clean, `git stash`-style comparison is just
 # `git show HEAD:BENCH_sim.json > old.json && make benchdiff OLD=old.json`.
 benchdiff:
-	@for f in BENCH_sim BENCH_sweep BENCH_memo BENCH_tensor BENCH_store BENCH_predict BENCH_cell BENCH_serve; do \
+	@for f in BENCH_sim BENCH_sweep BENCH_tensor BENCH_store BENCH_predict BENCH_cell BENCH_serve; do \
 		if git show HEAD:$$f.json > /tmp/$$f.base.json 2>/dev/null; then \
 			echo "== $$f: HEAD vs working tree =="; \
 			$(GO) run ./cmd/sdbenchdiff /tmp/$$f.base.json $$f.json; \

@@ -4,7 +4,7 @@
 //	sdbenchdiff -ratio NUM/DEN [-max-ratio r] FILE
 //
 // Each file is either a test2json stream as written by `make bench`
-// (BENCH_sim.json, BENCH_sweep.json, BENCH_memo.json) or the raw text of a
+// (BENCH_sim.json, BENCH_sweep.json, BENCH_store.json) or the raw text of a
 // `go test -bench` run. For every benchmark and metric present in both
 // files it prints old, new and the relative delta, where negative means the
 // new run is better for cost-like metrics (ns/op, B/op, allocs/op).

@@ -14,14 +14,13 @@
 //	        [-predict model.json] \
 //	        [-trace-out trace.json] [-log-out PATH|-] [-log-level LEVEL]
 //
-// Duplicate grid cells (identical workload/arch/minibatch/mode points) are
-// simulated once and their results replicated — exact, because each job is a
-// deterministic function of its spec.
-//
 // With -store-dir, results persist in a content-addressed disk store across
 // runs: a repeated sweep replays from disk instead of simulating, with
-// byte-identical output. -verify-store re-simulates a deterministic sample
-// of the hits and fails on any divergence.
+// byte-identical output, and a grid cell listed twice simulates once.
+// Without it every listed cell simulates, repeats included; the table is
+// the same either way, because each job is a deterministic function of its
+// spec. -verify-store re-simulates a deterministic sample of the hits and
+// fails on any divergence.
 //
 // With -predict, a model fit by sdpredict answers confident grid cells in
 // microseconds instead of simulating them; rows carry source=predicted so a

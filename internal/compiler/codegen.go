@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -28,7 +29,7 @@ func phaseSpan(sink telemetry.SpanSink, base, start time.Time, name string) {
 // Options configure code generation.
 type Options struct {
 	Minibatch  int  // training inputs per minibatch (≥1)
-	Iterations int  // minibatch iterations to run (≥1)
+	Iterations int  // minibatch iterations to run (1 to math.MaxInt32)
 	Training   bool // emit BP/WG and the weight update; false = FP only
 	// LR is the SGD learning rate applied to the summed minibatch gradient
 	// (quantized to the WUPDATE fixed-point format, 1/2^16 steps).
@@ -123,6 +124,10 @@ func generate(m *Mapping, opts Options, base time.Time) (*Compiled, error) {
 	}
 	if opts.Iterations < 1 {
 		opts.Iterations = 1
+	}
+	if opts.Iterations > math.MaxInt32 {
+		// finalize loads the count into a register as an int32 immediate.
+		return nil, fmt.Errorf("compiler: %d iterations exceed the ISA's iteration counter (max %d)", opts.Iterations, math.MaxInt32)
 	}
 	capElems := int64(m.Chip.MemHeavy.CapacityKB) * 1024 / 4
 	al := newAllocator(m.Chip.Rows, m.Chip.Rows*(m.Chip.Cols+1), capElems)
@@ -267,7 +272,9 @@ func sliceOff(out, n, s int) int {
 }
 
 // allocLayerState allocates feature, error and weight regions for a layer.
-// Feature and error regions get one copy per minibatch image.
+// Feature and error regions get one copy per minibatch image, up to the
+// first allocation past a tile's capacity: Compile fails with that error,
+// so the remaining images of a huge minibatch need no regions.
 func (g *gen) allocLayerState(mi int, lm *LayerMap) {
 	l := lm.Layer
 	mb := g.opts.Minibatch
@@ -280,7 +287,7 @@ func (g *gen) allocLayerState(mi int, lm *LayerMap) {
 		if l.Kind == dnn.FC {
 			size = int64(sliceLen(l.OutNeurons, len(lm.Homes), f))
 		}
-		for img := 0; img < mb; img++ {
+		for img := 0; img < mb && g.al.err == nil; img++ {
 			// The names read "<layer>.feat<f>.i<img>" (and eraw, edrv).
 			unit, image := strconv.Itoa(f), ".i"+strconv.Itoa(img)
 			g.feat[mi][f] = append(g.feat[mi][f],

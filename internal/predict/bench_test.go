@@ -11,7 +11,7 @@ import (
 
 // BENCH_predict.json: the learned fast path against cold exact simulation,
 // per cell. BenchmarkPredictCellExact runs one grid cell through the full
-// sweep engine with the memo disabled (a cold cell: compile + simulate);
+// sweep engine with no store (a cold cell: compile + simulate);
 // BenchmarkPredictCellFast answers the same cell from the fitted model
 // (features + gate + dot products). The CI ratio gate asserts
 // Fast/Exact ≤ 0.01 — at least 100× per cell.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"scaledeep/internal/sweep"
 )
@@ -25,8 +26,11 @@ type Sample struct {
 }
 
 // Harvest runs the exact simulator over the grid (through the ordinary
-// sweep engine, so the memo, store and worker-pool tiers all apply) and
-// returns one labeled sample per distinct cell, in grid order. Passing an
+// sweep engine, so the store and worker-pool tiers apply) and returns one
+// labeled sample per distinct cell, in grid order. Cells are told apart
+// the way the sweep's store keys tell them apart: names compare
+// case-insensitively and eval cells ignore Iterations, so a grid that
+// lists a cell twice does not weight it twice in a fit. Passing an
 // opts.Store makes repeated harvests replay from disk.
 func Harvest(ctx context.Context, g sweep.Grid, opts sweep.Options) ([]Sample, error) {
 	opts.Predictor = nil // labels must come from the oracle
@@ -45,9 +49,9 @@ func Harvest(ctx context.Context, g sweep.Grid, opts sweep.Options) ([]Sample, e
 		if r.Mode != "train" {
 			iters = 1
 		}
-		c := cell{wl: r.Workload, ar: r.Arch, mode: r.Mode, mb: r.Minibatch, iters: iters}
+		c := cell{wl: strings.ToLower(r.Workload), ar: strings.ToLower(r.Arch), mode: r.Mode, mb: r.Minibatch, iters: iters}
 		if seen[c] {
-			continue // replicated member of an already-sampled cell
+			continue // a repeat of an already-sampled cell
 		}
 		seen[c] = true
 		net, err := sweep.BuildWorkload(r.Workload)

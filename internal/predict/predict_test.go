@@ -107,6 +107,25 @@ func TestHarvestDeterministic(t *testing.T) {
 	}
 }
 
+// Harvest keeps one sample per distinct cell, telling cells apart as the
+// sweep's store keys do: a workload or arch listed twice under different
+// capitalization is one cell, and sampling it twice would double its
+// weight in a fit.
+func TestHarvestOneSamplePerCell(t *testing.T) {
+	samples, err := Harvest(context.Background(), sweep.Grid{
+		Workloads:   []string{"simnet", "SimNet"},
+		Archs:       []string{"baseline", "BASELINE"},
+		Minibatches: []int{1},
+		Modes:       []string{"eval"},
+	}, sweep.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(samples) != 1 {
+		t.Fatalf("harvest of one cell listed 4 ways returned %d samples, want 1", len(samples))
+	}
+}
+
 // Held-out accuracy: minibatch 3 was never fit. The confidence gate must
 // admit these topology-matched, in-hull cells, and the admitted p95
 // relative cycle error must stay within the documented budget — the same

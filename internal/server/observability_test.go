@@ -164,9 +164,9 @@ func TestServerJobTraceKeepsCellSpansPastLaneBound(t *testing.T) {
 }
 
 // jobTraceSHA256 is the digest of the fixed-clock trace of testSpec() as
-// job-000001 (88,808 bytes). The encoder, the assembly and the spans a job
+// job-000001 (88,778 bytes). The encoder, the assembly and the spans a job
 // records all feed it; a deliberate change to any of them updates it.
-const jobTraceSHA256 = "710d6d39162071bc7e9fd7addf92001f351b6adbed77f6e84c7983b4401e231b"
+const jobTraceSHA256 = "0e566ff8cafd1ff5a8deaa76729bc38c8c9238f1a1ffc2330f4551a7776eded9"
 
 // TestServerJobTracePinned: the served trace of a fixed-clock job matches
 // the pinned digest at budget widths 1 and 2. It is rendered on the first

@@ -269,6 +269,12 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 	if resp, _ := submit(t, ts, bad, "bad"); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown format: status %d, want 400", resp.StatusCode)
 	}
+	// The compiled program counts iterations in an int32 register.
+	bad = testSpec()
+	bad.Iterations = 1<<32 + 1
+	if resp, _ := submit(t, ts, bad, "bad"); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("iterations past math.MaxInt32: status %d, want 400", resp.StatusCode)
+	}
 	for name, body := range map[string]string{
 		"malformed JSON": "{not json",
 		"trailing bytes": trailingBytesSpec,
@@ -565,6 +571,22 @@ func TestServerOversizedJobFails(t *testing.T) {
 	_, doc = submit(t, ts, testSpec(), "after-oversized")
 	if final := waitDone(t, ts, doc["id"].(string)); final.State != "done" {
 		t.Fatalf("job after the oversized one: state %q (error %q)", final.State, final.Error)
+	}
+}
+
+// TestServerHugeMinibatchFails: a one-cell spec of a few dozen bytes can
+// ask for a minibatch of 2^30 images. The job must fail at the chip's
+// capacity, with the compiler's error, without first binding state for
+// every image it asked for.
+func TestServerHugeMinibatchFails(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	_, doc := submit(t, ts, Spec{
+		Workloads: []string{"simnet"}, Archs: []string{"baseline"},
+		Minibatches: []int{1 << 30}, Modes: []string{"eval"},
+	}, "huge-minibatch")
+	final := waitDone(t, ts, doc["id"].(string))
+	if final.State != "failed" || !strings.Contains(final.Error, "over capacity") {
+		t.Fatalf("huge-minibatch job: state %q error %q, want failed with an over-capacity error", final.State, final.Error)
 	}
 }
 

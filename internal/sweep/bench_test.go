@@ -42,68 +42,6 @@ func benchGridWorkers(b *testing.B, workers int) {
 	}
 }
 
-// memoBenchGrid is the memoization benchmark grid: heavy cell duplication
-// (each semantic cell appears three times) so the memo path replicates most
-// of its results instead of simulating them.
-func memoBenchGrid() Grid {
-	return Grid{
-		Workloads:   []string{"simnet", "fcnet", "simnet", "fcnet", "simnet", "fcnet"},
-		Archs:       []string{"baseline"},
-		Minibatches: []int{1, 2},
-		Modes:       []string{"eval", "train"},
-	}
-}
-
-// BenchmarkSweepMemoOn / BenchmarkSweepMemoOff are the BENCH_memo.json pair:
-// the same duplicated grid through RunGrid's cell classes and simulated job
-// by job (directResults). The wall-clock and allocs/op gap between the two
-// is the memoization win.
-func BenchmarkSweepMemoOn(b *testing.B)  { benchSweepMemo(b, true) }
-func BenchmarkSweepMemoOff(b *testing.B) { benchSweepMemo(b, false) }
-
-func benchSweepMemo(b *testing.B, memo bool) {
-	b.Helper()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := runMemoBenchGrid(memo); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// runMemoBenchGrid runs memoBenchGrid serially, memoized or job by job.
-func runMemoBenchGrid(memo bool) error {
-	var err error
-	if memo {
-		_, err = RunGrid(context.Background(), memoBenchGrid(), Options{Workers: 1})
-	} else {
-		_, err = directResults(memoBenchGrid(), nil)
-	}
-	return err
-}
-
-// BenchmarkSweepMemoSpeedup runs the duplicated grid both ways per iteration
-// and reports the wall-clock ratio as memo-speedup-x, the headline number of
-// BENCH_memo.json.
-func BenchmarkSweepMemoSpeedup(b *testing.B) {
-	var full, memo time.Duration
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		if err := runMemoBenchGrid(false); err != nil {
-			b.Fatal(err)
-		}
-		full += time.Since(t0)
-		t0 = time.Now()
-		if err := runMemoBenchGrid(true); err != nil {
-			b.Fatal(err)
-		}
-		memo += time.Since(t0)
-	}
-	b.ReportMetric(full.Seconds()/memo.Seconds(), "memo-speedup-x")
-	b.ReportMetric(full.Seconds()*1e3/float64(b.N), "full-ms")
-	b.ReportMetric(memo.Seconds()*1e3/float64(b.N), "memo-ms")
-}
-
 // storeBenchGrid is the persistent-store benchmark grid: distinct cells
 // only, so every cold run is pure simulation and every warm run is pure
 // cache traffic.

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,7 +27,7 @@ type Grid struct {
 	Archs       []string // chip configs (see Archs)
 	Minibatches []int    // minibatch sizes, each ≥ 1
 	Modes       []string // "eval" (FP only) and/or "train" (FP+BP+WG)
-	Iterations  int      // training iterations per job; 0 means 1
+	Iterations  int      // training iterations per job, at most math.MaxInt32; 0 means 1
 }
 
 // Workloads lists the cycle-simulator workload catalog: networks small
@@ -104,6 +105,9 @@ func (g Grid) Jobs() ([]Job, error) {
 	if iters <= 0 {
 		iters = 1
 	}
+	if iters > math.MaxInt32 {
+		return nil, fmt.Errorf("sweep: %d iterations out of range (max %d)", iters, math.MaxInt32)
+	}
 	var jobs []Job
 	for _, wl := range g.Workloads {
 		if _, err := buildWorkload(wl); err != nil {
@@ -158,106 +162,49 @@ func (j Job) cellKey() cellKey {
 	}
 }
 
-// cellClasses groups jobs into equivalence classes in job order: members are
-// job indices sorted ascending, and classes are ordered by their first
-// member, so classes — and the trace lanes keyed by class index — follow
-// job order.
-func cellClasses(jobs []Job) [][]int {
-	var classes [][]int
-	index := map[cellKey]int{}
-	for _, j := range jobs {
-		k := j.cellKey()
-		ci, ok := index[k]
-		if !ok {
-			ci = len(classes)
-			index[k] = ci
-			classes = append(classes, nil)
-		}
-		classes[ci] = append(classes[ci], j.Index)
-	}
-	return classes
-}
-
 // RunGrid runs every grid point on the cycle-level simulator and returns the
-// results in job order. Each job compiles its own program, simulates on a
-// machine from the process-wide per-arch pool and records into its own
-// telemetry registry, so jobs shard cleanly across opts.Workers.
+// results in job order. Each job resolves on its own trace lane through
+// resolveCell: it compiles its own program, simulates on a machine from the
+// process-wide per-arch pool and records into its own telemetry registry,
+// so jobs shard cleanly across opts.Workers. The registries are merged into
+// opts.Metrics in job order.
 //
-// Identical grid points (same workload, arch, minibatch, mode and effective
-// iterations — e.g. one workload swept against several duplicate axis
-// values, or eval cells at different Iterations settings) form one class,
-// answered once by resolveCell and replicated, result and telemetry, to the
-// other members. Jobs are pure functions of their spec — inputs come from a
-// spec-seeded PRNG and the simulator is deterministic — so replication is
-// exact: the rendered tables and merged metrics equal those of simulating
-// every job on its own.
-//
-// With opts.Store set, a class consults the persistent result store before
+// With opts.Store set, a job consults the persistent result store before
 // simulating (memory tier, then disk; see store.go and DESIGN.md §5f) and
 // writes a fresh result back, so a repeated sweep across process restarts
-// replays from disk with byte-identical tables and merged metrics.
-// opts.VerifyStore re-simulates a deterministic sample of hits and
+// replays from disk with byte-identical tables and merged metrics, and a
+// cell the grid lists twice simulates once: the memory tier or the store's
+// single-flight answers the repeat. Without a store a repeat simulates
+// again. opts.VerifyStore re-simulates a deterministic sample of hits and
 // byte-compares blobs.
 func RunGrid(ctx context.Context, g Grid, opts Options) ([]Result, error) {
 	jobs, err := g.Jobs()
 	if err != nil {
 		return nil, err
 	}
-	classes := cellClasses(jobs)
-	reps := make([]Job, len(classes))
-	for ci, members := range classes {
-		reps[ci] = jobs[members[0]]
-	}
-
-	// Classes run through the ordinary pool, but with registry and progress
-	// bookkeeping held here: each class's registry is merged into
-	// opts.Metrics once per member below, and progress is reported in
-	// expanded-job units.
+	// resolveCell hands back each job's registry (a simulated one or a
+	// stored blob's), so the pool allocates none and merging happens here.
 	inner := opts
-	inner.Metrics, inner.Progress = nil, nil
-	regs := make([]*telemetry.Registry, len(classes))
-	var (
-		progMu   sync.Mutex
-		progDone int
-	)
-	repResults, err := Map(ctx, reps, inner, func(ctx context.Context, ci int, job Job, _ *telemetry.Registry) (Result, error) {
-		// One deterministic trace lane per class, written only by the
-		// worker that owns it, so the assembled trace is independent of
-		// worker scheduling.
+	inner.Metrics = nil
+	regs := make([]*telemetry.Registry, len(jobs))
+	results, err := Map(ctx, jobs, inner, func(ctx context.Context, i int, job Job, _ *telemetry.Registry) (Result, error) {
+		// One deterministic trace lane per job, written only by the worker
+		// that owns it, so the assembled trace is independent of worker
+		// scheduling.
 		var tc telemetry.TraceContext
 		if opts.Trace != nil {
-			tc = opts.Trace.Context(ci, "cell/"+job.Name())
+			tc = opts.Trace.Context(i, "cell/"+job.Name())
 		}
-		r, reg, err := resolveCell(ctx, job, tc, len(classes[ci]), opts)
-		if err != nil {
-			return Result{}, err
-		}
-		regs[ci] = reg
-		if opts.Progress != nil {
-			progMu.Lock()
-			progDone += len(classes[ci])
-			opts.Progress(progDone, len(jobs))
-			progMu.Unlock()
-		}
-		return r, nil
+		r, reg, err := resolveCell(ctx, job, tc, opts)
+		regs[i] = reg
+		return r, err
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	results := make([]Result, len(jobs))
-	jobRegs := make([]*telemetry.Registry, len(jobs))
-	for ci, members := range classes {
-		for _, ji := range members {
-			r := repResults[ci]
-			r.Job = jobs[ji] // identity differs; measurements are shared
-			results[ji] = r
-			jobRegs[ji] = regs[ci]
-		}
-	}
 	if opts.Metrics != nil {
-		for ji, r := range results {
-			if err := opts.Metrics.MergeFrom(jobRegs[ji]); err != nil {
+		for i, r := range results {
+			if err := opts.Metrics.MergeFrom(regs[i]); err != nil {
 				return nil, err
 			}
 			recordJobMetrics(opts.Metrics, r)
@@ -269,14 +216,14 @@ func RunGrid(ctx context.Context, g Grid, opts Options) ([]Result, error) {
 	return results, nil
 }
 
-// resolveCell answers one cell class: a stored result (audited under
+// resolveCell answers one grid job: a stored result (audited under
 // opts.VerifyStore), else a confident prediction, else exact simulation —
 // under the store's single-flight when opts.Store is set, so concurrent
 // jobs racing on the key simulate it once and share the leader's bytes.
 // Every step records its span on tc. The returned registry holds the cell's
 // telemetry; it is nil for predicted cells and for storeless runs that keep
 // no metrics.
-func resolveCell(ctx context.Context, job Job, tc telemetry.TraceContext, replicas int, opts Options) (Result, *telemetry.Registry, error) {
+func resolveCell(ctx context.Context, job Job, tc telemetry.TraceContext, opts Options) (Result, *telemetry.Registry, error) {
 	var key string
 	if opts.Store != nil {
 		// The span covers key derivation as well as the lookup. The blob
@@ -330,7 +277,7 @@ func resolveCell(ctx context.Context, job Job, tc telemetry.TraceContext, replic
 		endPredict(outcome("fallback"))
 	}
 	if opts.Store == nil {
-		return simulate(job, tc, replicas, opts.Metrics != nil)
+		return simulate(job, tc, opts.Metrics != nil)
 	}
 	// A coalesced payload is decoded exactly like a store hit —
 	// decode(encode(x)) == x is the §5f round-trip property — so coalescing
@@ -344,7 +291,7 @@ func resolveCell(ctx context.Context, job Job, tc telemetry.TraceContext, replic
 		// The blob always carries the cell's metrics so it serves future
 		// runs that do ask for metrics.
 		var err error
-		if r, reg, err = simulate(job, tc, replicas, true); err != nil {
+		if r, reg, err = simulate(job, tc, true); err != nil {
 			return nil, err
 		}
 		p := encodeBlob(r, reg)
@@ -365,23 +312,22 @@ func resolveCell(ctx context.Context, job Job, tc telemetry.TraceContext, replic
 	return r, reg, nil
 }
 
-// simulate runs the exact simulator on one cell under a "simulate" span
-// that records how many grid jobs share the result. The cell's registry is
-// nil unless metrics is set.
-func simulate(job Job, tc telemetry.TraceContext, replicas int, metrics bool) (Result, *telemetry.Registry, error) {
+// simulate runs the exact simulator on one cell under a "simulate" span.
+// The cell's registry is nil unless metrics is set.
+func simulate(job Job, tc telemetry.TraceContext, metrics bool) (Result, *telemetry.Registry, error) {
 	var reg *telemetry.Registry
 	if metrics {
 		reg = telemetry.NewRegistry()
 	}
-	end := tc.Begin("simulate", telemetry.Attr{Key: "replicas", Value: fmt.Sprint(replicas)})
+	end := tc.Begin("simulate")
 	r, err := runJob(job, reg, tc)
 	end(outcomeOf(err))
 	return r, reg, err
 }
 
 // recordJobMetrics adds the per-job labeled series derived from one result.
-// It runs outside runJob so a replicated result is attributed to the
-// replica's own job label.
+// It runs outside runJob so a result replayed from the store is attributed
+// to the job that asked for it.
 func recordJobMetrics(reg *telemetry.Registry, r Result) {
 	if reg == nil {
 		return
@@ -518,7 +464,7 @@ func outcomeOf(err error) telemetry.Attr {
 // runJob compiles and simulates one grid point. Inputs are seeded from the
 // same fixed PRNG stream per job spec, so a job's result depends only on its
 // spec — never on which worker ran it or when. That purity is what both the
-// cross-parallelism determinism guarantee and cell memoization rest on.
+// cross-parallelism determinism guarantee and the result store rest on.
 //
 // tc, unless it is the zero TraceContext, is the cell's trace lane: it
 // receives the simulator's per-tile op spans (cycle timestamps on

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -51,6 +52,9 @@ func TestGridValidation(t *testing.T) {
 		{Workloads: []string{"simnet"}, Archs: []string{"nope"}, Minibatches: []int{1}, Modes: []string{"eval"}},
 		{Workloads: []string{"simnet"}, Archs: []string{"baseline"}, Minibatches: []int{0}, Modes: []string{"eval"}},
 		{Workloads: []string{"simnet"}, Archs: []string{"baseline"}, Minibatches: []int{1}, Modes: []string{"predict"}},
+		// The compiled program counts iterations in an int32 register.
+		{Workloads: []string{"fcnet"}, Archs: []string{"baseline"}, Minibatches: []int{1}, Modes: []string{"train"}, Iterations: math.MaxInt32 + 1},
+		{Workloads: []string{"fcnet"}, Archs: []string{"baseline"}, Minibatches: []int{1}, Modes: []string{"train"}, Iterations: 1<<32 + 1},
 	}
 	for i, g := range cases {
 		if _, err := g.Jobs(); err == nil {

@@ -13,7 +13,7 @@ import (
 // engine (it harvests its training data through RunGrid) without an import
 // cycle.
 //
-// Soundness discipline, mirroring the memo and store tiers (§5d/§5f):
+// Soundness discipline, mirroring the store tier (§5f):
 //
 //   - A predicted row is always labeled (Result.Source = SourcePredicted),
 //     so a miss is visible, never a silently wrong answer.
@@ -92,9 +92,8 @@ func predictJob(p Predictor, job Job) (Result, bool) {
 }
 
 // recordPredictMetrics folds the run's predictor outcome counters into the
-// merged registry, in expanded-job units (each replicated member counts
-// once). Counting happens once, after the pool drains, so the totals are
-// independent of worker scheduling.
+// merged registry, one count per job. Counting happens once, after the pool
+// drains, so the totals are independent of worker scheduling.
 func recordPredictMetrics(reg *telemetry.Registry, results []Result) {
 	if reg == nil {
 		return

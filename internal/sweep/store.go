@@ -14,16 +14,15 @@ import (
 	"scaledeep/internal/telemetry"
 )
 
-// This file is the persistence tier of grid-cell memoization: it maps a
-// grid cell to a content-addressed store key and a serialized blob, so a
-// sweep consults memory (in-run cell classes, then the store's in-process
-// map), then disk, and only then simulates. Soundness mirrors DESIGN.md
-// §5d/§5f: a key pins everything a cell's result depends on — the full
-// workload topology (not just its catalog name), the chip configuration
-// and precision, the run constants baked into runJob, the minibatch, mode
-// and normalized iterations, plus a schema version and a Go-struct layout
-// hash so blobs written by an incompatible binary become misses instead of
-// being decoded into the wrong fields.
+// This file is the sweep side of the result store: it maps a grid cell to
+// a content-addressed store key and a serialized blob, so a sweep consults
+// the store's in-process map, then disk, and only then simulates. Soundness
+// follows DESIGN.md §5f: a key pins everything a cell's result depends on —
+// the full workload topology (not just its catalog name), the chip
+// configuration and precision, the run constants baked into runJob, the
+// minibatch, mode and normalized iterations, plus a schema version and a
+// Go-struct layout hash so blobs written by an incompatible binary become
+// misses instead of being decoded into the wrong fields.
 
 // storeSchema is bumped on any change to the blob layout or the meaning of
 // its fields.

@@ -54,9 +54,11 @@ type Options struct {
 	// argument; when Metrics is nil no per-job registries are allocated and
 	// fn receives nil.
 	Metrics *telemetry.Registry
-	// Store, when non-nil, adds a persistent tier under the in-run cell
-	// classes: RunGrid consults the store's in-process map, then disk, and
-	// only simulates on a miss, writing the result back for the next run.
+	// Store, when non-nil, adds the persistent result tier: RunGrid
+	// consults the store's in-process map, then disk, and only simulates on
+	// a miss, writing the result back for the next job or run. A cell the
+	// grid lists twice simulates once: the memory tier or the store's
+	// single-flight answers the repeat.
 	Store *store.Store
 	// VerifyStore re-simulates a deterministic ~25% sample of store hits
 	// and byte-compares the stored blob against a fresh encoding, failing
@@ -72,8 +74,10 @@ type Options struct {
 	// Trace, when non-nil, collects one job-scoped span timeline across the
 	// whole sweep: per-cell store-lookup/simulate/store-write spans plus the
 	// simulator's own per-tile op spans, each cell on its own deterministic
-	// lane (see telemetry.JobTrace). Lanes are keyed by cell class index, so
-	// the assembled trace is identical at any Workers count.
+	// lane (see telemetry.JobTrace). Lanes are keyed by job index, so the
+	// assembled trace is identical at any Workers count — except, under a
+	// Store, for which lane of a repeated cell simulates and which hit or
+	// coalesce, which worker timing decides.
 	Trace *telemetry.JobTrace
 }
 

@@ -12,8 +12,8 @@ import (
 	"scaledeep/internal/telemetry"
 )
 
-// traceGrid is a small grid with a duplicate axis value, so the memo path
-// has both a multi-member class and distinct cells.
+// traceGrid is a small grid with a duplicate axis value: 4 jobs, each
+// distinct cell listed twice.
 func traceGrid() Grid {
 	return Grid{
 		Workloads:   []string{"simnet"},
@@ -37,6 +37,33 @@ func spansByName(spans []telemetry.Span) map[string]int {
 	return out
 }
 
+// attr returns the value of a span's attribute, or "" if it has none.
+func attr(s telemetry.Span, key string) string {
+	for _, a := range s.Attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
+}
+
+// cellLanes splits a sweep's assembled spans into its cell lanes, in job
+// order. Every lane opens with its store.get span, the first one a cell
+// ends.
+func cellLanes(t *testing.T, spans []telemetry.Span) [][]telemetry.Span {
+	t.Helper()
+	var lanes [][]telemetry.Span
+	for _, s := range spans {
+		if s.Name == "store.get" {
+			lanes = append(lanes, nil)
+		} else if len(lanes) == 0 {
+			t.Fatalf("span %q precedes every store.get", s.Name)
+		}
+		lanes[len(lanes)-1] = append(lanes[len(lanes)-1], s)
+	}
+	return lanes
+}
+
 func TestRunGridTraceRecordsCellSpans(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{})
@@ -51,29 +78,31 @@ func TestRunGridTraceRecordsCellSpans(t *testing.T) {
 	}
 	spans := jt.Assemble()
 	byName := spansByName(spans)
-	// Two distinct cells (mb1, mb2): each misses the store, simulates, and
-	// writes back.
-	if byName["store.get"] != 2 || byName["simulate"] != 2 || byName["store.put"] != 2 {
-		t.Fatalf("first-run span counts = %v, want 2× store.get/simulate/store.put", byName)
+	// Two distinct cells (mb1, mb2), each listed twice: every job looks the
+	// store up, and each cell simulates and writes back once.
+	if byName["store.get"] != 4 || byName["simulate"] != 2 || byName["store.put"] != 2 {
+		t.Fatalf("first-run span counts = %v, want 4× store.get, 2× simulate and store.put", byName)
 	}
-	var hit, miss int
-	for _, s := range spans {
-		if s.Name != "store.get" {
-			continue
-		}
-		for _, a := range s.Attrs {
-			if a.Key == "outcome" {
-				switch a.Value {
-				case "hit":
-					hit++
-				case "miss":
-					miss++
-				}
+	// Each lane is resolved by exactly one of: its own simulation, a store
+	// hit on a repeat's write-back, or coalescing onto a repeat in flight.
+	lanes := cellLanes(t, spans)
+	if len(lanes) != 4 {
+		t.Fatalf("%d cell lanes, want 4", len(lanes))
+	}
+	for i, lane := range lanes {
+		var resolved []string
+		for _, s := range lane {
+			switch {
+			case s.Name == "simulate",
+				s.Name == "store.get" && attr(s, "outcome") == "hit",
+				s.Name == "store.flight" && attr(s, "outcome") == "coalesced":
+				resolved = append(resolved, s.Name+"/"+attr(s, "outcome"))
 			}
 		}
-	}
-	if miss != 2 || hit != 0 {
-		t.Errorf("first run store.get outcomes: %d miss %d hit, want 2/0", miss, hit)
+		if len(resolved) != 1 {
+			t.Errorf("lane %d (%s) resolved by %v, want exactly one of simulate, store.get hit or store.flight coalesced",
+				i, lane[0].Track, resolved)
+		}
 	}
 	// Simulator spans land on prefixed per-tile tracks inside the cell lane.
 	simTracks := 0
@@ -86,14 +115,20 @@ func TestRunGridTraceRecordsCellSpans(t *testing.T) {
 		t.Error("no simulator op spans reached the cell lanes")
 	}
 
-	// Second run over the same store: every cell is a hit, nothing simulates.
+	// Second run over the same store: every job is a hit, nothing simulates.
 	jt2 := telemetry.NewJobTrace("sweep", 0, fixedClock())
 	if _, err := RunGrid(context.Background(), traceGrid(), Options{Store: st, Trace: jt2}); err != nil {
 		t.Fatal(err)
 	}
-	byName2 := spansByName(jt2.Assemble())
-	if byName2["store.get"] != 2 || byName2["simulate"] != 0 || byName2["store.put"] != 0 {
-		t.Errorf("second-run span counts = %v, want 2× store.get only", byName2)
+	spans2 := jt2.Assemble()
+	byName2 := spansByName(spans2)
+	if byName2["store.get"] != 4 || byName2["simulate"] != 0 || byName2["store.put"] != 0 {
+		t.Errorf("second-run span counts = %v, want 4× store.get only", byName2)
+	}
+	for _, s := range spans2 {
+		if s.Name == "store.get" && attr(s, "outcome") != "hit" {
+			t.Errorf("%s: second-run store.get %s, want hit", s.Track, attr(s, "outcome"))
+		}
 	}
 }
 

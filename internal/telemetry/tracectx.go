@@ -15,8 +15,8 @@ import (
 // The central design problem is determinism: sweep workers finish in
 // arbitrary order, so appending spans to one shared buffer would interleave
 // them nondeterministically. A JobTrace instead partitions spans into
-// lanes. A lane is a deterministic producer slot — grid-cell index ci for
-// the sweep's class representatives, LaneJob for job-lifecycle spans — and
+// lanes. A lane is a deterministic producer slot — the job index for each
+// of the sweep's grid cells, LaneJob for job-lifecycle spans — and
 // every lane is only ever written by the one goroutine that owns its unit
 // of work. Assemble concatenates lanes in lane order, each lane's spans in
 // its own record order, so the assembled span list is a pure function of
