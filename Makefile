@@ -80,7 +80,9 @@ fuzz:
 # The cold-cell benchmark compiles, installs and runs one catalogue cell
 # (minivgg/baseline/mb8/train) on a reused machine with a registry and a
 # trace lane attached, as an sdserve worker does, and records ns/op, B/op
-# and allocs/op in BENCH_cell.json.
+# and allocs/op in BENCH_cell.json, beside the compile benchmark (minivgg
+# and simnet training on the sweep's baseline chip at minibatch 1, 8 and
+# 24), which shows how compile time grows with minibatch.
 # The serve benchmarks fire a duplicate-heavy job storm at the sdserve
 # scheduler on a one-token worker budget (one job at a time) and on the
 # default GOMAXPROCS-token budget, and record jobs-per-sec,
@@ -110,7 +112,7 @@ bench:
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_predict.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
 	@echo "wrote BENCH_predict.json"
 	$(GO) run ./cmd/sdbenchdiff -ratio PredictCellFast/PredictCellExact -max-ratio $(PREDICT_MAX_RATIO) BENCH_predict.json
-	$(GO) test -run '^$$' -bench ColdCell -benchmem -json ./internal/sweep/ > BENCH_cell.json
+	$(GO) test -run '^$$' -bench '^Benchmark(ColdCell|Compile)$$' -benchmem -json ./internal/sweep/ ./internal/compiler/ > BENCH_cell.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_cell.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
 	@echo "wrote BENCH_cell.json"
 	$(GO) test -run '^$$' -bench ServeStorm -json ./internal/server/ > BENCH_serve.json

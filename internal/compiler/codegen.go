@@ -83,7 +83,10 @@ type Compiled struct {
 // several images in flight, and per-image copies make every data-flow
 // tracker generation independent. (The paper provisions two copies and
 // bounds pipeline skew in its scheduler; per-image copies achieve the same
-// correctness with a simpler invariant — see DESIGN.md §6.)
+// correctness with a simpler invariant — see DESIGN.md §6.) The emitters
+// generate image 0's code once, addressing image 0's copies; each later
+// image's code is that template with its per-image operands rebased by
+// their strides (see finalize).
 type gen struct {
 	m        *Mapping
 	chip     arch.ChipConfig
@@ -101,10 +104,11 @@ type gen struct {
 	epart    map[[3]int]*region
 	extWNext int64 // bump allocator for the off-chip weight area
 
-	// feat[mi][f][img], errRaw[mi][f][img], errDrv[mi][f][img]
-	feat   []map[int][]*region
-	errRaw []map[int][]*region
-	errDrv []map[int][]*region
+	// feat[mi][f], errRaw[mi][f], errDrv[mi][f]: image 0's copy of each
+	// per-image region
+	feat   []map[int]*region
+	errRaw []map[int]*region
+	errDrv []map[int]*region
 
 	locals []map[TileCoord][]int // localInputs' lists, by layer and tile
 }
@@ -134,7 +138,7 @@ func generate(m *Mapping, opts Options, base time.Time) (*Compiled, error) {
 	maps := m.MappedLayers()
 	g := &gen{
 		m: m, chip: m.Chip, opts: opts,
-		em: newEmitter(al), al: al,
+		em: newEmitter(al, opts.Minibatch), al: al,
 		maps: maps, locals: make([]map[TileCoord][]int, len(maps)),
 		out: &Compiled{
 			Mapping: m, Opts: opts,
@@ -168,6 +172,10 @@ func (c *Compiled) LayerName(tag int) string {
 	return c.Mapping.Net.Layers[tag].Name
 }
 
+// run binds every layer's state, then emits the program template: image
+// 0's head and layers once, the weight update with them, and the
+// iteration barrier. It extends image 0's ledger to the whole minibatch
+// before the barrier; finalize lays down each later image's code.
 func (g *gen) run(base time.Time) error {
 	// Bind phase: allocate every layer's feature/error/weight state to tiles.
 	tBind := time.Now()
@@ -178,42 +186,39 @@ func (g *gen) run(base time.Time) error {
 	if g.al.err != nil {
 		return g.al.err
 	}
-	// Emit phase. Per-layer persistent scratch (partial sums, staging) is
-	// allocated by the emitters on their first image.
+	// Emit phase: image 0's template, once. Per-layer persistent scratch
+	// (partial sums, staging) is allocated by the emitters as they go, and
+	// the weight update goes to the batch and prologue sections.
 	tEmit := time.Now()
-	for img := 0; img < g.opts.Minibatch; img++ {
-		// The head comes first: it shares BP tiles with the final layer, and
-		// its error-seeding ops must precede that layer's backward
-		// convolutions in program order. Its instructions are attributed to
-		// the final layer, on whose behalf the loss gradient is seeded.
-		if g.opts.Training {
-			g.em.setLayer(g.maps[len(g.maps)-1].Layer.Index)
-			g.emitHead(img)
-		}
-		for mi, lm := range g.maps {
-			g.em.setLayer(lm.Layer.Index)
-			switch lm.Layer.Kind {
-			case dnn.Conv:
-				g.emitConvFP(mi, lm, img)
-				if g.opts.Training {
-					g.emitConvBPWG(mi, lm, img)
-				}
-			case dnn.Pool:
-				g.emitPoolFP(mi, lm, img)
-				if g.opts.Training {
-					g.emitPoolBP(mi, lm, img)
-				}
-			case dnn.FC:
-				g.emitFCFP(mi, lm, img)
-				if g.opts.Training {
-					g.emitFCBPWG(mi, lm, img)
-				}
+	// The head comes first: it shares BP tiles with the final layer, and its
+	// error-seeding ops must precede that layer's backward convolutions in
+	// program order. Its instructions are attributed to the final layer, on
+	// whose behalf the loss gradient is seeded.
+	if g.opts.Training {
+		g.em.setLayer(g.maps[len(g.maps)-1].Layer.Index)
+		g.emitHead()
+	}
+	for mi, lm := range g.maps {
+		g.em.setLayer(lm.Layer.Index)
+		switch lm.Layer.Kind {
+		case dnn.Conv:
+			g.emitConvFP(mi, lm)
+			if g.opts.Training {
+				g.emitConvBPWG(mi, lm)
+			}
+		case dnn.Pool:
+			g.emitPoolFP(mi, lm)
+			if g.opts.Training {
+				g.emitPoolBP(mi, lm)
+			}
+		case dnn.FC:
+			g.emitFCFP(mi, lm)
+			if g.opts.Training {
+				g.emitFCBPWG(mi, lm)
 			}
 		}
-		if img == 0 {
-			g.em.reserveImages(g.opts.Minibatch - 1)
-		}
 	}
+	g.em.replicateImages()
 	g.em.setLayer(untaggedLayer)
 	g.emitBarrier()
 	phaseSpan(g.opts.Spans, base, tEmit, "emit")
@@ -232,9 +237,9 @@ func (g *gen) emitBarrier() {
 	for _, k := range g.em.keys() {
 		tok := g.al.alloc(TileCoord{Row: k.Row, MCol: k.CCol}, 1,
 			fmt.Sprintf("tok.r%d.c%d.%d", k.Row, k.CCol, k.Step), kindData)
-		g.em.op(k, isa.MEMSET, []opr{C(bar.addr), C(isa.AbsTile(bar.tile)), C(1), C(0)}, wr(bar))
+		g.em.op(k, isa.MEMSET, []opr{A(bar, 0), C(isa.AbsTile(bar.tile)), C(1), C(0)}, wr(bar))
 		g.em.op(k, isa.DMALOAD,
-			[]opr{C(bar.addr), C(isa.AbsTile(bar.tile)), C(tok.addr), C(isa.PortLeft), C(1), C(0)},
+			[]opr{A(bar, 0), C(isa.AbsTile(bar.tile)), A(tok, 0), C(isa.PortLeft), C(1), C(0)},
 			rd(bar))
 	}
 	g.em.sec = secIter
@@ -274,29 +279,34 @@ func sliceOff(out, n, s int) int {
 // allocLayerState allocates feature, error and weight regions for a layer.
 // Feature and error regions get one copy per minibatch image, up to the
 // first allocation past a tile's capacity: Compile fails with that error,
-// so the remaining images of a huge minibatch need no regions.
+// so the remaining images of a huge minibatch need no regions. A unit's
+// copies sit image after image on its home tile, so each copy is one
+// stride (the unit's per-image footprint) past the previous image's.
 func (g *gen) allocLayerState(mi int, lm *LayerMap) {
 	l := lm.Layer
 	mb := g.opts.Minibatch
-	g.feat = append(g.feat, map[int][]*region{})
-	g.errRaw = append(g.errRaw, map[int][]*region{})
-	g.errDrv = append(g.errDrv, map[int][]*region{})
+	g.feat = append(g.feat, map[int]*region{})
+	g.errRaw = append(g.errRaw, map[int]*region{})
+	g.errDrv = append(g.errDrv, map[int]*region{})
 
 	for f, home := range lm.Homes {
 		size := featureElems(lm)
 		if l.Kind == dnn.FC {
 			size = int64(sliceLen(l.OutNeurons, len(lm.Homes), f))
 		}
+		// The names read "<layer>.feat<f>" (and eraw, edrv); label adds
+		// ".i<img>".
+		unit := strconv.Itoa(f)
+		feat, stride := l.Name+".feat"+unit, size
+		var eraw, edrv string
+		if g.opts.Training {
+			eraw, edrv, stride = l.Name+".eraw"+unit, l.Name+".edrv"+unit, 3*size
+		}
 		for img := 0; img < mb && g.al.err == nil; img++ {
-			// The names read "<layer>.feat<f>.i<img>" (and eraw, edrv).
-			unit, image := strconv.Itoa(f), ".i"+strconv.Itoa(img)
-			g.feat[mi][f] = append(g.feat[mi][f],
-				g.al.alloc(home, size, l.Name+".feat"+unit+image, kindData))
+			g.feat[mi][f] = g.al.allocImage(home, size, feat, img, stride, g.feat[mi][f])
 			if g.opts.Training {
-				g.errRaw[mi][f] = append(g.errRaw[mi][f],
-					g.al.alloc(home, size, l.Name+".eraw"+unit+image, kindData))
-				g.errDrv[mi][f] = append(g.errDrv[mi][f],
-					g.al.alloc(home, size, l.Name+".edrv"+unit+image, kindData))
+				g.errRaw[mi][f] = g.al.allocImage(home, size, eraw, img, stride, g.errRaw[mi][f])
+				g.errDrv[mi][f] = g.al.allocImage(home, size, edrv, img, stride, g.errDrv[mi][f])
 			}
 		}
 	}
@@ -338,7 +348,7 @@ func (g *gen) allocLayerState(mi int, lm *LayerMap) {
 // (off-chip weights are untracked: their access is the zero regAccess).
 func (g *gen) weightOperand(l *dnn.Layer, unit int, offset int64) (addr, port opr, acc regAccess) {
 	if r := g.out.weightRegions[l.Index][unit]; r != nil {
-		return C(r.addr + offset), C(isa.PortLeft), rd(r)
+		return A(r, offset), C(isa.PortLeft), rd(r)
 	}
 	return C(extWeightBase + g.out.extWeightAddrs[l.Index][unit] + offset), C(isa.PortExt), regAccess{}
 }
@@ -372,7 +382,7 @@ func (g *gen) fcComputeTile(lm *LayerMap, s int) TileCoord {
 
 // localInputs returns the input features of conv/pool layer mi whose storage
 // tile is tc, in ascending order. A layer's lists are built once per
-// compile, on first use, and shared by every image's emitters.
+// compile, on first use, and shared by the layer's emitters.
 func (g *gen) localInputs(mi int, lm *LayerMap, tc TileCoord) []int {
 	byTile := g.locals[mi]
 	if byTile == nil {
@@ -387,16 +397,15 @@ func (g *gen) localInputs(mi int, lm *LayerMap, tc TileCoord) []int {
 }
 
 // inputOperand returns the operand and ledger access for reading input
-// feature g2 of image img on tile k: a region access for on-chip features,
-// or a constant external-memory address (and the zero regAccess) for the
-// first layer.
-func (g *gen) inputOperand(mi, g2, img int) (addr, port opr, acc regAccess) {
+// feature g2 of layer mi: a region access for on-chip features, or a
+// per-image external-memory address (and the zero regAccess) for the first
+// layer.
+func (g *gen) inputOperand(mi, g2 int) (addr, port opr, acc regAccess) {
 	if mi > 0 {
-		r := g.feat[mi-1][g2][img]
-		return C(r.addr), C(isa.AbsTile(r.tile)), rd(r)
+		r := g.feat[mi-1][g2]
+		return A(r, 0), C(isa.AbsTile(r.tile)), rd(r)
 	}
 	l := g.maps[mi].Layer
 	chSize := int64(l.In.H * l.In.W)
-	base := extInputBase + int64(img)*g.out.InputElems + int64(g2)*chSize
-	return C(base), C(isa.PortExt), regAccess{}
+	return Ext(extInputBase+int64(g2)*chSize, g.out.InputElems), C(isa.PortExt), regAccess{}
 }

@@ -89,11 +89,9 @@ type convScratch struct {
 	actT    [3]*region
 }
 
-var _ = sort.Ints // keep sort imported even if keys() moves
-
-// convScratchFor lazily allocates the conv layer's partial-sum regions on
-// the first image (shared across images; their trackers run one generation
-// per output-feature batch executed on that tile set).
+// convScratchFor lazily allocates the conv layer's partial-sum regions
+// (shared across images; their trackers run one generation per
+// output-feature batch executed on that tile set, per image).
 func (g *gen) convScratchFor(mi int, lm *LayerMap) *convScratch {
 	if g.convSc == nil {
 		g.convSc = map[int]*convScratch{}
@@ -158,8 +156,8 @@ func (g *gen) fpSet(mi int, lm *LayerMap, b int) int {
 	return b % sets
 }
 
-// emitConvFP emits the CONV-layer forward template for one image.
-func (g *gen) emitConvFP(mi int, lm *LayerMap, img int) {
+// emitConvFP emits the CONV-layer forward template.
+func (g *gen) emitConvFP(mi int, lm *LayerMap) {
 	l := lm.Layer
 	R := g.chip.Rows
 	cols := lm.Cols
@@ -193,17 +191,17 @@ func (g *gen) emitConvFP(mi int, lm *LayerMap, img int) {
 					// Home-row gather target with no local inputs: zero it
 					// so the accumulating gathers start clean.
 					g.em.op(k, isa.MEMSET,
-						[]opr{C(pr.addr), C(isa.PortRight), C(int64(nk) * outHW), C(0)}, wr(pr))
+						[]opr{A(pr, 0), C(isa.PortRight), C(int64(nk) * outHW), C(0)}, wr(pr))
 					continue
 				}
 				for j, g2 := range locals {
-					inAddr, inPort, inAcc := g.inputOperand(mi, g2, img)
+					inAddr, inPort, inAcc := g.inputOperand(mi, g2)
 					wAddr, wPort, wAcc := g.weightOperand(l, g2, int64(b*lanes)*k2)
 					ops := []opr{
 						C(isa.ModeFwd), inAddr, inPort, C(int64(l.In.H)), C(int64(l.In.W)),
 						wAddr, wPort, C(int64(l.ConvP.KH)),
 						C(int64(l.ConvP.StrideH)), C(int64(l.ConvP.PadH)),
-						C(pr.addr), C(isa.PortRight), C(int64(nk)), C(boolFlag(j > 0)),
+						A(pr, 0), C(isa.PortRight), C(int64(nk)), C(boolFlag(j > 0)),
 					}
 					g.em.op(k, isa.NDCONV, ops, inAcc, wAcc, wr(pr))
 				}
@@ -223,7 +221,7 @@ func (g *gen) emitConvFP(mi int, lm *LayerMap, img int) {
 					continue
 				}
 				g.em.op(k0, isa.DMALOAD,
-					[]opr{C(src.addr), C(isa.AbsTile(src.tile)), C(pr0.addr), C(isa.PortRight), C(int64(nk) * outHW), C(1)},
+					[]opr{A(src, 0), C(isa.AbsTile(src.tile)), A(pr0, 0), C(isa.PortRight), C(int64(nk) * outHW), C(1)},
 					rd(src), wr(pr0))
 			}
 		}
@@ -236,40 +234,40 @@ func (g *gen) emitConvFP(mi int, lm *LayerMap, img int) {
 			}
 			src := partial[TileCoord{Row: homeRow, MCol: c}]
 			g.em.op(kH, isa.DMALOAD,
-				[]opr{C(src.addr), C(isa.AbsTile(src.tile)), C(prLast.addr), C(isa.PortRight), C(int64(nk) * outHW), C(1)},
+				[]opr{A(src, 0), C(isa.AbsTile(src.tile)), A(prLast, 0), C(isa.PortRight), C(int64(nk) * outHW), C(1)},
 				rd(src), wr(prLast))
 		}
 		// Step 4: activation at the home tile, then pass each feature to its
-		// home MemHeavy tile (and the per-image output area in external
+		// home MemHeavy tile (and the image's output area in external
 		// memory for the final layer).
 		if l.Act != tensor.ActNone {
 			g.em.op(kH, isa.NDACTFN,
-				[]opr{C(actFnKind(l.Act)), C(prLast.addr), C(isa.PortRight), C(int64(nk) * outHW), C(actT.addr), C(isa.PortRight)},
+				[]opr{C(actFnKind(l.Act)), A(prLast, 0), C(isa.PortRight), C(int64(nk) * outHW), A(actT, 0), C(isa.PortRight)},
 				rd(prLast), wr(actT))
 		} else {
 			g.em.op(kH, isa.DMALOAD,
-				[]opr{C(prLast.addr), C(isa.PortRight), C(actT.addr), C(isa.PortRight), C(int64(nk) * outHW), C(0)},
+				[]opr{A(prLast, 0), C(isa.PortRight), A(actT, 0), C(isa.PortRight), C(int64(nk) * outHW), C(0)},
 				rd(prLast), wr(actT))
 		}
 		for j := 0; j < nk; j++ {
 			f := b*lanes + j
-			fr := g.feat[mi][f][img]
+			fr := g.feat[mi][f]
 			g.em.op(kH, isa.DMASTORE,
-				[]opr{C(actT.addr + int64(j)*outHW), C(isa.PortRight), C(fr.addr), C(isa.AbsTile(fr.tile)), C(outHW), C(0)},
+				[]opr{A(actT, int64(j)*outHW), C(isa.PortRight), A(fr, 0), C(isa.AbsTile(fr.tile)), C(outHW), C(0)},
 				rd(actT), wr(fr))
 			if g.isLast(mi) {
-				dst := extOutputBase + int64(img)*g.out.OutputElems + outUnitOffset(lm, f)
+				dst := Ext(extOutputBase+outUnitOffset(lm, f), g.out.OutputElems)
 				g.em.op(kH, isa.DMASTORE,
-					[]opr{C(actT.addr + int64(j)*outHW), C(isa.PortRight), C(dst), C(isa.PortExt), C(outHW), C(0)},
+					[]opr{A(actT, int64(j)*outHW), C(isa.PortRight), dst, C(isa.PortExt), C(outHW), C(0)},
 					rd(actT))
 			}
 		}
 	}
 }
 
-// emitConvBPWG emits the CONV-layer backward and weight-gradient templates
-// for one image (plus, on the last image, the batch-section weight update).
-func (g *gen) emitConvBPWG(mi int, lm *LayerMap, img int) {
+// emitConvBPWG emits the CONV-layer backward and weight-gradient templates,
+// plus the batch-section weight update.
+func (g *gen) emitConvBPWG(mi int, lm *LayerMap) {
 	l := lm.Layer
 	R := g.chip.Rows
 	k2 := int64(l.ConvP.KH * l.ConvP.KW)
@@ -288,39 +286,37 @@ func (g *gen) emitConvBPWG(mi int, lm *LayerMap, img int) {
 				// feature g2's error, colocated with g2 (skip at the first
 				// layer — the error at the network input is discarded).
 				if mi > 0 {
-					eRaw := g.errRaw[mi-1][g2][img]
+					eRaw := g.errRaw[mi-1][g2]
 					g.em.sec = secIter
 					for f := 0; f < l.OutChannels; f++ {
-						eF := g.errDrv[mi][f][img]
+						eF := g.errDrv[mi][f]
 						wAddr, wPort, wAcc := g.weightOperand(l, g2, int64(f)*k2)
 						ops := []opr{
-							C(isa.ModeBwdData), C(eF.addr), C(isa.AbsTile(eF.tile)),
+							C(isa.ModeBwdData), A(eF, 0), C(isa.AbsTile(eF.tile)),
 							C(int64(l.Out.H)), C(int64(l.Out.W)),
 							wAddr, wPort, C(int64(l.ConvP.KH)),
 							C(int64(l.ConvP.StrideH)), C(int64(l.ConvP.PadH)),
-							C(eRaw.addr), C(isa.PortLeft), C(1), C(boolFlag(f > 0)),
+							A(eRaw, 0), C(isa.PortLeft), C(1), C(boolFlag(f > 0)),
 						}
 						g.em.op(kBP, isa.NDCONV, ops, rd(eF), wAcc, wr(eRaw))
 					}
-					g.finishError(kBP, mi-1, g2, img, isa.PortLeft)
+					g.finishError(kBP, mi-1, g2, isa.PortLeft)
 				}
 				// WG: accumulate dW[f][g2] = input(g2) ⊛ error(f) locally.
 				g.em.sec = secIter
 				dw := g.grad[l.Index][g2]
 				for f := 0; f < l.OutChannels; f++ {
-					eF := g.errDrv[mi][f][img]
-					inAddr, inPort, inAcc := g.inputOperand(mi, g2, img)
+					eF := g.errDrv[mi][f]
+					inAddr, inPort, inAcc := g.inputOperand(mi, g2)
 					ops := []opr{
 						C(isa.ModeBwdWeight), inAddr, inPort, C(int64(l.In.H)), C(int64(l.In.W)),
-						C(eF.addr), C(isa.AbsTile(eF.tile)), C(int64(l.Out.H)),
+						A(eF, 0), C(isa.AbsTile(eF.tile)), C(int64(l.Out.H)),
 						C(int64(l.ConvP.StrideH)), C(int64(l.ConvP.PadH)),
-						C(dw.addr + int64(f)*k2), C(isa.PortLeft), C(1), C(1),
+						A(dw, int64(f)*k2), C(isa.PortLeft), C(1), C(1),
 					}
 					g.em.op(kWG, isa.NDCONV, ops, inAcc, rd(eF), wr(dw))
 				}
-				if img == g.opts.Minibatch-1 {
-					g.emitWeightUpdateFor(kWG, l, g2, dw)
-				}
+				g.emitWeightUpdateFor(kWG, l, g2, dw)
 			}
 		}
 	}
@@ -330,18 +326,18 @@ func (g *gen) emitConvBPWG(mi int, lm *LayerMap, img int) {
 // the consumable error: copy raw → derived, then multiply in place by the
 // producing layer's activation derivative (expressed via the stored forward
 // output, §3.1.2).
-func (g *gen) finishError(k progKey, pi, g2, img int, port int64) {
-	eRaw := g.errRaw[pi][g2][img]
-	eDrv := g.errDrv[pi][g2][img]
+func (g *gen) finishError(k progKey, pi, g2 int, port int64) {
+	eRaw := g.errRaw[pi][g2]
+	eDrv := g.errDrv[pi][g2]
 	g.em.sec = secIter
 	g.em.op(k, isa.DMALOAD,
-		[]opr{C(eRaw.addr), C(port), C(eDrv.addr), C(port), C(eRaw.size), C(0)},
+		[]opr{A(eRaw, 0), C(port), A(eDrv, 0), C(port), C(eRaw.size), C(0)},
 		rd(eRaw), wr(eDrv))
 	act := g.maps[pi].Layer.Act
 	if act != tensor.ActNone {
-		y := g.feat[pi][g2][img]
+		y := g.feat[pi][g2]
 		g.em.op(k, isa.NDACTFN,
-			[]opr{C(isa.ActFnDerivBase + actFnKind(act)), C(y.addr), C(port), C(eDrv.size), C(eDrv.addr), C(port)},
+			[]opr{C(isa.ActFnDerivBase + actFnKind(act)), A(y, 0), C(port), C(eDrv.size), A(eDrv, 0), C(port)},
 			rd(y), wr(eDrv))
 	}
 }
@@ -360,17 +356,17 @@ func (g *gen) emitWeightUpdateFor(k progKey, l *dnn.Layer, unit int, dw *region)
 	// have no region, and wr(nil) records nothing.
 	g.em.sec = secBatch
 	g.em.op(k, isa.WUPDATE,
-		[]opr{wAddr, wPort, C(dw.addr), C(isa.PortLeft), C(dw.size), C(lr)},
+		[]opr{wAddr, wPort, A(dw, 0), C(isa.PortLeft), C(dw.size), C(lr)},
 		rd(dw), wr(g.out.weightRegions[l.Index][unit]))
-	g.em.op(k, isa.MEMSET, []opr{C(dw.addr), C(isa.PortLeft), C(dw.size), C(0)}, wr(dw))
+	g.em.op(k, isa.MEMSET, []opr{A(dw, 0), C(isa.PortLeft), C(dw.size), C(0)}, wr(dw))
 	g.em.sec = secPrologue
-	g.em.op(k, isa.MEMSET, []opr{C(dw.addr), C(isa.PortLeft), C(dw.size), C(0)}, wr(dw))
+	g.em.op(k, isa.MEMSET, []opr{A(dw, 0), C(isa.PortLeft), C(dw.size), C(0)}, wr(dw))
 	g.em.sec = secIter
 }
 
 // emitPoolFP emits the SAMP-layer forward template: each feature is
 // down-sampled independently on its way to its home tile (§2.2).
-func (g *gen) emitPoolFP(mi int, lm *LayerMap, img int) {
+func (g *gen) emitPoolFP(mi int, lm *LayerMap) {
 	l := lm.Layer
 	kind := isa.SampMax
 	if l.PoolP.Kind == tensor.AvgPool {
@@ -382,17 +378,17 @@ func (g *gen) emitPoolFP(mi int, lm *LayerMap, img int) {
 			tc := TileCoord{Row: r, MCol: c}
 			for _, g2 := range g.localInputs(mi, lm, tc) {
 				k := progKey{Row: r, CCol: c, Step: g.fpStep(g2)}
-				inAddr, inPort, inAcc := g.inputOperand(mi, g2, img)
-				out := g.feat[mi][g2][img]
+				inAddr, inPort, inAcc := g.inputOperand(mi, g2)
+				out := g.feat[mi][g2]
 				g.em.op(k, isa.NDSUBSAMP,
 					[]opr{C(kind), inAddr, inPort, C(int64(l.In.H)), C(int64(l.In.W)),
 						C(int64(l.PoolP.Window)), C(int64(l.PoolP.Stride)), C(int64(l.PoolP.Pad)),
-						C(out.addr), C(isa.AbsTile(out.tile))},
+						A(out, 0), C(isa.AbsTile(out.tile))},
 					inAcc, wr(out))
 				if g.isLast(mi) {
-					dst := extOutputBase + int64(img)*g.out.OutputElems + outUnitOffset(lm, g2)
+					dst := Ext(extOutputBase+outUnitOffset(lm, g2), g.out.OutputElems)
 					g.em.op(k, isa.DMASTORE,
-						[]opr{C(out.addr), C(isa.AbsTile(out.tile)), C(dst), C(isa.PortExt), C(out.size), C(0)},
+						[]opr{A(out, 0), C(isa.AbsTile(out.tile)), dst, C(isa.PortExt), C(out.size), C(0)},
 						rd(out))
 				}
 			}
@@ -402,7 +398,7 @@ func (g *gen) emitPoolFP(mi int, lm *LayerMap, img int) {
 
 // emitPoolBP emits the SAMP-layer backward template: errors are up-sampled
 // through the recorded max routing (or spread evenly for average pooling).
-func (g *gen) emitPoolBP(mi int, lm *LayerMap, img int) {
+func (g *gen) emitPoolBP(mi int, lm *LayerMap) {
 	l := lm.Layer
 	kind := isa.SampMax
 	if l.PoolP.Kind == tensor.AvgPool {
@@ -416,16 +412,16 @@ func (g *gen) emitPoolBP(mi int, lm *LayerMap, img int) {
 				if mi == 0 {
 					continue
 				}
-				eOut := g.errDrv[mi][g2][img]
-				eRaw := g.errRaw[mi-1][g2][img]
-				fwdOut := g.feat[mi][g2][img]
+				eOut := g.errDrv[mi][g2]
+				eRaw := g.errRaw[mi-1][g2]
+				fwdOut := g.feat[mi][g2]
 				g.em.sec = secIter
 				g.em.op(k, isa.NDUPSAMP,
-					[]opr{C(kind), C(eOut.addr), C(isa.AbsTile(eOut.tile)), C(int64(l.In.H)), C(int64(l.In.W)),
+					[]opr{C(kind), A(eOut, 0), C(isa.AbsTile(eOut.tile)), C(int64(l.In.H)), C(int64(l.In.W)),
 						C(int64(l.PoolP.Window)), C(int64(l.PoolP.Stride)), C(int64(l.PoolP.Pad)),
-						C(eRaw.addr), C(isa.PortLeft), C(fwdOut.addr)},
+						A(eRaw, 0), C(isa.PortLeft), A(fwdOut, 0)},
 					rd(eOut), wr(eRaw))
-				g.finishError(k, mi-1, g2, img, isa.PortLeft)
+				g.finishError(k, mi-1, g2, isa.PortLeft)
 			}
 		}
 	}
@@ -434,7 +430,7 @@ func (g *gen) emitPoolBP(mi int, lm *LayerMap, img int) {
 // emitFCFP emits the FC-layer forward template: gather the input vector,
 // multiply by the local weight slice, and store the output slice to its
 // home tile (model parallelism over output neurons, §3.3.2).
-func (g *gen) emitFCFP(mi int, lm *LayerMap, img int) {
+func (g *gen) emitFCFP(mi int, lm *LayerMap) {
 	l := lm.Layer
 	inLen := int64(l.In.Elems())
 	for s := range lm.Homes {
@@ -445,21 +441,21 @@ func (g *gen) emitFCFP(mi int, lm *LayerMap, img int) {
 		if mi == 0 {
 			// First layer: gather the flattened input image from external
 			// memory in one transfer.
-			src := extInputBase + int64(img)*g.out.InputElems
+			src := Ext(extInputBase, g.out.InputElems)
 			g.em.op(k, isa.DMALOAD,
-				[]opr{C(src), C(isa.PortExt), C(xStage.addr), C(isa.PortLeft), C(inLen), C(0)},
+				[]opr{src, C(isa.PortExt), A(xStage, 0), C(isa.PortLeft), C(inLen), C(0)},
 				wr(xStage))
 		} else {
 			prev := g.maps[mi-1]
 			for gp := range prev.Homes {
-				in := g.feat[mi-1][gp][img]
+				in := g.feat[mi-1][gp]
 				off := outUnitOffset(prev, gp)
 				g.em.op(k, isa.DMALOAD,
-					[]opr{C(in.addr), C(isa.AbsTile(in.tile)), C(xStage.addr + off), C(isa.PortLeft), C(in.size), C(0)},
+					[]opr{A(in, 0), C(isa.AbsTile(in.tile)), A(xStage, off), C(isa.PortLeft), C(in.size), C(0)},
 					rd(in), wr(xStage))
 			}
 		}
-		y := g.feat[mi][s][img]
+		y := g.feat[mi][s]
 		sl := int64(sliceLen(l.OutNeurons, len(lm.Homes), s))
 		wAddr, wPort, wAcc := g.weightOperand(l, s, 0)
 		// Compute into a local stage (single-tile, so program order alone
@@ -467,20 +463,20 @@ func (g *gen) emitFCFP(mi int, lm *LayerMap, img int) {
 		yStage := g.fcYStage(l.Index, s, tc, sl)
 		g.em.op(k, isa.MATMUL,
 			[]opr{C(isa.ModeFwd), wAddr, wPort, C(sl), C(inLen),
-				C(xStage.addr), C(isa.PortLeft), C(yStage.addr), C(isa.PortLeft), C(0)},
+				A(xStage, 0), C(isa.PortLeft), A(yStage, 0), C(isa.PortLeft), C(0)},
 			wAcc, rd(xStage), wr(yStage))
 		if l.Act != tensor.ActNone {
 			g.em.op(k, isa.NDACTFN,
-				[]opr{C(actFnKind(l.Act)), C(yStage.addr), C(isa.PortLeft), C(sl), C(yStage.addr), C(isa.PortLeft)},
+				[]opr{C(actFnKind(l.Act)), A(yStage, 0), C(isa.PortLeft), C(sl), A(yStage, 0), C(isa.PortLeft)},
 				rd(yStage), wr(yStage))
 		}
 		g.em.op(k, isa.DMASTORE,
-			[]opr{C(yStage.addr), C(isa.PortLeft), C(y.addr), C(isa.AbsTile(y.tile)), C(sl), C(0)},
+			[]opr{A(yStage, 0), C(isa.PortLeft), A(y, 0), C(isa.AbsTile(y.tile)), C(sl), C(0)},
 			rd(yStage), wr(y))
 		if g.isLast(mi) {
-			dst := extOutputBase + int64(img)*g.out.OutputElems + outUnitOffset(lm, s)
+			dst := Ext(extOutputBase+outUnitOffset(lm, s), g.out.OutputElems)
 			g.em.op(k, isa.DMASTORE,
-				[]opr{C(yStage.addr), C(isa.PortLeft), C(dst), C(isa.PortExt), C(sl), C(0)},
+				[]opr{A(yStage, 0), C(isa.PortLeft), dst, C(isa.PortExt), C(sl), C(0)},
 				rd(yStage))
 		}
 	}
@@ -538,9 +534,9 @@ func (g *gen) fcEStage(layerIdx, s int, tc TileCoord, inLen int64) *region {
 	return r
 }
 
-// emitFCBPWG emits the FC-layer backward and weight-gradient templates for
-// one image.
-func (g *gen) emitFCBPWG(mi int, lm *LayerMap, img int) {
+// emitFCBPWG emits the FC-layer backward and weight-gradient templates,
+// plus the batch-section weight update.
+func (g *gen) emitFCBPWG(mi int, lm *LayerMap) {
 	l := lm.Layer
 	inLen := int64(l.In.Elems())
 	var prev *LayerMap
@@ -552,7 +548,7 @@ func (g *gen) emitFCBPWG(mi int, lm *LayerMap, img int) {
 		kBP := progKey{Row: tc.Row, CCol: tc.MCol, Step: sim.StepBP}
 		kWG := progKey{Row: tc.Row, CCol: tc.MCol, Step: sim.StepWG}
 		dw := g.grad[l.Index][s]
-		eS := g.errDrv[mi][s][img]
+		eS := g.errDrv[mi][s]
 		sl := int64(sliceLen(l.OutNeurons, len(lm.Homes), s))
 
 		// BP: e_in partial = Wᵀ·e_slice. Each slice scatters its partial into
@@ -566,13 +562,13 @@ func (g *gen) emitFCBPWG(mi int, lm *LayerMap, img int) {
 			wAddr, wPort, wAcc := g.weightOperand(l, s, 0)
 			g.em.op(kBP, isa.MATMUL,
 				[]opr{C(isa.ModeBwdData), wAddr, wPort, C(sl), C(inLen),
-					C(eS.addr), C(isa.AbsTile(eS.tile)), C(eStage.addr), C(isa.PortLeft), C(0)},
+					A(eS, 0), C(isa.AbsTile(eS.tile)), A(eStage, 0), C(isa.PortLeft), C(0)},
 				wAcc, rd(eS), wr(eStage))
 			for gp := range prev.Homes {
 				part := g.fcEPart(mi, l.Index, gp, s)
 				off := outUnitOffset(prev, gp)
 				g.em.op(kBP, isa.DMASTORE,
-					[]opr{C(eStage.addr + off), C(isa.PortLeft), C(part.addr), C(isa.AbsTile(part.tile)), C(part.size), C(0)},
+					[]opr{A(eStage, off), C(isa.PortLeft), A(part, 0), C(isa.AbsTile(part.tile)), C(part.size), C(0)},
 					rd(eStage), wr(part))
 			}
 		}
@@ -582,31 +578,29 @@ func (g *gen) emitFCBPWG(mi int, lm *LayerMap, img int) {
 		g.em.sec = secIter
 		xStage := g.stage[l.Index][s]
 		g.em.op(kWG, isa.VECMUL,
-			[]opr{C(dw.addr), C(isa.PortLeft), C(eS.addr), C(isa.AbsTile(eS.tile)), C(sl),
-				C(xStage.addr), C(isa.PortLeft), C(inLen)},
+			[]opr{A(dw, 0), C(isa.PortLeft), A(eS, 0), C(isa.AbsTile(eS.tile)), C(sl),
+				A(xStage, 0), C(isa.PortLeft), C(inLen)},
 			rd(eS), rd(xStage), wr(dw))
-		if img == g.opts.Minibatch-1 {
-			g.emitWeightUpdateFor(kWG, l, s, dw)
-		}
+		g.emitWeightUpdateFor(kWG, l, s, dw)
 	}
 	// Error finishing: the BP tile whose left MemHeavy tile homes each input
 	// unit sums the per-slice partials and derives the consumable error.
 	if mi > 0 {
 		for gp, home := range prev.Homes {
 			k := progKey{Row: home.Row, CCol: home.MCol, Step: sim.StepBP}
-			eDrv := g.errDrv[mi-1][gp][img]
+			eDrv := g.errDrv[mi-1][gp]
 			g.em.sec = secIter
 			for s := range lm.Homes {
 				part := g.fcEPart(mi, l.Index, gp, s)
 				g.em.op(k, isa.DMALOAD,
-					[]opr{C(part.addr), C(isa.PortLeft), C(eDrv.addr), C(isa.PortLeft), C(part.size), C(boolFlag(s > 0))},
+					[]opr{A(part, 0), C(isa.PortLeft), A(eDrv, 0), C(isa.PortLeft), C(part.size), C(boolFlag(s > 0))},
 					rd(part), wr(eDrv))
 			}
 			act := g.maps[mi-1].Layer.Act
 			if act != tensor.ActNone {
-				y := g.feat[mi-1][gp][img]
+				y := g.feat[mi-1][gp]
 				g.em.op(k, isa.NDACTFN,
-					[]opr{C(isa.ActFnDerivBase + actFnKind(act)), C(y.addr), C(isa.PortLeft), C(eDrv.size), C(eDrv.addr), C(isa.PortLeft)},
+					[]opr{C(isa.ActFnDerivBase + actFnKind(act)), A(y, 0), C(isa.PortLeft), C(eDrv.size), A(eDrv, 0), C(isa.PortLeft)},
 					rd(y), wr(eDrv))
 			}
 		}
@@ -626,7 +620,7 @@ func (g *gen) fcEPart(mi, layerIdx, gp, s int) *region {
 	}
 	prev := g.maps[mi-1]
 	home := prev.Homes[gp]
-	size := g.errDrv[mi-1][gp][0].size
+	size := g.errDrv[mi-1][gp].size
 	r := g.al.alloc(home, size, fmt.Sprintf("fc%d.ep%d.%d", layerIdx, gp, s), kindData)
 	r.gens = g.opts.Minibatch
 	g.epart[key] = r
@@ -636,7 +630,7 @@ func (g *gen) fcEPart(mi, layerIdx, gp, s int) *region {
 // emitHead emits the error computation at the network output (§3.2.3): the
 // final FP outputs are compared with the golden outputs fetched from
 // external memory, and the difference becomes the BP seed.
-func (g *gen) emitHead(img int) {
+func (g *gen) emitHead() {
 	mi := len(g.maps) - 1
 	lm := g.maps[mi]
 	lr1 := int64(1) << isa.WUpdateLRShift // learning rate 1.0: err -= golden
@@ -644,22 +638,22 @@ func (g *gen) emitHead(img int) {
 		adj := TileCoord{Row: home.Row, MCol: home.MCol - 1}
 		k := progKey{Row: adj.Row, CCol: adj.MCol, Step: sim.StepBP}
 		gs := g.headStage(home)
-		y := g.feat[mi][f][img]
-		eRaw := g.errRaw[mi][f][img]
+		y := g.feat[mi][f]
+		eRaw := g.errRaw[mi][f]
 		g.em.sec = secIter
 		// err = y
 		g.em.op(k, isa.DMALOAD,
-			[]opr{C(y.addr), C(isa.AbsTile(y.tile)), C(eRaw.addr), C(isa.AbsTile(eRaw.tile)), C(y.size), C(0)},
+			[]opr{A(y, 0), C(isa.AbsTile(y.tile)), A(eRaw, 0), C(isa.AbsTile(eRaw.tile)), C(y.size), C(0)},
 			rd(y), wr(eRaw))
 		// err -= golden (WUPDATE with lr = 1.0)
-		src := extGoldenBase + int64(img)*g.out.OutputElems + outUnitOffset(lm, f)
+		src := Ext(extGoldenBase+outUnitOffset(lm, f), g.out.OutputElems)
 		g.em.op(k, isa.DMALOAD,
-			[]opr{C(src), C(isa.PortExt), C(gs.addr), C(isa.AbsTile(gs.tile)), C(y.size), C(0)},
+			[]opr{src, C(isa.PortExt), A(gs, 0), C(isa.AbsTile(gs.tile)), C(y.size), C(0)},
 			wr(gs))
 		g.em.op(k, isa.WUPDATE,
-			[]opr{C(eRaw.addr), C(isa.AbsTile(eRaw.tile)), C(gs.addr), C(isa.AbsTile(gs.tile)), C(y.size), C(lr1)},
+			[]opr{A(eRaw, 0), C(isa.AbsTile(eRaw.tile)), A(gs, 0), C(isa.AbsTile(gs.tile)), C(y.size), C(lr1)},
 			rd(gs), wr(eRaw))
-		g.finishErrorAbs(k, mi, f, img)
+		g.finishErrorAbs(k, mi, f)
 	}
 }
 
@@ -680,17 +674,17 @@ func (g *gen) headStage(home TileCoord) *region {
 
 // finishErrorAbs is finishError addressed through absolute tile ports (used
 // by the head, whose error ranges sit on the right flank).
-func (g *gen) finishErrorAbs(k progKey, pi, f, img int) {
-	eRaw := g.errRaw[pi][f][img]
-	eDrv := g.errDrv[pi][f][img]
+func (g *gen) finishErrorAbs(k progKey, pi, f int) {
+	eRaw := g.errRaw[pi][f]
+	eDrv := g.errDrv[pi][f]
 	g.em.op(k, isa.DMALOAD,
-		[]opr{C(eRaw.addr), C(isa.AbsTile(eRaw.tile)), C(eDrv.addr), C(isa.AbsTile(eDrv.tile)), C(eRaw.size), C(0)},
+		[]opr{A(eRaw, 0), C(isa.AbsTile(eRaw.tile)), A(eDrv, 0), C(isa.AbsTile(eDrv.tile)), C(eRaw.size), C(0)},
 		rd(eRaw), wr(eDrv))
 	act := g.maps[pi].Layer.Act
 	if act != tensor.ActNone {
-		y := g.feat[pi][f][img]
+		y := g.feat[pi][f]
 		g.em.op(k, isa.NDACTFN,
-			[]opr{C(isa.ActFnDerivBase + actFnKind(act)), C(y.addr), C(isa.AbsTile(y.tile)), C(eDrv.size), C(eDrv.addr), C(isa.AbsTile(eDrv.tile))},
+			[]opr{C(isa.ActFnDerivBase + actFnKind(act)), A(y, 0), C(isa.AbsTile(y.tile)), C(eDrv.size), A(eDrv, 0), C(isa.AbsTile(eDrv.tile))},
 			rd(y), wr(eDrv))
 	}
 }

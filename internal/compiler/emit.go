@@ -3,6 +3,7 @@ package compiler
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"scaledeep/internal/isa"
 	"scaledeep/internal/sim"
@@ -31,8 +32,16 @@ type region struct {
 	tile int // absolute MemHeavy tile index (ABI: index = MCol*Rows + Row)
 	addr int64
 	size int64
-	name string
+	name string // base name; label adds a per-image copy's image index
 	kind regionKind
+	// img is the image index of a per-image feature or error copy, and -1
+	// for a region every image shares. stride is the distance from a
+	// per-image copy to the next image's (0 when shared), so image i's copy
+	// of an image-0 region r sits at r.addr + i*r.stride. img0 is image 0's
+	// copy, set on the copies of images 1…mb−1.
+	img    int
+	stride int64
+	img0   *region
 	// gens is the number of tracker generations per training iteration
 	// (1 for per-image feature copies, #batches×M for partial sums, M for
 	// shared staging buffers).
@@ -66,17 +75,44 @@ func newAllocator(rows, totalMemTiles int, capacityElems int64) *allocator {
 // tileIndex maps a TileCoord to the ABI MemHeavy tile index.
 func (a *allocator) tileIndex(tc TileCoord) int { return tc.MCol*a.rows + tc.Row }
 
+// alloc allocates a region shared by every image.
 func (a *allocator) alloc(tc TileCoord, size int64, name string, kind regionKind) *region {
-	t := a.tileIndex(tc)
-	if a.next[t]+size > a.capacity && a.err == nil {
-		a.err = fmt.Errorf("compiler: MemHeavy tile (r%d,m%d) over capacity: %d + %d > %d (%s)",
-			tc.Row, tc.MCol, a.next[t], size, a.capacity, name)
+	return a.place(tc, &region{size: size, name: name, kind: kind, img: -1})
+}
+
+// allocImage allocates image img's copy of a per-image data region, one
+// stride past the previous image's copy. img0 is image 0's copy (nil when
+// img is 0), and allocImage returns image 0's copy: the one the template
+// addresses.
+func (a *allocator) allocImage(tc TileCoord, size int64, name string, img int, stride int64, img0 *region) *region {
+	r := a.place(tc, &region{size: size, name: name, kind: kindData, img: img, stride: stride, img0: img0})
+	if img0 != nil {
+		return img0
 	}
-	r := &region{tile: t, addr: a.next[t], size: size, name: name, kind: kind}
+	return r
+}
+
+// place puts r at the next free address of tile tc.
+func (a *allocator) place(tc TileCoord, r *region) *region {
+	t := a.tileIndex(tc)
+	if a.next[t]+r.size > a.capacity && a.err == nil {
+		a.err = fmt.Errorf("compiler: MemHeavy tile (r%d,m%d) over capacity: %d + %d > %d (%s)",
+			tc.Row, tc.MCol, a.next[t], r.size, a.capacity, r.label())
+	}
+	r.tile, r.addr = t, a.next[t]
 	r.tiles = r.tiles0[:0]
-	a.next[t] += size
+	a.next[t] += r.size
 	a.regions = append(a.regions, r)
 	return r
+}
+
+// label names the region for an error: its base name, plus ".i<img>" for
+// a per-image copy ("c1.feat0.i910").
+func (r *region) label() string {
+	if r.img < 0 {
+		return r.name
+	}
+	return r.name + ".i" + strconv.Itoa(r.img)
 }
 
 // section marks which program phase ops are being emitted in.
@@ -84,7 +120,9 @@ type section int
 
 const (
 	secPrologue section = iota
-	secIter             // per-iteration body: all minibatch images, unrolled
+	// secIter is the per-image section: image 0's ops, which finalize
+	// repeats for every image of the minibatch in the per-iteration body.
+	secIter
 	secBatch
 )
 
@@ -97,37 +135,42 @@ type progKey struct {
 // Reserved registers of the generated calling convention.
 const (
 	regIter    isa.Reg = 1 // training-iteration counter
-	regImg     isa.Reg = 2 // image counter within the minibatch
-	regInOff   isa.Reg = 3 // external-memory offset of the current input image
-	regGldOff  isa.Reg = 4 // external-memory offset of the current golden output
 	regScratch         = 8 // first scratch register for operand staging
 )
 
-// opr is an instruction operand: either a compile-time constant or one of
-// the reserved registers (used for per-image external-memory offsets).
+// opr is an instruction operand: image 0's value, and the stride by which
+// it steps from one image to the next (0 for an operand every image shares).
 type opr struct {
-	val   int64
-	reg   isa.Reg
-	isReg bool
+	val    int64
+	stride int64
 }
 
 // C makes a constant operand.
 func C(v int64) opr { return opr{val: v} }
 
-// R makes a register operand.
-func R(r isa.Reg) opr { return opr{reg: r, isReg: true} }
+// A addresses offset off within region r: a per-image region's address
+// steps to each image's copy.
+func A(r *region, off int64) opr { return opr{val: r.addr + off, stride: r.stride} }
+
+// Ext makes the external-memory address of image 0's data at addr, where
+// each image's data follows the previous image's after stride elements.
+func Ext(addr, stride int64) opr { return opr{val: addr, stride: stride} }
 
 // tileProgram accumulates one tile's instructions per section, with a
 // parallel per-instruction layer tag (network layer index, or untaggedLayer
 // for control/synchronization scaffolding).
 type tileProgram struct {
 	prologue []isa.Instr
-	image    []isa.Instr
+	image    []isa.Instr // image 0's ops
 	batch    []isa.Instr
 
 	prologueTags []int
 	imageTags    []int
 	batchTags    []int
+
+	// rebase lists the LDRIs of image that stage a per-image operand: image
+	// i's copy of instruction pc loads its immediate plus i*stride.
+	rebase []rebase
 
 	// arming holds the tile's DMAMEMTRACK blocks (armBlockLen instructions
 	// each) in arming order; finalize lays them down ahead of the prologue,
@@ -139,12 +182,19 @@ type tileProgram struct {
 // control, barriers, tracker arming).
 const untaggedLayer = -1
 
+// rebase is one per-image LDRI of a tile's image section.
+type rebase struct {
+	pc     int
+	stride int64
+}
+
 // emitter builds all tile programs and the access ledger.
 type emitter struct {
-	alloc *allocator
-	progs map[progKey]*tileProgram
-	sec   section
-	layer int // layer tag applied to emitted instructions
+	alloc  *allocator
+	images int // minibatch images per iteration
+	progs  map[progKey]*tileProgram
+	sec    section
+	layer  int // layer tag applied to emitted instructions
 
 	// argSlab is the current chunk instructions' Args are carved from (see
 	// args).
@@ -167,19 +217,8 @@ func (e *emitter) args(n int) []isa.Reg {
 	return e.argSlab[i : i+n : i+n]
 }
 
-// reserveImages grows every tile's per-image section, and its layer tags,
-// by n more images the size of those emitted so far. Every image emits the
-// same ops, so once image 0 is emitted, reserving for the other
-// minibatch−1 images allocates each section once.
-func (e *emitter) reserveImages(n int) {
-	for _, tp := range e.progs {
-		tp.image = slices.Grow(tp.image, n*len(tp.image))
-		tp.imageTags = slices.Grow(tp.imageTags, n*len(tp.imageTags))
-	}
-}
-
-func newEmitter(a *allocator) *emitter {
-	return &emitter{alloc: a, progs: map[progKey]*tileProgram{}, layer: untaggedLayer}
+func newEmitter(a *allocator, images int) *emitter {
+	return &emitter{alloc: a, images: images, progs: map[progKey]*tileProgram{}, layer: untaggedLayer}
 }
 
 // setLayer switches the layer tag for subsequently emitted instructions.
@@ -194,11 +233,10 @@ func (e *emitter) at(k progKey) *tileProgram {
 	return tp
 }
 
-// bufs returns tile k's instruction buffer for the current section and the
+// bufs returns the tile's instruction buffer for section sec and the
 // layer-tag slice parallel to it.
-func (e *emitter) bufs(k progKey) (*[]isa.Instr, *[]int) {
-	tp := e.at(k)
-	switch e.sec {
+func (tp *tileProgram) bufs(sec section) (*[]isa.Instr, *[]int) {
+	switch sec {
 	case secPrologue:
 		return &tp.prologue, &tp.prologueTags
 	case secIter:
@@ -247,26 +285,33 @@ func rd(r *region) regAccess { return regAccess{r: r} }
 func wr(r *region) regAccess { return regAccess{r: r, write: true} }
 
 // op emits one coarse/offload/transfer/track instruction on tile k, staging
-// constant operands through scratch registers, and records its accesses.
+// its operands through scratch registers, and records its accesses. A
+// per-image operand must fit the immediate range at every image, and its
+// LDRI is recorded for finalize to rebase.
 func (e *emitter) op(k progKey, opcode isa.Opcode, operands []opr, accs ...regAccess) {
-	buf, tags := e.bufs(k)
+	if regScratch+len(operands) >= isa.NumRegs {
+		panic("compiler: out of scratch registers")
+	}
+	tp := e.at(k)
+	buf, tags := tp.bufs(e.sec)
 	n0 := len(*buf)
 	regs := e.args(len(operands))
-	next := isa.Reg(regScratch)
 	for i, o := range operands {
-		if o.isReg {
-			regs[i] = o.reg
-			continue
+		for _, v := range [2]int64{o.val, o.val + int64(e.images-1)*o.stride} {
+			if v > 1<<31-1 || v < -(1<<31) {
+				panic(fmt.Sprintf("compiler: operand %d exceeds immediate range", v))
+			}
 		}
-		if o.val > 1<<31-1 || o.val < -(1<<31) {
-			panic(fmt.Sprintf("compiler: operand %d exceeds immediate range", o.val))
+		if o.stride != 0 {
+			if e.sec != secIter {
+				panic("compiler: per-image operand outside the per-image section")
+			}
+			if e.images > 1 {
+				tp.rebase = append(tp.rebase, rebase{pc: len(*buf), stride: o.stride})
+			}
 		}
-		*buf = append(*buf, isa.Ldri(next, int32(o.val)))
-		regs[i] = next
-		next++
-		if int(next) >= isa.NumRegs {
-			panic("compiler: out of scratch registers")
-		}
+		regs[i] = regScratch + isa.Reg(i)
+		*buf = append(*buf, isa.Ldri(regs[i], int32(o.val)))
 	}
 	*buf = append(*buf, isa.WithArgs(opcode, regs...))
 	for range len(*buf) - n0 {
@@ -277,18 +322,39 @@ func (e *emitter) op(k progKey, opcode isa.Opcode, operands []opr, accs ...regAc
 	}
 }
 
+// replicateImages extends image 0's ledger to the whole minibatch, which
+// makes the same accesses image by image: every per-image region of a
+// later image takes its image-0 sibling's tiles and per-image counts, and
+// every shared region's per-image counts are multiplied by the minibatch.
+// Nothing touches a per-image region after the template, so the siblings
+// can share one tiles slice.
+func (e *emitter) replicateImages() {
+	for _, r := range e.alloc.regions {
+		switch {
+		case r.img0 != nil:
+			r.tiles = r.img0.tiles
+			r.imgReads, r.imgWrites = r.img0.imgReads, r.img0.imgWrites
+		case r.img < 0:
+			r.imgReads *= e.images
+			r.imgWrites *= e.images
+		}
+	}
+}
+
 // finalize assembles each tile's program:
 //
 //	arming blocks, last armed first
 //	prologue
 //	LDRI iter
-//	iterLoop: <per-iteration body: all minibatch images, unrolled>
+//	iterLoop: <per-iteration body: image 0's section once per image, its
+//	          per-image LDRIs rebased to each image's regions and data>
 //	<batch section: weight update + iteration barrier>
 //	dec iter; BGTZ iterLoop; HALT
 //
 // and derives the tracker manifest from the ledger, plus a parallel
 // per-instruction layer-tag slice for each program (the profiler's
-// program→layer binding).
+// program→layer binding). Every image's copy of an instruction shares
+// image 0's Args, which nothing writes after emission.
 func (e *emitter) finalize(iterations int) (map[progKey]*isa.Program, map[progKey][]int, []sim.TrackerSpec) {
 	// Derive trackers first: it also collects each tile's DMAMEMTRACK
 	// arming blocks.
@@ -296,7 +362,7 @@ func (e *emitter) finalize(iterations int) (map[progKey]*isa.Program, map[progKe
 	progs := make(map[progKey]*isa.Program, len(e.progs))
 	layerTags := make(map[progKey][]int, len(e.progs))
 	for k, tp := range e.progs {
-		n := len(tp.arming) + len(tp.prologue) + 1 + len(tp.image) + len(tp.batch) + 3
+		n := len(tp.arming) + len(tp.prologue) + 1 + e.images*len(tp.image) + len(tp.batch) + 3
 		ins := make([]isa.Instr, 0, n)
 		tags := make([]int, 0, n)
 		for end := len(tp.arming); end > 0; end -= armBlockLen {
@@ -310,8 +376,14 @@ func (e *emitter) finalize(iterations int) (map[progKey]*isa.Program, map[progKe
 		ins = append(ins, isa.Ldri(regIter, int32(iterations)))
 		tags = append(tags, untaggedLayer)
 		iterTop := len(ins)
-		ins = append(ins, tp.image...)
-		tags = append(tags, tp.imageTags...)
+		for img := range e.images {
+			at := len(ins)
+			ins = append(ins, tp.image...)
+			tags = append(tags, tp.imageTags...)
+			for _, rb := range tp.rebase {
+				ins[at+rb.pc].Imm += int32(int64(img) * rb.stride)
+			}
+		}
 		ins = append(ins, tp.batch...)
 		tags = append(tags, tp.batchTags...)
 		ins = append(ins, isa.Subri(regIter, regIter, 1))
@@ -352,7 +424,7 @@ func (e *emitter) trackerManifest() []sim.TrackerSpec {
 			}
 			if r.imgWrites%g != 0 || r.imgReads%g != 0 {
 				panic(fmt.Sprintf("compiler: region %s has non-uniform generations (%dW %dR over %d gens)",
-					r.name, r.imgWrites, r.imgReads, g))
+					r.label(), r.imgWrites, r.imgReads, g))
 			}
 			spec.NumUpdates = r.imgWrites / g
 			spec.NumReads = r.imgReads / g

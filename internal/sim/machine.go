@@ -156,10 +156,11 @@ type Machine struct {
 	// built.
 	spanRoom      int
 	spansPastRoom int64
-	// STALL-note scratch (traceStall): the note's bytes, and the current
-	// chunk its attribute slices are carved from.
-	noteBuf   []byte
-	noteAttrs []telemetry.Attr
+	// STALL-note scratch (traceStall): the note's bytes, and the run's
+	// note table, each distinct note's attribute slice keyed by its text.
+	// Reset clears the table, so it holds at most one run's notes.
+	noteBuf []byte
+	notes   map[string][]telemetry.Attr
 
 	metrics      *telemetry.Registry
 	statsMetrics statsMetrics // sim.* counters and gauges in metrics
@@ -173,6 +174,7 @@ func NewMachine(chip arch.ChipConfig, precision arch.Precision, functional bool)
 		Functional: functional,
 		ext:        &extMem{},
 		poolRoute:  map[[2]int64][]int32{},
+		notes:      map[string][]telemetry.Attr{},
 		precision:  precision,
 		elemBytes:  precision.Bytes(),
 		half:       precision == arch.Half,
@@ -410,6 +412,7 @@ func (m *Machine) Reset() {
 	}
 	m.ext.reset()
 	clear(m.poolRoute)
+	clear(m.notes)
 	m.freqHz = 0
 	m.finished = 0
 	m.stats = Stats{}

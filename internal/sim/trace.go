@@ -24,31 +24,24 @@ func (m *Machine) traceOp(ct *compTile, op isa.Opcode, start, end Cycle) {
 }
 
 // traceStall records a STALL span whose note reads "<desc> on <tracker>".
-// The note is appended into the machine's reusable buffer and copied out as
-// one string, and its one-element attribute slice is carved from noteAttrs.
+// The note is appended into the machine's reusable buffer and looked up in
+// the run's note table, so each distinct note's string and one-element
+// attribute slice are built once per run and shared by its spans (spans
+// never write their attributes).
 func (m *Machine) traceStall(ct *compTile, t *tracker, desc string) {
 	if m.spans.Enabled() && m.spanFits() {
 		b := append(m.noteBuf[:0], desc...)
 		b = t.appendTo(append(b, " on "...))
 		m.noteBuf = b
-		m.emitSpan(ct.name(), "STALL", ct.time, ct.time, m.noteAttr(string(b)))
+		attrs, ok := m.notes[string(b)]
+		if !ok {
+			note := string(b)
+			attrs = []telemetry.Attr{{Key: "note", Value: note}}
+			m.notes[note] = attrs
+		}
+		m.emitSpan(ct.name(), "STALL", ct.time, ct.time, attrs)
 	}
 }
-
-// noteAttr returns a one-element, capacity-capped attribute slice holding
-// note. Spans keep their attributes after the run, so a filled chunk is
-// never reused: the next note starts a fresh one.
-func (m *Machine) noteAttr(note string) []telemetry.Attr {
-	if len(m.noteAttrs) == cap(m.noteAttrs) {
-		m.noteAttrs = make([]telemetry.Attr, 0, noteAttrChunk)
-	}
-	n := len(m.noteAttrs)
-	m.noteAttrs = append(m.noteAttrs, telemetry.Attr{Key: "note", Value: note})
-	return m.noteAttrs[n : n+1 : n+1]
-}
-
-// noteAttrChunk is how many STALL attributes share one allocation.
-const noteAttrChunk = 64
 
 // FormatTrace renders simulator spans as text, one event per line.
 func FormatTrace(spans []telemetry.Span) string {

@@ -25,13 +25,14 @@ func runColdCell(tb testing.TB) {
 }
 
 // Bytes and allocations per coldCell run on a reused machine, measured on a
-// 2-vCPU VM with go1.24: 9.47 MB and 8,862 allocations (about 12.1 MB
-// under -race). A simulator that predecoded each program and staged tensor
-// headers on the heap, behind an emitter that allocated each op's Args,
-// took 23.5 MB and 75,450.
+// 2-vCPU VM with go1.24: 6.08 MB and 6,094 allocations. A compiler that
+// emitted every image anew and a simulator that built a string for every
+// STALL note took 9.47 MB and 8,862; a simulator that predecoded each
+// program and staged tensor headers on the heap, behind an emitter that
+// allocated each op's Args, took 23.5 MB and 75,450.
 const (
-	coldCellBytes  = 9.47e6
-	coldCellAllocs = 8862
+	coldCellBytes  = 6.08e6
+	coldCellAllocs = 6094
 )
 
 // TestColdCellAllocBudget fails when a cold cell's bytes or allocations

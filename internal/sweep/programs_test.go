@@ -28,7 +28,52 @@ const zoo48ProgramsSHA256 = "665dc14dba808a42cca44e4a7d2411500fc73a1f9f964e5de08
 // TestCompiledProgramsPinned compiles every zoo48 cell exactly as runJob
 // does and compares the digest of the result with the pinned one.
 func TestCompiledProgramsPinned(t *testing.T) {
-	jobs, err := zoo48Grid().Jobs()
+	if got := gridProgramsDigest(t, zoo48Grid(), false); got != zoo48ProgramsSHA256 {
+		t.Fatalf("zoo48 programs digest %s, pinned %s", got, zoo48ProgramsSHA256)
+	}
+}
+
+// Digests of programs past zoo48's minibatches (see
+// TestColdSweepProgramsPinned): coldSweepProgramsSHA256 for coldSweepGrid
+// compiled as runJob compiles it, and offChipProgramsSHA256 for the same
+// grid at three training iterations with every layer's weights off-chip.
+const (
+	coldSweepProgramsSHA256 = "11818824b13fdda8ab169d811fe2a002359c6703bf619bc95b223e703d3df588"
+	offChipProgramsSHA256   = "ff20f5414d39b8f954fe6bf8c0a89b7947922bb05b5c48cc2e1c9f95a7bcd684"
+)
+
+// coldSweepGrid is 96 cells in cold-sweep's range: every catalogue workload
+// × arch × mb {1,2,3,7,16,24} × eval/train. Odd minibatches and ones past
+// zoo48's 4 put many images in each per-image section.
+func coldSweepGrid() Grid {
+	return Grid{
+		Workloads:   Workloads(),
+		Archs:       Archs(),
+		Minibatches: []int{1, 2, 3, 7, 16, 24},
+		Modes:       []string{"eval", "train"},
+	}
+}
+
+// TestColdSweepProgramsPinned pins the programs, layer tags and tracker
+// manifests of coldSweepGrid, as runJob compiles them and again with
+// off-chip weights at three training iterations.
+func TestColdSweepProgramsPinned(t *testing.T) {
+	if got := gridProgramsDigest(t, coldSweepGrid(), false); got != coldSweepProgramsSHA256 {
+		t.Errorf("cold-sweep programs digest %s, pinned %s", got, coldSweepProgramsSHA256)
+	}
+	offChip := coldSweepGrid()
+	offChip.Iterations = 3
+	if got := gridProgramsDigest(t, offChip, true); got != offChipProgramsSHA256 {
+		t.Errorf("off-chip programs digest %s, pinned %s", got, offChipProgramsSHA256)
+	}
+}
+
+// gridProgramsDigest compiles every job of g as runJob does, with the
+// weights off-chip when offChip is set, and returns the hex digest of each
+// job's name followed by its programsDigest.
+func gridProgramsDigest(t *testing.T, g Grid, offChip bool) string {
+	t.Helper()
+	jobs, err := g.Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,6 +94,7 @@ func TestCompiledProgramsPinned(t *testing.T) {
 		}
 		c, err := compiler.Compile(net, chip, compiler.Options{
 			Minibatch: job.Minibatch, Iterations: iters, Training: train, LR: 0.0625,
+			WeightsOffChip: offChip,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", job.Name(), err)
@@ -56,9 +102,7 @@ func TestCompiledProgramsPinned(t *testing.T) {
 		writeString(h, job.Name())
 		programsDigest(h, c)
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != zoo48ProgramsSHA256 {
-		t.Fatalf("zoo48 programs digest %s, pinned %s", got, zoo48ProgramsSHA256)
-	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // zoo48Grid is the 48-cell zoo: every catalogue workload × arch × mb
