@@ -77,12 +77,14 @@ fuzz:
 # 1/$(PREDICT_MAX_RATIO) = 100x faster per cell. The gate is parallelism-
 # independent (the predict benchmarks report no workers metric), so it is
 # never skipped on single-core runners.
-# The cold-cell benchmark compiles, installs and runs one catalogue cell
-# (minivgg/baseline/mb8/train) on a reused machine with a registry and a
-# trace lane attached, as an sdserve worker does, and records ns/op, B/op
-# and allocs/op in BENCH_cell.json, beside the compile benchmark (minivgg
-# and simnet training on the sweep's baseline chip at minibatch 1, 8 and
-# 24), which shows how compile time grows with minibatch.
+# The cold-cell benchmarks compile, install and run one catalogue cell
+# (minivgg/baseline/mb8/train, and minivgg/baseline/mb24/eval, where the
+# data window leaves 23 of 24 images' data uncomputed) on a reused machine
+# with a registry and a trace lane attached, as an sdserve worker does, and
+# record ns/op, B/op and allocs/op in BENCH_cell.json, beside the compile
+# benchmark (minivgg and simnet training on the sweep's baseline chip at
+# minibatch 1, 8 and 24), which shows how compile time grows with
+# minibatch.
 # The serve benchmarks fire a duplicate-heavy job storm at the sdserve
 # scheduler on a one-token worker budget (one job at a time) and on the
 # default GOMAXPROCS-token budget, and record jobs-per-sec,
@@ -112,7 +114,7 @@ bench:
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_predict.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
 	@echo "wrote BENCH_predict.json"
 	$(GO) run ./cmd/sdbenchdiff -ratio PredictCellFast/PredictCellExact -max-ratio $(PREDICT_MAX_RATIO) BENCH_predict.json
-	$(GO) test -run '^$$' -bench '^Benchmark(ColdCell|Compile)$$' -benchmem -json ./internal/sweep/ ./internal/compiler/ > BENCH_cell.json
+	$(GO) test -run '^$$' -bench '^Benchmark(ColdCell|ColdCellEval|Compile)$$' -benchmem -json ./internal/sweep/ ./internal/compiler/ > BENCH_cell.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_cell.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
 	@echo "wrote BENCH_cell.json"
 	$(GO) test -run '^$$' -bench ServeStorm -json ./internal/server/ > BENCH_serve.json

@@ -26,6 +26,41 @@ func (c *Compiled) Install(m *sim.Machine) error {
 	return nil
 }
 
+// InstallLastOutput installs c like Install for a caller that reads back
+// only the last image's output (ReadOutput of image Minibatch−1), and
+// narrows each tile's data window to the ops that output depends on: the
+// last image's copy of the per-image section, on every tile in evaluation
+// and on the FP tiles in one-iteration training, where the BP and WG tiles
+// run no datapath. Training past one iteration keeps every program's
+// window whole, since the weight update feeds the next iteration.
+//
+// The windows are exact, not a heuristic. Timing never depends on data. A
+// forward op of a one-iteration program reads only the preloaded inputs
+// and weights and regions that forward ops write, and each image's forward
+// ops write every range of the shared scratch (partial sums, activation
+// staging, FC stages) before they read it: an NDCONV with its accumulate
+// flag clear or a MEMSET starts each partial sum, and the staging stores do
+// not accumulate. So the last image's output, and every statistic, equal
+// Install's bit for bit; the other images' outputs, every error and
+// gradient, and the weight update are not computed.
+func (c *Compiled) InstallLastOutput(m *sim.Machine) error {
+	if err := c.Install(m); err != nil {
+		return err
+	}
+	if c.Opts.Training && c.Opts.Iterations > 1 {
+		return nil
+	}
+	for k, r := range c.lastImage {
+		if c.Opts.Training && k.Step != sim.StepFP {
+			r = pcRange{}
+		}
+		if err := m.SetDataWindow(k.Row, k.CCol, k.Step, r.lo, r.hi); err != nil {
+			return fmt.Errorf("compiler: install %v: %w", k, err)
+		}
+	}
+	return nil
+}
+
 // LoadWeights writes an executor's current parameters into the simulator's
 // scratchpads using the compiled layout (per input feature g, the kernels
 // for every output feature consecutively; per FC slice, the contiguous

@@ -74,6 +74,10 @@ type Compiled struct {
 	weightRegions  map[int]map[int]*region
 	extWeightAddrs map[int]map[int]int64
 
+	// lastImage[k] is where finalize laid the last image's copy of tile k's
+	// per-image section (see InstallLastOutput).
+	lastImage map[progKey]pcRange
+
 	InputElems  int64 // elements per input image
 	OutputElems int64 // elements per network output
 }
@@ -115,6 +119,9 @@ type gen struct {
 
 type gradMap = map[int]map[int]*region
 
+// pcRange is the program counters [lo, hi) of one program.
+type pcRange struct{ lo, hi int }
+
 // Generate runs the code-generation phase on a mapping.
 func Generate(m *Mapping, opts Options) (*Compiled, error) {
 	return generate(m, opts, time.Now())
@@ -155,11 +162,8 @@ func generate(m *Mapping, opts Options, base time.Time) (*Compiled, error) {
 		return nil, err
 	}
 	tFin := time.Now()
-	progs, layerTags, trackers := g.em.finalize(opts.Iterations)
+	g.em.finalize(opts.Iterations, g.out)
 	phaseSpan(opts.Spans, base, tFin, "finalize")
-	g.out.Programs = progs
-	g.out.LayerTags = layerTags
-	g.out.Trackers = trackers
 	return g.out, nil
 }
 
@@ -297,17 +301,18 @@ func (g *gen) allocLayerState(mi int, lm *LayerMap) {
 		// The names read "<layer>.feat<f>" (and eraw, edrv); label adds
 		// ".i<img>".
 		unit := strconv.Itoa(f)
-		feat, stride := l.Name+".feat"+unit, size
-		var eraw, edrv string
+		feat := l.Name + ".feat" + unit
+		names := []string{feat}
 		if g.opts.Training {
-			eraw, edrv, stride = l.Name+".eraw"+unit, l.Name+".edrv"+unit, 3*size
+			names = []string{feat, l.Name + ".eraw" + unit, l.Name + ".edrv" + unit}
 		}
-		for img := 0; img < mb && g.al.err == nil; img++ {
-			g.feat[mi][f] = g.al.allocImage(home, size, feat, img, stride, g.feat[mi][f])
-			if g.opts.Training {
-				g.errRaw[mi][f] = g.al.allocImage(home, size, eraw, img, stride, g.errRaw[mi][f])
-				g.errDrv[mi][f] = g.al.allocImage(home, size, edrv, img, stride, g.errDrv[mi][f])
-			}
+		img0 := g.al.allocImages(home, size, mb, names...)
+		if len(img0) == 0 {
+			continue
+		}
+		g.feat[mi][f] = &img0[0]
+		if g.opts.Training {
+			g.errRaw[mi][f], g.errDrv[mi][f] = &img0[1], &img0[2]
 		}
 	}
 

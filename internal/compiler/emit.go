@@ -80,16 +80,33 @@ func (a *allocator) alloc(tc TileCoord, size int64, name string, kind regionKind
 	return a.place(tc, &region{size: size, name: name, kind: kind, img: -1})
 }
 
-// allocImage allocates image img's copy of a per-image data region, one
-// stride past the previous image's copy. img0 is image 0's copy (nil when
-// img is 0), and allocImage returns image 0's copy: the one the template
-// addresses.
-func (a *allocator) allocImage(tc TileCoord, size int64, name string, img int, stride int64, img0 *region) *region {
-	r := a.place(tc, &region{size: size, name: name, kind: kindData, img: img, stride: stride, img0: img0})
-	if img0 != nil {
-		return img0
+// allocImages allocates one unit's per-image data regions on tile tc,
+// image after image: each image's copy of every name in turn, size
+// elements each, so each copy sits one stride (len(names)*size) past the
+// previous image's. It returns the copies, image 0's first: the ones the
+// template addresses. The copies share one array sized by what still fits
+// on the tile: every image that fits, and the first that does not, whose
+// placement records the over-capacity error that stops binding. So a
+// minibatch far past the tile costs what binding up to that image costs.
+func (a *allocator) allocImages(tc TileCoord, size int64, mb int, names ...string) []region {
+	if a.err != nil {
+		return nil
 	}
-	return r
+	stride := int64(len(names)) * size
+	n := mb
+	if free := a.capacity - a.next[a.tileIndex(tc)]; stride > 0 && free/stride < int64(n) {
+		n = int(free/stride) + 1
+	}
+	copies := make([]region, n*len(names))
+	for i := range copies {
+		r := &copies[i]
+		*r = region{size: size, name: names[i%len(names)], kind: kindData, img: i / len(names), stride: stride}
+		if r.img > 0 {
+			r.img0 = &copies[i%len(names)]
+		}
+		a.place(tc, r)
+	}
+	return copies
 }
 
 // place puts r at the next free address of tile tc.
@@ -156,17 +173,17 @@ func A(r *region, off int64) opr { return opr{val: r.addr + off, stride: r.strid
 // each image's data follows the previous image's after stride elements.
 func Ext(addr, stride int64) opr { return opr{val: addr, stride: stride} }
 
-// tileProgram accumulates one tile's instructions per section, with a
-// parallel per-instruction layer tag (network layer index, or untaggedLayer
-// for control/synchronization scaffolding).
+// tileProgram accumulates one tile's instructions per section, with each
+// section's layer tags (network layer index, or untaggedLayer for
+// control/synchronization scaffolding) as runs.
 type tileProgram struct {
 	prologue []isa.Instr
 	image    []isa.Instr // image 0's ops
 	batch    []isa.Instr
 
-	prologueTags []int
-	imageTags    []int
-	batchTags    []int
+	prologueTags []tagRun
+	imageTags    []tagRun
+	batchTags    []tagRun
 
 	// rebase lists the LDRIs of image that stage a per-image operand: image
 	// i's copy of instruction pc loads its immediate plus i*stride.
@@ -181,6 +198,28 @@ type tileProgram struct {
 // untaggedLayer marks instructions that belong to no network layer (loop
 // control, barriers, tracker arming).
 const untaggedLayer = -1
+
+// tagRun tags a run of a section's instructions with one layer: those from
+// pc up to the next run's pc, or to the end of the section.
+type tagRun struct {
+	pc    int
+	layer int
+}
+
+// appendTags appends the per-instruction layer tags of an n-instruction
+// section, given its runs, to tags.
+func appendTags(tags []int, runs []tagRun, n int) []int {
+	for i, r := range runs {
+		end := n
+		if i+1 < len(runs) {
+			end = runs[i+1].pc
+		}
+		for range end - r.pc {
+			tags = append(tags, r.layer)
+		}
+	}
+	return tags
+}
 
 // rebase is one per-image LDRI of a tile's image section.
 type rebase struct {
@@ -233,9 +272,9 @@ func (e *emitter) at(k progKey) *tileProgram {
 	return tp
 }
 
-// bufs returns the tile's instruction buffer for section sec and the
-// layer-tag slice parallel to it.
-func (tp *tileProgram) bufs(sec section) (*[]isa.Instr, *[]int) {
+// bufs returns the tile's instruction buffer for section sec and its
+// layer-tag runs.
+func (tp *tileProgram) bufs(sec section) (*[]isa.Instr, *[]tagRun) {
 	switch sec {
 	case secPrologue:
 		return &tp.prologue, &tp.prologueTags
@@ -294,7 +333,9 @@ func (e *emitter) op(k progKey, opcode isa.Opcode, operands []opr, accs ...regAc
 	}
 	tp := e.at(k)
 	buf, tags := tp.bufs(e.sec)
-	n0 := len(*buf)
+	if n := len(*tags); n == 0 || (*tags)[n-1].layer != e.layer {
+		*tags = append(*tags, tagRun{pc: len(*buf), layer: e.layer})
+	}
 	regs := e.args(len(operands))
 	for i, o := range operands {
 		for _, v := range [2]int64{o.val, o.val + int64(e.images-1)*o.stride} {
@@ -314,9 +355,6 @@ func (e *emitter) op(k progKey, opcode isa.Opcode, operands []opr, accs ...regAc
 		*buf = append(*buf, isa.Ldri(regs[i], int32(o.val)))
 	}
 	*buf = append(*buf, isa.WithArgs(opcode, regs...))
-	for range len(*buf) - n0 {
-		*tags = append(*tags, e.layer)
-	}
 	for _, a := range accs {
 		e.touch(k, a.r, a.write)
 	}
@@ -351,16 +389,19 @@ func (e *emitter) replicateImages() {
 //	<batch section: weight update + iteration barrier>
 //	dec iter; BGTZ iterLoop; HALT
 //
-// and derives the tracker manifest from the ledger, plus a parallel
-// per-instruction layer-tag slice for each program (the profiler's
-// program→layer binding). Every image's copy of an instruction shares
-// image 0's Args, which nothing writes after emission.
-func (e *emitter) finalize(iterations int) (map[progKey]*isa.Program, map[progKey][]int, []sim.TrackerSpec) {
+// into c.Programs, and derives the tracker manifest (c.Trackers) from the
+// ledger, plus a parallel per-instruction layer-tag slice for each program
+// (c.LayerTags, the profiler's program→layer binding). It records where
+// each program's last image copy lies in c.lastImage. Every image's copy
+// of an instruction shares image 0's Args, which nothing writes after
+// emission.
+func (e *emitter) finalize(iterations int, c *Compiled) {
 	// Derive trackers first: it also collects each tile's DMAMEMTRACK
 	// arming blocks.
-	trackers := e.trackerManifest()
-	progs := make(map[progKey]*isa.Program, len(e.progs))
-	layerTags := make(map[progKey][]int, len(e.progs))
+	c.Trackers = e.trackerManifest()
+	c.Programs = make(map[progKey]*isa.Program, len(e.progs))
+	c.LayerTags = make(map[progKey][]int, len(e.progs))
+	c.lastImage = make(map[progKey]pcRange, len(e.progs))
 	for k, tp := range e.progs {
 		n := len(tp.arming) + len(tp.prologue) + 1 + e.images*len(tp.image) + len(tp.batch) + 3
 		ins := make([]isa.Instr, 0, n)
@@ -372,20 +413,21 @@ func (e *emitter) finalize(iterations int) (map[progKey]*isa.Program, map[progKe
 			tags = append(tags, untaggedLayer)
 		}
 		ins = append(ins, tp.prologue...)
-		tags = append(tags, tp.prologueTags...)
+		tags = appendTags(tags, tp.prologueTags, len(tp.prologue))
 		ins = append(ins, isa.Ldri(regIter, int32(iterations)))
 		tags = append(tags, untaggedLayer)
 		iterTop := len(ins)
 		for img := range e.images {
 			at := len(ins)
 			ins = append(ins, tp.image...)
-			tags = append(tags, tp.imageTags...)
+			tags = appendTags(tags, tp.imageTags, len(tp.image))
 			for _, rb := range tp.rebase {
 				ins[at+rb.pc].Imm += int32(int64(img) * rb.stride)
 			}
 		}
+		c.lastImage[k] = pcRange{lo: len(ins) - len(tp.image), hi: len(ins)}
 		ins = append(ins, tp.batch...)
-		tags = append(tags, tp.batchTags...)
+		tags = appendTags(tags, tp.batchTags, len(tp.batch))
 		ins = append(ins, isa.Subri(regIter, regIter, 1))
 		ins = append(ins, isa.Bgtz(regIter, int32(iterTop-(len(ins)+1))))
 		ins = append(ins, isa.Halt())
@@ -394,13 +436,12 @@ func (e *emitter) finalize(iterations int) (map[progKey]*isa.Program, map[progKe
 			panic(fmt.Sprintf("compiler: program out of sync on %v: %d tags for %d instrs, %d expected",
 				k, len(tags), len(ins), n))
 		}
-		progs[k] = &isa.Program{
+		c.Programs[k] = &isa.Program{
 			Tile:   fmt.Sprintf("r%d.c%d.%s", k.Row, k.CCol, k.Step),
 			Instrs: ins,
 		}
-		layerTags[k] = tags
+		c.LayerTags[k] = tags
 	}
-	return progs, layerTags, trackers
 }
 
 // trackerManifest derives one TrackerSpec per multi-tile region from the

@@ -4,9 +4,11 @@
 // tiles with scratchpads, SFUs, DMA engines and hardware data-flow trackers
 // (§3.2.4), connected by point-to-point links with finite bandwidth.
 //
-// The simulator runs in two modes: functional (scratchpads hold real float32
-// data and every coarse operation computes it, validated against the
-// internal/tensor reference) and timing-only (data-free, for large sweeps).
+// Every instruction runs its timing. On a functional machine scratchpads
+// hold real float32 data, and a coarse operation computes it (validated
+// against the internal/tensor reference) when its pc lies in its tile's
+// data window, the whole program unless SetDataWindow narrows it; a
+// timing-only machine carries no data.
 // Synchronization is enforced exactly as in the hardware: reads of a tracked
 // range block until its declared number of updates arrive; overwrites block
 // until its declared reads drain. Deadlocks — the symptom of tracker

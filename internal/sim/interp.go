@@ -10,15 +10,22 @@ import (
 // guard (a program with a broken loop otherwise hangs the simulation).
 const maxInstructions = 1 << 30
 
-// coarseFn executes one non-scalar instruction with resolved operand values.
-// It returns (false, _) if the tile blocked, else (true, completionCycle).
+// coarseFn runs the timing of one non-scalar instruction with resolved
+// operand values: tracker admission, occupancy and traffic. It returns
+// (false, _) if the tile blocked, else (true, completionCycle).
 type coarseFn func(m *Machine, ct *compTile, v []int64) (bool, Cycle)
+
+// dataFn runs the datapath of an admitted non-scalar instruction: it reads
+// the op's operands and writes its results. runTile calls it only for an
+// op inside its tile's data window.
+type dataFn func(m *Machine, ct *compTile, v []int64)
 
 // opEntry is the interpreter's static view of one opcode. The table is built
 // once at init and indexed by isa.Instr.Op, so tiles run their programs'
 // instructions as emitted: no per-program decode, no copy of the stream.
 type opEntry struct {
 	exec   coarseFn   // nil for scalar opcodes
+	data   dataFn     // nil for ops that move no data
 	scalar bool       // executes inline on the scalar PE
 	busy   AttrBucket // bucket of a coarse op's occupied span (opBusyBucket)
 	name   string     // mnemonic, the op span's name
@@ -27,25 +34,29 @@ type opEntry struct {
 var opTab [isa.NumOpcodes]opEntry
 
 func init() {
-	dispatch := [isa.NumOpcodes]coarseFn{
-		isa.NDCONV:      (*Machine).execNDConv,
-		isa.MATMUL:      (*Machine).execMatMul,
-		isa.NDACTFN:     (*Machine).execActFn,
-		isa.NDSUBSAMP:   (*Machine).execSubsamp,
-		isa.NDUPSAMP:    (*Machine).execUpsamp,
-		isa.NDACC:       (*Machine).execAcc,
-		isa.VECMUL:      (*Machine).execVecMul,
-		isa.WUPDATE:     (*Machine).execWUpdate,
-		isa.MEMSET:      (*Machine).execMemSet,
-		isa.DMALOAD:     (*Machine).execDMA,
-		isa.DMASTORE:    (*Machine).execDMA,
-		isa.PASSBUFF:    (*Machine).execPassBuff,
-		isa.MEMTRACK:    (*Machine).execMemTrack,
-		isa.DMAMEMTRACK: (*Machine).execMemTrack,
+	dispatch := [isa.NumOpcodes]struct {
+		exec coarseFn
+		data dataFn
+	}{
+		isa.NDCONV:      {(*Machine).execNDConv, (*Machine).ndconvData},
+		isa.MATMUL:      {(*Machine).execMatMul, (*Machine).matMulData},
+		isa.NDACTFN:     {(*Machine).execActFn, (*Machine).actFnData},
+		isa.NDSUBSAMP:   {(*Machine).execSubsamp, (*Machine).subsampData},
+		isa.NDUPSAMP:    {(*Machine).execUpsamp, (*Machine).upsampData},
+		isa.NDACC:       {(*Machine).execAcc, (*Machine).accData},
+		isa.VECMUL:      {(*Machine).execVecMul, (*Machine).vecMulData},
+		isa.WUPDATE:     {(*Machine).execWUpdate, (*Machine).wUpdateData},
+		isa.MEMSET:      {(*Machine).execMemSet, (*Machine).memSetData},
+		isa.DMALOAD:     {(*Machine).execDMA, (*Machine).dmaData},
+		isa.DMASTORE:    {(*Machine).execDMA, (*Machine).dmaData},
+		isa.PASSBUFF:    {exec: (*Machine).execPassBuff},
+		isa.MEMTRACK:    {exec: (*Machine).execMemTrack},
+		isa.DMAMEMTRACK: {exec: (*Machine).execMemTrack},
 	}
 	for op := isa.Opcode(0); op < isa.NumOpcodes; op++ {
 		e := opEntry{
-			exec:   dispatch[op],
+			exec:   dispatch[op].exec,
+			data:   dispatch[op].data,
 			scalar: op.Group() == isa.GroupScalar,
 			busy:   opBusyBucket(op),
 			name:   op.String(),
@@ -61,9 +72,12 @@ func init() {
 // each coarse/offload/transfer operation either blocks on a tracker
 // (suspending the tile until woken) or completes, advancing the tile's local
 // clock and rescheduling it, so tiles interleave in simulated-time order.
-// The loop reads the installed program's instructions in place, through
-// opTab, and works in the machine's reusable scratch buffers: steady-state
-// execution allocates nothing.
+// A completed op also runs its datapath if its pc lies inside the tile's
+// data window. Timing never depends on data (no scalar op reads memory), so
+// the window changes only the values in memory, never a cycle, span or
+// statistic. The loop reads the installed program's instructions in place,
+// through opTab, and works in the machine's reusable scratch buffers:
+// steady-state execution allocates nothing.
 func (m *Machine) runTile(ct *compTile) {
 	ct.blocked, ct.blockTk = "", nil
 	if m.instrProfile && ct.pcProf == nil {
@@ -113,12 +127,13 @@ func (m *Machine) runTile(ct *compTile) {
 		start := ct.time
 		flops0 := ct.flops
 		m.opQueueWait, m.opBytes = 0, 0
-		if m.Functional {
-			m.arena.reset()
-		}
 		ok, end := op.exec(m, ct, v)
 		if !ok {
 			return // blocked; tracker wake or NACK retry will reschedule
+		}
+		if op.data != nil && ct.pc >= ct.dataLo && ct.pc < ct.dataHi {
+			m.arena.reset()
+			op.data(m, ct, v)
 		}
 		m.traceOp(ct, ins.Op, start, end)
 		// Attribute the op's span: the leading queue-for-busy-resource part

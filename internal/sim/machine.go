@@ -55,6 +55,9 @@ type compTile struct {
 	prog *isa.Program // run as emitted (see opTab)
 	pc   int
 	regs [isa.NumRegs]int64
+	// dataLo and dataHi bound the data window: the ops at pcs in [dataLo,
+	// dataHi) run their datapath (see SetDataWindow).
+	dataLo, dataHi int
 
 	time        Cycle
 	halted      bool
@@ -104,8 +107,13 @@ type TrackerSpec struct {
 	Preloaded  bool // generation 0 content is pre-loaded by the harness
 }
 
-// Machine simulates one ScaleDeep chip. Functional mode carries real data
-// through the scratchpads; timing-only mode carries none.
+// Machine simulates one ScaleDeep chip. Every instruction runs its timing:
+// tracker synchronization, occupancy, traffic, spans and statistics. A
+// functional machine also carries real data through the scratchpads: an
+// op runs its datapath when its pc lies inside its tile's data window,
+// which LoadProgram opens to the whole program and SetDataWindow can
+// narrow. A timing-only machine carries no data: its windows stay empty.
+// Timing never depends on data, so no window moves a statistic.
 type Machine struct {
 	Chip       arch.ChipConfig
 	Functional bool
@@ -218,18 +226,56 @@ func (m *Machine) compIndex(row, ccol int, s Step) int {
 	return (ccol*m.Chip.Rows+row)*int(stepsPerCell) + int(s)
 }
 
-// LoadProgram installs a program on the CompHeavy tile at (row, ccol, step).
-// The tile runs p's instructions in place, so p must not change until the
-// machine is Reset.
+// compTileAt returns the CompHeavy tile at (row, ccol, step).
+func (m *Machine) compTileAt(row, ccol int, s Step) (*compTile, error) {
+	if row < 0 || row >= m.Chip.Rows || ccol < 0 || ccol >= m.Chip.Cols || s < 0 || s >= stepsPerCell {
+		return nil, fmt.Errorf("sim: tile (r%d,c%d,%s) outside %dx%d chip", row, ccol, s, m.Chip.Rows, m.Chip.Cols)
+	}
+	return m.comp[m.compIndex(row, ccol, s)], nil
+}
+
+// LoadProgram installs a program on the CompHeavy tile at (row, ccol, step)
+// and opens the tile's data window to the whole program. The tile runs p's
+// instructions in place, so p must not change until the machine is Reset.
 func (m *Machine) LoadProgram(row, ccol int, s Step, p *isa.Program) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	if row < 0 || row >= m.Chip.Rows || ccol < 0 || ccol >= m.Chip.Cols {
-		return fmt.Errorf("sim: tile (r%d,c%d) outside %dx%d chip", row, ccol, m.Chip.Rows, m.Chip.Cols)
+	ct, err := m.compTileAt(row, ccol, s)
+	if err != nil {
+		return err
 	}
-	m.comp[m.compIndex(row, ccol, s)].prog = p
+	ct.prog = p
+	ct.dataLo, ct.dataHi = 0, 0
+	if m.Functional {
+		ct.dataHi = len(p.Instrs)
+	}
 	m.resolveOpHists(p)
+	return nil
+}
+
+// SetDataWindow sets the data window of the tile at (row, ccol, step) to
+// the pcs [lo, hi) of its loaded program: from Run on, only the ops there
+// run their datapath, and every other op runs its timing alone. lo == hi
+// runs no datapath on the tile. The caller chooses a window whose ops read
+// only data that ops inside the windows write or that was loaded before
+// Run; data outside it is left as it stood. It refuses a tile without a
+// program and a window outside the program. On a timing-only machine the
+// window stays empty.
+func (m *Machine) SetDataWindow(row, ccol int, s Step, lo, hi int) error {
+	ct, err := m.compTileAt(row, ccol, s)
+	if err != nil {
+		return err
+	}
+	if ct.prog == nil {
+		return fmt.Errorf("sim: data window on %s, which has no program", ct.name())
+	}
+	if lo < 0 || lo > hi || hi > len(ct.prog.Instrs) {
+		return fmt.Errorf("sim: data window [%d, %d) on %s outside its %d-instruction program", lo, hi, ct.name(), len(ct.prog.Instrs))
+	}
+	if m.Functional {
+		ct.dataLo, ct.dataHi = lo, hi
+	}
 	return nil
 }
 
@@ -508,11 +554,8 @@ type InstrProfile struct {
 // InstrProfile returns the accounting of the program on tile (row, ccol,
 // step), or nil if no program ran there or profiling was not enabled.
 func (m *Machine) InstrProfile(row, ccol int, s Step) *InstrProfile {
-	if row < 0 || row >= m.Chip.Rows || ccol < 0 || ccol >= m.Chip.Cols {
-		return nil
-	}
-	ct := m.comp[m.compIndex(row, ccol, s)]
-	if ct.pcProf == nil {
+	ct, err := m.compTileAt(row, ccol, s)
+	if err != nil || ct.pcProf == nil {
 		return nil
 	}
 	return &InstrProfile{Attr: ct.pcProf.attr, FLOPs: ct.pcProf.flops, Bytes: ct.pcProf.bytes}

@@ -8,39 +8,35 @@ import (
 	"scaledeep/internal/tensor"
 )
 
-// This file implements the functional semantics and timing of the coarse-
-// grained, offload and transfer instructions. Functional execution runs on
-// the blocked tensor kernel engine (tensor.MatVecInto, tensor.Conv2DInto,
-// ...), which is bit-identical to the naive reference, so simulator output
-// matches the golden model exactly for identical operation orders (and
-// within float tolerance under tracker-permuted accumulation orders).
-// Kernel outputs and the tensor headers the kernels take are staged in the
-// per-op arena, and so are operand copies. NDCONV and the pool ops read
-// scratchpad operands in place and copy only external-memory ones (see
-// operand). The im2col panel and the backward-weights padded copy live in
-// the machine-persistent convScratch. A MaxPool's argmax, which outlives
-// its op, is the only per-op allocation of the functional hot loop.
+// This file implements the timing and the datapath of the coarse-grained,
+// offload and transfer instructions. Each op has two halves: exec<Op> runs
+// its timing (tracker admission, occupancy, traffic) for every instruction,
+// and <op>Data runs its datapath, which runTile calls only inside the tile's
+// data window. A datapath reads and writes only ranges its timing half
+// admitted, which also bounds-checked them and recorded the scratchpad
+// high-water mark, so the window cannot move a statistic.
+//
+// The datapath runs on the blocked tensor kernel engine (tensor.MatVecInto,
+// tensor.Conv2DInto, ...), which is bit-identical to the naive reference,
+// so simulator output matches the golden model exactly for identical
+// operation orders (and within float tolerance under tracker-permuted
+// accumulation orders). Kernel outputs and the tensor headers the kernels
+// take are staged in the per-op arena, and so are operand copies. NDCONV
+// and the pool ops read scratchpad operands in place and copy only
+// external-memory ones (see operand). The im2col panel and the
+// backward-weights padded copy live in the machine-persistent convScratch.
+// A MaxPool's argmax, which outlives its op, is the only per-op allocation
+// of the datapath.
 
 func (m *Machine) readVec(loc location, addr, size int64) []float32 {
 	if loc.mem != nil {
-		loc.mem.touch(addr, size)
-		if loc.mem.data == nil {
-			return nil
-		}
 		return loc.mem.data[addr : addr+size]
-	}
-	if !m.Functional {
-		return nil
 	}
 	return loc.ext.span(addr, size)
 }
 
 func (m *Machine) writeVec(loc location, addr int64, vals []float32, size int64, acc bool) {
 	if loc.mem != nil {
-		loc.mem.touch(addr, size)
-		if loc.mem.data == nil {
-			return
-		}
 		if acc {
 			for i, v := range vals {
 				loc.mem.data[addr+int64(i)] += v
@@ -51,9 +47,6 @@ func (m *Machine) writeVec(loc location, addr int64, vals []float32, size int64,
 		if m.half {
 			tensor.RoundHalfSlice(loc.mem.data[addr : addr+size])
 		}
-		return
-	}
-	if !m.Functional {
 		return
 	}
 	s := loc.ext.span(addr, size)
@@ -120,65 +113,53 @@ func (m *Machine) SetFreq(hz float64) { m.freqHz = hz }
 func (m *Machine) execNDConv(ct *compTile, v []int64) (bool, Cycle) {
 	mode, in, inPort, inH, inW := v[0], v[1], v[2], v[3], v[4]
 	kAddr, kPort, kSize, stride, pad := v[5], v[6], v[7], v[8], v[9]
-	out, outPort, nk, accFlag := v[10], v[11], v[12], v[13]
-	acc := accFlag != 0
+	out, outPort, nk := v[10], v[11], v[12]
 
-	inLoc := m.resolvePort(ct, inPort)
-	kLoc := m.resolvePort(ct, kPort)
-	outLoc := m.resolvePort(ct, outPort)
-
-	cp := tensor.ConvParams{KH: int(kSize), KW: int(kSize),
-		StrideH: int(stride), StrideW: int(stride), PadH: int(pad), PadW: int(pad)}
-
-	var macs, outSize, kTotal int64
-	var oh, ow int
-	switch mode {
-	case isa.ModeFwd:
-		oh, ow = cp.ConvOutShape(int(inH), int(inW))
-		outSize = nk * int64(oh*ow)
-		kTotal = nk * kSize * kSize
-		macs = nk * kSize * kSize * int64(oh*ow)
-	case isa.ModeBwdData:
-		// in = nk error features of inH×inW; out = one input-error feature.
-		origH := (inH-1)*stride + kSize - 2*pad
-		origW := (inW-1)*stride + kSize - 2*pad
-		oh, ow = int(origH), int(origW)
-		outSize = int64(oh * ow)
-		kTotal = nk * kSize * kSize
-		macs = nk * kSize * kSize * inH * inW
-	case isa.ModeBwdWeight:
-		// in = input feature; k = nk error features of kSize×kSize (kSize
-		// reinterpreted as the error side); out = nk kernel gradients.
-		errH := kSize
-		kern := inH + 2*pad - (errH-1)*stride
-		oh, ow = int(kern), int(kern)
-		outSize = nk * int64(oh*ow)
-		kTotal = nk * errH * errH
-		macs = nk * errH * errH * int64(oh*ow)
-	default:
-		panic(fmt.Sprintf("sim: NDCONV mode %d", mode))
+	oh, ow := convOutShape(mode, inH, inW, kSize, stride, pad)
+	outHW := int64(oh * ow)
+	kTotal := nk * kSize * kSize
+	inSize, outSize, macs := inH*inW, nk*outHW, kTotal*outHW
+	if mode == isa.ModeBwdData {
+		inSize, outSize, macs = nk*inH*inW, outHW, kTotal*inH*inW
 	}
 
 	end := ct.time + m.arrayCycles(macs)
 	accs := append(m.accBuf[:0],
-		access{loc: inLoc, addr: in, size: inH * inW},
-		access{loc: kLoc, addr: kAddr, size: kTotal},
-		access{loc: outLoc, addr: out, size: outSize, write: true})
-	if mode == isa.ModeBwdData {
-		accs[0].size = nk * inH * inW
-	}
+		access{loc: m.resolvePort(ct, inPort), addr: in, size: inSize},
+		access{loc: m.resolvePort(ct, kPort), addr: kAddr, size: kTotal},
+		access{loc: m.resolvePort(ct, outPort), addr: out, size: outSize, write: true})
 	if !m.admit(ct, accs, "NDCONV", end) {
 		return false, 0
 	}
 	ct.arrayCycles += end - ct.time
 	ct.flops += 2 * macs
 	m.addOperandTraffic(ct, accs)
-
-	if m.Functional {
-		m.ndconvData(mode, inLoc, in, int(inH), int(inW), kLoc, kAddr, int(kSize),
-			cp, outLoc, out, int(nk), oh, ow, acc)
-	}
 	return true, end
+}
+
+// convOutShape returns the side of each feature an NDCONV writes:
+//
+//   - ModeFwd: in is one inH×inW input feature, k holds nk kSize×kSize
+//     kernels, out is nk partial output features.
+//   - ModeBwdData: in holds nk inH×inW output-error features, out is one
+//     input-error feature.
+//   - ModeBwdWeight: in is the input feature, k holds nk error features of
+//     kSize×kSize (kSize reinterpreted as the error side), out is nk kernel
+//     gradients.
+func convOutShape(mode, inH, inW, kSize, stride, pad int64) (oh, ow int) {
+	switch mode {
+	case isa.ModeFwd:
+		cp := tensor.ConvParams{KH: int(kSize), KW: int(kSize),
+			StrideH: int(stride), StrideW: int(stride), PadH: int(pad), PadW: int(pad)}
+		return cp.ConvOutShape(int(inH), int(inW))
+	case isa.ModeBwdData:
+		return int((inH-1)*stride + kSize - 2*pad), int((inW-1)*stride + kSize - 2*pad)
+	case isa.ModeBwdWeight:
+		kern := int(inH + 2*pad - (kSize-1)*stride)
+		return kern, kern
+	default:
+		panic(fmt.Sprintf("sim: NDCONV mode %d", mode))
+	}
 }
 
 // addOperandTraffic attributes a coarse op's operand streaming to the link
@@ -196,9 +177,14 @@ func (m *Machine) addOperandTraffic(ct *compTile, accs []access) {
 	}
 }
 
-func (m *Machine) ndconvData(mode int64, inLoc location, in int64, inH, inW int,
-	kLoc location, kAddr int64, kSize int, cp tensor.ConvParams,
-	outLoc location, out int64, nk, oh, ow int, acc bool) {
+// ndconvData is NDCONV's datapath (operands as in execNDConv).
+func (m *Machine) ndconvData(ct *compTile, v []int64) {
+	mode, in, inLoc, inH, inW := v[0], v[1], m.resolvePort(ct, v[2]), int(v[3]), int(v[4])
+	kAddr, kLoc, kSize := v[5], m.resolvePort(ct, v[6]), int(v[7])
+	out, outLoc, nk, acc := v[10], m.resolvePort(ct, v[11]), int(v[12]), v[13] != 0
+	cp := tensor.ConvParams{KH: kSize, KW: kSize,
+		StrideH: int(v[8]), StrideW: int(v[8]), PadH: int(v[9]), PadW: int(v[9])}
+	oh, ow := convOutShape(mode, v[3], v[4], v[7], v[8], v[9])
 	a := &m.arena
 	switch mode {
 	case isa.ModeFwd:
@@ -277,8 +263,7 @@ func (m *Machine) copyVec(v []float32) []float32 {
 // execMatMul implements MATMUL mode, w, wPort, rows, cols, x, xPort, out, outPort, acc.
 // ModeFwd: out(rows) (+)= W(rows×cols)·x(cols). ModeBwdData: out(cols) (+)= Wᵀ·x(rows).
 func (m *Machine) execMatMul(ct *compTile, v []int64) (bool, Cycle) {
-	mode, w, wPort, rows, cols, x, xPort, out, outPort, accFlag := v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8], v[9]
-	acc := accFlag != 0
+	mode, w, wPort, rows, cols, x, xPort, out, outPort := v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8]
 	wLoc := m.resolvePort(ct, wPort)
 	xLoc := m.resolvePort(ct, xPort)
 	outLoc := m.resolvePort(ct, outPort)
@@ -299,30 +284,35 @@ func (m *Machine) execMatMul(ct *compTile, v []int64) (bool, Cycle) {
 	ct.arrayCycles += end - ct.time
 	ct.flops += 2 * macs
 	m.addOperandTraffic(ct, accs)
-
-	if m.Functional {
-		wT := m.arena.tensor(m.copyVec(m.readVec(wLoc, w, rows*cols)), int(rows), int(cols))
-		xT := m.arena.tensor(m.copyVec(m.readVec(xLoc, x, xSize)), int(xSize))
-		o := m.arena.tensor(m.arena.take(int(outSize)), int(outSize))
-		if mode == isa.ModeFwd {
-			tensor.MatVecInto(o, wT, xT, nil)
-		} else {
-			tensor.MatVecTInto(o, wT, xT)
-		}
-		m.writeVec(outLoc, out, o.Data, outSize, acc)
-	}
 	return true, end
+}
+
+// matMulData is MATMUL's datapath.
+func (m *Machine) matMulData(ct *compTile, v []int64) {
+	mode, w, wLoc, rows, cols := v[0], v[1], m.resolvePort(ct, v[2]), v[3], v[4]
+	x, xLoc, out, outLoc, acc := v[5], m.resolvePort(ct, v[6]), v[7], m.resolvePort(ct, v[8]), v[9] != 0
+	xSize, outSize := cols, rows
+	if mode == isa.ModeBwdData {
+		xSize, outSize = rows, cols
+	}
+	wT := m.arena.tensor(m.copyVec(m.readVec(wLoc, w, rows*cols)), int(rows), int(cols))
+	xT := m.arena.tensor(m.copyVec(m.readVec(xLoc, x, xSize)), int(xSize))
+	o := m.arena.tensor(m.arena.take(int(outSize)), int(outSize))
+	if mode == isa.ModeFwd {
+		tensor.MatVecInto(o, wT, xT, nil)
+	} else {
+		tensor.MatVecTInto(o, wT, xT)
+	}
+	m.writeVec(outLoc, out, o.Data, outSize, acc)
 }
 
 // execActFn implements NDACTFN kind, src, srcPort, size, dst, dstPort.
 // Forward kinds write dst = act(src); derivative kinds multiply dst in place
 // by act'(src) where src holds the stored forward output.
 func (m *Machine) execActFn(ct *compTile, v []int64) (bool, Cycle) {
-	kind, src, srcPort, size, dst, dstPort := v[0], v[1], v[2], v[3], v[4], v[5]
+	src, srcPort, size, dst, dstPort := v[1], v[2], v[3], v[4], v[5]
 	srcLoc := m.resolvePort(ct, srcPort)
 	dstLoc := m.resolvePort(ct, dstPort)
-	deriv := kind >= isa.ActFnDerivBase
-	ak := actKind(kind)
 
 	end := m.offloadEnd(ct, dstLoc, size)
 	accs := append(m.accBuf[:0],
@@ -332,25 +322,26 @@ func (m *Machine) execActFn(ct *compTile, v []int64) (bool, Cycle) {
 		return false, 0
 	}
 	m.noteSFU(dstLoc, size, end)
+	return true, end
+}
 
-	if m.Functional {
-		s := m.copyVec(m.readVec(srcLoc, src, size))
-		if deriv {
-			d := m.readVec(dstLoc, dst, size)
-			vals := m.arena.take(int(size))
-			for i := range vals {
-				vals[i] = d[i] * ak.Derivative(s[i])
-			}
-			m.writeVec(dstLoc, dst, vals, size, false)
-		} else {
-			vals := m.arena.take(int(size))
-			for i := range vals {
-				vals[i] = ak.Apply(s[i])
-			}
-			m.writeVec(dstLoc, dst, vals, size, false)
+// actFnData is NDACTFN's datapath.
+func (m *Machine) actFnData(ct *compTile, v []int64) {
+	kind, src, srcLoc, size, dst, dstLoc := v[0], v[1], m.resolvePort(ct, v[2]), v[3], v[4], m.resolvePort(ct, v[5])
+	ak := actKind(kind)
+	s := m.copyVec(m.readVec(srcLoc, src, size))
+	vals := m.arena.take(int(size))
+	if kind >= isa.ActFnDerivBase {
+		d := m.readVec(dstLoc, dst, size)
+		for i := range vals {
+			vals[i] = d[i] * ak.Derivative(s[i])
+		}
+	} else {
+		for i := range vals {
+			vals[i] = ak.Apply(s[i])
 		}
 	}
-	return true, end
+	m.writeVec(dstLoc, dst, vals, size, false)
 }
 
 func actKind(kind int64) tensor.ActKind {
@@ -406,21 +397,27 @@ func (m *Machine) execSubsamp(ct *compTile, v []int64) (bool, Cycle) {
 		return false, 0
 	}
 	m.noteSFU(outLoc, inH*inW, end)
-
-	if m.Functional {
-		inF := m.arena.tensor(m.operand(inLoc, in, inH*inW), 1, int(inH), int(inW))
-		o := m.arena.tensor(m.arena.take(int(outSize)), 1, oh, ow)
-		var arg []int32
-		if pp.Kind == tensor.MaxPool {
-			arg = make([]int32, outSize) // kept past the op for NDUPSAMP
-		}
-		tensor.Pool2DInto(o, inF, arg, pp)
-		m.writeVec(outLoc, out, o.Data, outSize, false)
-		if arg != nil {
-			m.poolRoute[routeKey(outLoc, out)] = arg
-		}
-	}
 	return true, end
+}
+
+// subsampData is NDSUBSAMP's datapath.
+func (m *Machine) subsampData(ct *compTile, v []int64) {
+	kind, in, inLoc, inH, inW := v[0], v[1], m.resolvePort(ct, v[2]), v[3], v[4]
+	win, stride, pad, out, outLoc := v[5], v[6], v[7], v[8], m.resolvePort(ct, v[9])
+	pp := poolParams(kind, win, stride, pad)
+	oh, ow := pp.OutShape(int(inH), int(inW))
+	outSize := int64(oh * ow)
+	inF := m.arena.tensor(m.operand(inLoc, in, inH*inW), 1, int(inH), int(inW))
+	o := m.arena.tensor(m.arena.take(int(outSize)), 1, oh, ow)
+	var arg []int32
+	if pp.Kind == tensor.MaxPool {
+		arg = make([]int32, outSize) // kept past the op for NDUPSAMP
+	}
+	tensor.Pool2DInto(o, inF, arg, pp)
+	m.writeVec(outLoc, out, o.Data, outSize, false)
+	if arg != nil {
+		m.poolRoute[routeKey(outLoc, out)] = arg
+	}
 }
 
 // execUpsamp implements NDUPSAMP kind, gradOut, gPort, inH, inW, win, stride,
@@ -428,7 +425,7 @@ func (m *Machine) execSubsamp(ct *compTile, v []int64) (bool, Cycle) {
 // *forward input* dims (= dst dims); fwdOut names the forward NDSUBSAMP
 // output range whose max-routing is replayed.
 func (m *Machine) execUpsamp(ct *compTile, v []int64) (bool, Cycle) {
-	kind, g, gPort, inH, inW, win, stride, pad, dst, dstPort, fwdOut := v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8], v[9], v[10]
+	kind, g, gPort, inH, inW, win, stride, pad, dst, dstPort := v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8], v[9]
 	gLoc := m.resolvePort(ct, gPort)
 	dstLoc := m.resolvePort(ct, dstPort)
 	pp := poolParams(kind, win, stride, pad)
@@ -444,22 +441,28 @@ func (m *Machine) execUpsamp(ct *compTile, v []int64) (bool, Cycle) {
 		return false, 0
 	}
 	m.noteSFU(dstLoc, dstSize, end)
-
-	if m.Functional {
-		gT := m.arena.tensor(m.operand(gLoc, g, gSize), 1, oh, ow)
-		var arg []int32
-		if pp.Kind == tensor.MaxPool {
-			var ok bool
-			arg, ok = m.poolRoute[routeKey(gLoc, fwdOut)]
-			if !ok {
-				panic("sim: NDUPSAMP with no recorded max-pool routing")
-			}
-		}
-		gin := m.arena.tensor(m.arena.take(int(dstSize)), 1, int(inH), int(inW))
-		tensor.Pool2DBackwardInto(gin, gT, arg, pp)
-		m.writeVec(dstLoc, dst, gin.Data, dstSize, false)
-	}
 	return true, end
+}
+
+// upsampData is NDUPSAMP's datapath.
+func (m *Machine) upsampData(ct *compTile, v []int64) {
+	kind, g, gLoc, inH, inW, win, stride, pad := v[0], v[1], m.resolvePort(ct, v[2]), v[3], v[4], v[5], v[6], v[7]
+	dst, dstLoc, fwdOut := v[8], m.resolvePort(ct, v[9]), v[10]
+	pp := poolParams(kind, win, stride, pad)
+	oh, ow := pp.OutShape(int(inH), int(inW))
+	dstSize := inH * inW
+	gT := m.arena.tensor(m.operand(gLoc, g, int64(oh*ow)), 1, oh, ow)
+	var arg []int32
+	if pp.Kind == tensor.MaxPool {
+		var ok bool
+		arg, ok = m.poolRoute[routeKey(gLoc, fwdOut)]
+		if !ok {
+			panic("sim: NDUPSAMP with no recorded max-pool routing")
+		}
+	}
+	gin := m.arena.tensor(m.arena.take(int(dstSize)), 1, int(inH), int(inW))
+	tensor.Pool2DBackwardInto(gin, gT, arg, pp)
+	m.writeVec(dstLoc, dst, gin.Data, dstSize, false)
 }
 
 func routeKey(loc location, addr int64) [2]int64 {
@@ -491,11 +494,14 @@ func (m *Machine) execAcc(ct *compTile, v []int64) (bool, Cycle) {
 		return false, 0
 	}
 	m.noteSFU(dstLoc, size, end)
-	if m.Functional {
-		s := m.copyVec(m.readVec(srcLoc, src, size))
-		m.writeVec(dstLoc, dst, s, size, true)
-	}
 	return true, end
+}
+
+// accData is NDACC's datapath.
+func (m *Machine) accData(ct *compTile, v []int64) {
+	dst, dstLoc, src, srcLoc, size := v[0], m.resolvePort(ct, v[1]), v[2], m.resolvePort(ct, v[3]), v[4]
+	s := m.copyVec(m.readVec(srcLoc, src, size))
+	m.writeVec(dstLoc, dst, s, size, true)
 }
 
 // execVecMul implements VECMUL dst, dstPort, g, gPort, gLen, x, xPort, xLen:
@@ -515,24 +521,28 @@ func (m *Machine) execVecMul(ct *compTile, v []int64) (bool, Cycle) {
 		return false, 0
 	}
 	m.noteSFU(dstLoc, size, end)
-	if m.Functional {
-		// The slice written in place is taken last: a later readVec could
-		// back new external memory and move it.
-		gT := m.arena.tensor(m.copyVec(m.readVec(gLoc, g, gLen)), int(gLen))
-		xT := m.arena.tensor(m.copyVec(m.readVec(xLoc, x, xLen)), int(xLen))
-		gw := m.arena.tensor(m.readVec(dstLoc, dst, size), int(gLen), int(xLen))
-		tensor.OuterAcc(gw, gT, xT)
-		if m.half {
-			tensor.RoundHalfSlice(gw.Data)
-		}
-	}
 	return true, end
+}
+
+// vecMulData is VECMUL's datapath.
+func (m *Machine) vecMulData(ct *compTile, v []int64) {
+	dst, dstLoc, g, gLoc, gLen := v[0], m.resolvePort(ct, v[1]), v[2], m.resolvePort(ct, v[3]), v[4]
+	x, xLoc, xLen := v[5], m.resolvePort(ct, v[6]), v[7]
+	// The slice written in place is taken last: a later readVec could back
+	// new external memory and move it.
+	gT := m.arena.tensor(m.copyVec(m.readVec(gLoc, g, gLen)), int(gLen))
+	xT := m.arena.tensor(m.copyVec(m.readVec(xLoc, x, xLen)), int(xLen))
+	gw := m.arena.tensor(m.readVec(dstLoc, dst, gLen*xLen), int(gLen), int(xLen))
+	tensor.OuterAcc(gw, gT, xT)
+	if m.half {
+		tensor.RoundHalfSlice(gw.Data)
+	}
 }
 
 // execWUpdate implements WUPDATE w, wPort, dw, dwPort, size, lrScaled:
 // w -= (lrScaled / 2^16) · dw — the end-of-minibatch weight update.
 func (m *Machine) execWUpdate(ct *compTile, v []int64) (bool, Cycle) {
-	w, wPort, dw, dwPort, size, lrScaled := v[0], v[1], v[2], v[3], v[4], v[5]
+	w, wPort, dw, dwPort, size := v[0], v[1], v[2], v[3], v[4]
 	wLoc := m.resolvePort(ct, wPort)
 	dwLoc := m.resolvePort(ct, dwPort)
 	end := m.offloadEnd(ct, wLoc, size)
@@ -549,24 +559,27 @@ func (m *Machine) execWUpdate(ct *compTile, v []int64) (bool, Cycle) {
 		return false, 0
 	}
 	m.noteSFU(wLoc, size, end)
-	if m.Functional {
-		lr := float32(lrScaled) / float32(int64(1)<<isa.WUpdateLRShift)
-		gd := m.readVec(dwLoc, dw, size)
-		wd := m.readVec(wLoc, w, size) // updated in place: taken last, as in VECMUL
-		for i := int64(0); i < size; i++ {
-			wd[i] -= lr * gd[i]
-		}
-		if m.half && wd != nil {
-			tensor.RoundHalfSlice(wd)
-		}
-	}
 	return true, end
+}
+
+// wUpdateData is WUPDATE's datapath.
+func (m *Machine) wUpdateData(ct *compTile, v []int64) {
+	w, wLoc, dw, dwLoc, size, lrScaled := v[0], m.resolvePort(ct, v[1]), v[2], m.resolvePort(ct, v[3]), v[4], v[5]
+	lr := float32(lrScaled) / float32(int64(1)<<isa.WUpdateLRShift)
+	gd := m.readVec(dwLoc, dw, size)
+	wd := m.readVec(wLoc, w, size) // updated in place: taken last, as in VECMUL
+	for i := int64(0); i < size; i++ {
+		wd[i] -= lr * gd[i]
+	}
+	if m.half {
+		tensor.RoundHalfSlice(wd)
+	}
 }
 
 // execMemSet implements MEMSET dst, dstPort, size, bits: fills the range
 // with the float32 whose IEEE bits are the low 32 of `bits`.
 func (m *Machine) execMemSet(ct *compTile, v []int64) (bool, Cycle) {
-	dst, dstPort, size, bits := v[0], v[1], v[2], v[3]
+	dst, dstPort, size := v[0], v[1], v[2]
 	dstLoc := m.resolvePort(ct, dstPort)
 	end := m.offloadEnd(ct, dstLoc, size)
 	accs := append(m.accBuf[:0], access{loc: dstLoc, addr: dst, size: size, write: true})
@@ -574,20 +587,23 @@ func (m *Machine) execMemSet(ct *compTile, v []int64) (bool, Cycle) {
 		return false, 0
 	}
 	m.noteSFU(dstLoc, size, end)
-	if m.Functional {
-		val := math.Float32frombits(uint32(bits))
-		vals := m.arena.take(int(size))
-		for i := range vals {
-			vals[i] = val
-		}
-		m.writeVec(dstLoc, dst, vals, size, false)
-	}
 	return true, end
+}
+
+// memSetData is MEMSET's datapath.
+func (m *Machine) memSetData(ct *compTile, v []int64) {
+	dst, dstLoc, size, bits := v[0], m.resolvePort(ct, v[1]), v[2], v[3]
+	val := math.Float32frombits(uint32(bits))
+	vals := m.arena.take(int(size))
+	for i := range vals {
+		vals[i] = val
+	}
+	m.writeVec(dstLoc, dst, vals, size, false)
 }
 
 // execDMA implements DMALOAD/DMASTORE src, srcPort, dst, dstPort, size, acc.
 func (m *Machine) execDMA(ct *compTile, v []int64) (bool, Cycle) {
-	src, srcPort, dst, dstPort, size, accFlag := v[0], v[1], v[2], v[3], v[4], v[5]
+	src, srcPort, dst, dstPort, size := v[0], v[1], v[2], v[3], v[4]
 	srcLoc := m.resolvePort(ct, srcPort)
 	dstLoc := m.resolvePort(ct, dstPort)
 	bytes := size * m.elemBytes
@@ -629,12 +645,14 @@ func (m *Machine) execDMA(ct *compTile, v []int64) (bool, Cycle) {
 	}
 	m.addLinkBytes(ct, class, bytes)
 	ct.dmas++
-
-	if m.Functional {
-		s := m.copyVec(m.readVec(srcLoc, src, size))
-		m.writeVec(dstLoc, dst, s, size, accFlag != 0)
-	}
 	return true, end
+}
+
+// dmaData is DMALOAD's and DMASTORE's datapath.
+func (m *Machine) dmaData(ct *compTile, v []int64) {
+	src, srcLoc, dst, dstLoc, size := v[0], m.resolvePort(ct, v[1]), v[2], m.resolvePort(ct, v[3]), v[4]
+	s := m.copyVec(m.readVec(srcLoc, src, size))
+	m.writeVec(dstLoc, dst, s, size, v[5] != 0)
 }
 
 type linkClass int
@@ -654,9 +672,9 @@ func (m *Machine) linkFor(a, b location) (float64, linkClass) {
 }
 
 // execPassBuff implements PASSBUFF src, srcPort, sm, size: an explicit
-// prefetch of a range into a CompHeavy streaming memory. Functionally the
-// array reads operands through its ports at issue; PASSBUFF contributes
-// timing and traffic only.
+// prefetch of a range into a CompHeavy streaming memory. The array reads
+// operands through its ports when an op starts, so PASSBUFF has no
+// datapath: it contributes timing and traffic only.
 func (m *Machine) execPassBuff(ct *compTile, v []int64) (bool, Cycle) {
 	src, srcPort, _, size := v[0], v[1], v[2], v[3]
 	srcLoc := m.resolvePort(ct, srcPort)

@@ -501,13 +501,30 @@ func runJob(job Job, reg *telemetry.Registry, tc telemetry.TraceContext) (Result
 		m.SetMetrics(reg)
 	}
 	m.SetSpanSink(tc)
-	if err := c.Install(m); err != nil {
+	// The row's one data value is the last image's output, so the machine
+	// computes only the data that output depends on.
+	if err := c.InstallLastOutput(m); err != nil {
 		return fail(err)
 	}
+	if err := loadCell(c, m, net, job); err != nil {
+		return fail(err)
+	}
+	st, err := m.Run()
+	if err != nil {
+		return fail(err)
+	}
+	return cellResult(job, st, c.ReadOutput(m, job.Minibatch-1)), nil
+}
+
+// loadCell loads a cell's data onto a machine c is installed on: weights
+// from a bias-free executor, and the minibatch's inputs (plus golden
+// outputs in training) from a fixed PRNG stream, so the data depend only
+// on the job's spec.
+func loadCell(c *compiler.Compiled, m *sim.Machine, net *dnn.Network, job Job) error {
 	e := dnn.NewExecutor(net, 1)
 	e.NoBias = true
 	if err := c.LoadWeights(m, e); err != nil {
-		return fail(err)
+		return err
 	}
 	inShape := net.Layers[0].Out
 	outElems := net.OutputLayer().Out.Elems()
@@ -521,19 +538,19 @@ func runJob(job Job, reg *telemetry.Registry, tc telemetry.TraceContext) (Result
 		rng.FillUniform(golden[i], 1)
 	}
 	if err := c.LoadInputs(m, inputs); err != nil {
-		return fail(err)
+		return err
 	}
-	if train {
-		if err := c.LoadGolden(m, golden); err != nil {
-			return fail(err)
-		}
+	if job.Mode == "train" {
+		return c.LoadGolden(m, golden)
 	}
-	st, err := m.Run()
-	if err != nil {
-		return fail(err)
-	}
+	return nil
+}
+
+// cellResult is a cell's row: the run's statistics, and the sum of the
+// last image's output as its checksum.
+func cellResult(job Job, st sim.Stats, lastOutput []float32) Result {
 	var checksum float32
-	for _, v := range c.ReadOutput(m, job.Minibatch-1) {
+	for _, v := range lastOutput {
 		checksum += v
 	}
 	attr := st.AttrTotal()
@@ -554,5 +571,5 @@ func runJob(job Job, reg *telemetry.Registry, tc telemetry.TraceContext) (Result
 		AttrLink:     int64(attr[sim.AttrLinkContend]),
 		AttrOther:    int64(attr[sim.AttrDrain] + attr[sim.AttrIdle]),
 		Source:       SourceExact,
-	}, nil
+	}
 }

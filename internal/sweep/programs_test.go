@@ -11,7 +11,9 @@ import (
 	"sort"
 	"testing"
 
+	"scaledeep/internal/arch"
 	"scaledeep/internal/compiler"
+	"scaledeep/internal/dnn"
 	"scaledeep/internal/isa"
 	"scaledeep/internal/telemetry"
 )
@@ -79,30 +81,39 @@ func gridProgramsDigest(t *testing.T, g Grid, offChip bool) string {
 	}
 	h := sha256.New()
 	for _, job := range jobs {
-		net, err := buildWorkload(job.Workload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chip, _, err := chipFor(job.Arch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		train := job.Mode == "train"
-		iters := 1
-		if train {
-			iters = job.Iters
-		}
-		c, err := compiler.Compile(net, chip, compiler.Options{
-			Minibatch: job.Minibatch, Iterations: iters, Training: train, LR: 0.0625,
-			WeightsOffChip: offChip,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", job.Name(), err)
-		}
+		c, _, _, _ := compileJob(t, job, offChip)
 		writeString(h, job.Name())
 		programsDigest(h, c)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// compileJob compiles job as runJob does, with the weights off-chip when
+// offChip is set, and returns the result with its network, chip and
+// datapath precision.
+func compileJob(t *testing.T, job Job, offChip bool) (*compiler.Compiled, *dnn.Network, arch.ChipConfig, arch.Precision) {
+	t.Helper()
+	net, err := buildWorkload(job.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chip, prec, err := chipFor(job.Arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train := job.Mode == "train"
+	iters := 1
+	if train {
+		iters = job.Iters
+	}
+	c, err := compiler.Compile(net, chip, compiler.Options{
+		Minibatch: job.Minibatch, Iterations: iters, Training: train, LR: 0.0625,
+		WeightsOffChip: offChip,
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", job.Name(), err)
+	}
+	return c, net, chip, prec
 }
 
 // zoo48Grid is the 48-cell zoo: every catalogue workload × arch × mb
