@@ -75,11 +75,11 @@ func main() {
 			bin := isa.EncodeProgram(q)
 			r, err := isa.DecodeProgram(p.Tile, bin)
 			die(err)
-			if len(r.Instrs) != len(p.Instrs) {
+			if len(r.Instrs) != p.Len() {
 				die(fmt.Errorf("round trip length mismatch for %s", p.Tile))
 			}
 			fmt.Printf("%-14s %4d instructions, %5d bytes — text+binary round trip OK\n",
-				p.Tile, len(p.Instrs), len(bin))
+				p.Tile, p.Len(), len(bin))
 		}
 	default:
 		flag.Usage()

@@ -45,8 +45,8 @@ func TestAttributionInvariantEvalAndTraining(t *testing.T) {
 }
 
 // TestLayerTagsAlignWithPrograms checks the compiler's program→layer binding
-// metadata: one tag per instruction, every mapped layer appears somewhere,
-// and loop/barrier scaffolding stays untagged.
+// metadata: one tag per stored instruction, every mapped layer appears
+// somewhere, and loop/barrier scaffolding stays untagged.
 func TestLayerTagsAlignWithPrograms(t *testing.T) {
 	net := convPoolFCNet()
 	c, err := Compile(net, testChip(8), Options{Minibatch: 2, Iterations: 1, Training: true, LR: 0.015625})

@@ -50,11 +50,16 @@ func (c *Compiled) InstallLastOutput(m *sim.Machine) error {
 	if c.Opts.Training && c.Opts.Iterations > 1 {
 		return nil
 	}
-	for k, r := range c.lastImage {
+	for k, p := range c.Programs {
+		// The last image's copy of the per-image section is the
+		// repeat's last copy.
+		r := p.Repeat
+		lo := r.Lo + (max(r.N, 1)-1)*r.Len
+		hi := lo + r.Len
 		if c.Opts.Training && k.Step != sim.StepFP {
-			r = pcRange{}
+			lo, hi = 0, 0
 		}
-		if err := m.SetDataWindow(k.Row, k.CCol, k.Step, r.lo, r.hi); err != nil {
+		if err := m.SetDataWindow(k.Row, k.CCol, k.Step, lo, hi); err != nil {
 			return fmt.Errorf("compiler: install %v: %w", k, err)
 		}
 	}
@@ -201,11 +206,12 @@ func (c *Compiled) ReadOutputInto(m *sim.Machine, i int, dst []float32) {
 	m.ReadExtInto(extOutputBase+int64(i)*c.OutputElems, dst)
 }
 
-// TotalInstructions sums the instruction counts of every generated program.
+// TotalInstructions sums the lengths of the streams every generated
+// program runs.
 func (c *Compiled) TotalInstructions() int {
 	n := 0
 	for _, p := range c.Programs {
-		n += len(p.Instrs)
+		n += p.Len()
 	}
 	return n
 }

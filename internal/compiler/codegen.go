@@ -62,10 +62,11 @@ type Compiled struct {
 	Trackers []sim.TrackerSpec
 
 	// LayerTags binds each program's instructions back to network layers:
-	// LayerTags[k][pc] is the dnn layer index instruction pc works for, or -1
-	// for control/synchronization scaffolding. The per-layer bottleneck
-	// profiler (internal/profile) joins this with the simulator's
-	// per-instruction cycle attribution.
+	// LayerTags[k][i] is the dnn layer index the stored instruction
+	// Programs[k].Instrs[i] works for, or -1 for control/synchronization
+	// scaffolding; a pc's tag is at the index Programs[k].Locate gives.
+	// The per-layer bottleneck profiler (internal/profile) joins this with
+	// the simulator's per-instruction cycle attribution.
 	LayerTags map[progKey][]int
 
 	// weightRegions[layerIdx][g] is the on-chip region holding the kernels
@@ -73,10 +74,6 @@ type Compiled struct {
 	// unit's weights live off-chip at extWeightAddrs[layerIdx][g].
 	weightRegions  map[int]map[int]*region
 	extWeightAddrs map[int]map[int]int64
-
-	// lastImage[k] is where finalize laid the last image's copy of tile k's
-	// per-image section (see InstallLastOutput).
-	lastImage map[progKey]pcRange
 
 	InputElems  int64 // elements per input image
 	OutputElems int64 // elements per network output
@@ -88,9 +85,9 @@ type Compiled struct {
 // tracker generation independent. (The paper provisions two copies and
 // bounds pipeline skew in its scheduler; per-image copies achieve the same
 // correctness with a simpler invariant — see DESIGN.md §6.) The emitters
-// generate image 0's code once, addressing image 0's copies; each later
-// image's code is that template with its per-image operands rebased by
-// their strides (see finalize).
+// generate image 0's code once, addressing image 0's copies; the program
+// repeats that template once per image, each later copy's per-image
+// operands rebased by their strides (see finalize).
 type gen struct {
 	m        *Mapping
 	chip     arch.ChipConfig
@@ -118,9 +115,6 @@ type gen struct {
 }
 
 type gradMap = map[int]map[int]*region
-
-// pcRange is the program counters [lo, hi) of one program.
-type pcRange struct{ lo, hi int }
 
 // Generate runs the code-generation phase on a mapping.
 func Generate(m *Mapping, opts Options) (*Compiled, error) {
@@ -162,7 +156,9 @@ func generate(m *Mapping, opts Options, base time.Time) (*Compiled, error) {
 		return nil, err
 	}
 	tFin := time.Now()
-	g.em.finalize(opts.Iterations, g.out)
+	if err := g.em.finalize(opts.Iterations, g.out); err != nil {
+		return nil, err
+	}
 	phaseSpan(opts.Spans, base, tFin, "finalize")
 	return g.out, nil
 }
@@ -179,7 +175,8 @@ func (c *Compiled) LayerName(tag int) string {
 // run binds every layer's state, then emits the program template: image
 // 0's head and layers once, the weight update with them, and the
 // iteration barrier. It extends image 0's ledger to the whole minibatch
-// before the barrier; finalize lays down each later image's code.
+// before the barrier; finalize makes the template each program's repeated
+// section, one copy per image.
 func (g *gen) run(base time.Time) error {
 	// Bind phase: allocate every layer's feature/error/weight state to tiles.
 	tBind := time.Now()

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -147,10 +148,25 @@ func TestGeneratedProgramsAreValid(t *testing.T) {
 				sawMM = true
 			}
 		}
-		// Round-trip through the assembler, as Fig. 13's listing implies.
+		if p.Repeat.N != 2 {
+			t.Errorf("%s: image section repeats %d times, want the minibatch's 2", p.Tile, p.Repeat.N)
+		}
+		// Round-trip through the assembler, as Fig. 13's listing implies:
+		// the text is the stream the tile runs, each image's copy laid out.
 		text := isa.Disassemble(p)
-		if _, err := isa.Assemble(p.Tile, text); err != nil {
+		q, err := isa.Assemble(p.Tile, text)
+		if err != nil {
 			t.Fatalf("disassembly of %s does not re-assemble: %v", p.Tile, err)
+		}
+		want := p.Expand().Instrs
+		if len(q.Instrs) != len(want) {
+			t.Fatalf("%s: assembled %d instructions, expansion has %d", p.Tile, len(q.Instrs), len(want))
+		}
+		for pc, w := range want {
+			if g := q.Instrs[pc]; g.Op != w.Op || g.Dst != w.Dst || g.Src1 != w.Src1 || g.Src2 != w.Src2 ||
+				g.Imm != w.Imm || !slices.Equal(g.Args, w.Args) {
+				t.Fatalf("%s pc %d: assembled %v, expansion %v", p.Tile, pc, g, w)
+			}
 		}
 	}
 	if !sawConv || !sawTrack || !sawMM {

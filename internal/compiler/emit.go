@@ -186,7 +186,8 @@ type tileProgram struct {
 	batchTags    []tagRun
 
 	// rebase lists the LDRIs of image that stage a per-image operand: image
-	// i's copy of instruction pc loads its immediate plus i*stride.
+	// i's copy of instruction pc loads its immediate plus i*stride. They
+	// become the strides of the program's repeated section.
 	rebase []rebase
 
 	// arming holds the tile's DMAMEMTRACK blocks (armBlockLen instructions
@@ -326,7 +327,7 @@ func wr(r *region) regAccess { return regAccess{r: r, write: true} }
 // op emits one coarse/offload/transfer/track instruction on tile k, staging
 // its operands through scratch registers, and records its accesses. A
 // per-image operand must fit the immediate range at every image, and its
-// LDRI is recorded for finalize to rebase.
+// LDRI and stride are recorded for finalize's repeated section.
 func (e *emitter) op(k progKey, opcode isa.Opcode, operands []opr, accs ...regAccess) {
 	if regScratch+len(operands) >= isa.NumRegs {
 		panic("compiler: out of scratch registers")
@@ -384,28 +385,43 @@ func (e *emitter) replicateImages() {
 //	arming blocks, last armed first
 //	prologue
 //	LDRI iter
-//	iterLoop: <per-iteration body: image 0's section once per image, its
-//	          per-image LDRIs rebased to each image's regions and data>
+//	iterLoop: <image 0's section, repeated once per image: copy i's
+//	          per-image LDRIs load their image-0 immediate + i*stride>
 //	<batch section: weight update + iteration barrier>
 //	dec iter; BGTZ iterLoop; HALT
 //
-// into c.Programs, and derives the tracker manifest (c.Trackers) from the
-// ledger, plus a parallel per-instruction layer-tag slice for each program
-// (c.LayerTags, the profiler's program→layer binding). It records where
-// each program's last image copy lies in c.lastImage. Every image's copy
-// of an instruction shares image 0's Args, which nothing writes after
-// emission.
-func (e *emitter) finalize(iterations int, c *Compiled) {
+// into c.Programs, each image section stored once as the program's
+// repeated section (isa.Repeat), and derives the tracker manifest
+// (c.Trackers) from the ledger, plus a per-instruction layer-tag slice
+// parallel to each program's stored instructions (c.LayerTags, the
+// profiler's program→layer binding). The instructions, tags and strides
+// of every program are carved from one array each.
+func (e *emitter) finalize(iterations int, c *Compiled) error {
 	// Derive trackers first: it also collects each tile's DMAMEMTRACK
 	// arming blocks.
-	c.Trackers = e.trackerManifest()
+	specs, err := e.trackerManifest(iterations)
+	if err != nil {
+		return err
+	}
+	c.Trackers = specs
 	c.Programs = make(map[progKey]*isa.Program, len(e.progs))
 	c.LayerTags = make(map[progKey][]int, len(e.progs))
-	c.lastImage = make(map[progKey]pcRange, len(e.progs))
+	size := func(tp *tileProgram) int {
+		return len(tp.arming) + len(tp.prologue) + 1 + len(tp.image) + len(tp.batch) + 3
+	}
+	var total, strided int
+	for _, tp := range e.progs {
+		total += size(tp)
+		if len(tp.rebase) > 0 {
+			strided += len(tp.image)
+		}
+	}
+	insSlab := make([]isa.Instr, 0, total)
+	tagSlab := make([]int, 0, total)
+	strideSlab := make([]int64, strided)
 	for k, tp := range e.progs {
-		n := len(tp.arming) + len(tp.prologue) + 1 + e.images*len(tp.image) + len(tp.batch) + 3
-		ins := make([]isa.Instr, 0, n)
-		tags := make([]int, 0, n)
+		n, at := size(tp), len(insSlab)
+		ins, tags := insSlab[at:at:at+n], tagSlab[at:at:at+n]
 		for end := len(tp.arming); end > 0; end -= armBlockLen {
 			ins = append(ins, tp.arming[end-armBlockLen:end]...)
 		}
@@ -416,32 +432,37 @@ func (e *emitter) finalize(iterations int, c *Compiled) {
 		tags = appendTags(tags, tp.prologueTags, len(tp.prologue))
 		ins = append(ins, isa.Ldri(regIter, int32(iterations)))
 		tags = append(tags, untaggedLayer)
-		iterTop := len(ins)
-		for img := range e.images {
-			at := len(ins)
-			ins = append(ins, tp.image...)
-			tags = appendTags(tags, tp.imageTags, len(tp.image))
+		rep := isa.Repeat{Lo: len(ins), Len: len(tp.image), N: e.images}
+		ins = append(ins, tp.image...)
+		tags = appendTags(tags, tp.imageTags, len(tp.image))
+		if len(tp.rebase) > 0 {
+			rep.Stride, strideSlab = strideSlab[:rep.Len:rep.Len], strideSlab[rep.Len:]
 			for _, rb := range tp.rebase {
-				ins[at+rb.pc].Imm += int32(int64(img) * rb.stride)
+				rep.Stride[rb.pc] = rb.stride
 			}
 		}
-		c.lastImage[k] = pcRange{lo: len(ins) - len(tp.image), hi: len(ins)}
 		ins = append(ins, tp.batch...)
 		tags = appendTags(tags, tp.batchTags, len(tp.batch))
 		ins = append(ins, isa.Subri(regIter, regIter, 1))
-		ins = append(ins, isa.Bgtz(regIter, int32(iterTop-(len(ins)+1))))
+		// The branch offset counts pcs of the stream, where the section's
+		// later copies sit between iterLoop and the branch.
+		bgtz := len(ins) + (e.images-1)*rep.Len
+		ins = append(ins, isa.Bgtz(regIter, int32(rep.Lo-(bgtz+1))))
 		ins = append(ins, isa.Halt())
 		tags = append(tags, untaggedLayer, untaggedLayer, untaggedLayer)
 		if len(tags) != len(ins) || len(ins) != n {
 			panic(fmt.Sprintf("compiler: program out of sync on %v: %d tags for %d instrs, %d expected",
 				k, len(tags), len(ins), n))
 		}
+		insSlab, tagSlab = insSlab[:at+n], tagSlab[:at+n]
 		c.Programs[k] = &isa.Program{
 			Tile:   fmt.Sprintf("r%d.c%d.%s", k.Row, k.CCol, k.Step),
 			Instrs: ins,
+			Repeat: rep,
 		}
 		c.LayerTags[k] = tags
 	}
+	return nil
 }
 
 // trackerManifest derives one TrackerSpec per multi-tile region from the
@@ -450,7 +471,7 @@ func (e *emitter) finalize(iterations int, c *Compiled) {
 // fidelity each tracked region also gets a DMAMEMTRACK instruction in the
 // prologue of one touching tile (arming is idempotent; the manifest pre-arm
 // exists so no data op can race the arming instruction, §3.2.4).
-func (e *emitter) trackerManifest() []sim.TrackerSpec {
+func (e *emitter) trackerManifest(iterations int) ([]sim.TrackerSpec, error) {
 	var specs []sim.TrackerSpec
 	for _, r := range e.alloc.regions {
 		if len(r.tiles) <= 1 {
@@ -476,8 +497,13 @@ func (e *emitter) trackerManifest() []sim.TrackerSpec {
 			// Generation = iteration: 1 write (preload, then WUPDATE) and
 			// every read of the iteration. The WUPDATE write is gated on the
 			// reads draining, which is exactly the required ordering.
+			// Weights nothing rewrites (evaluation) keep the preloaded
+			// generation for the whole run: every iteration's reads.
 			spec.NumUpdates = 1
 			spec.NumReads = r.imgReads + r.batchReads
+			if r.batchWrites == 0 {
+				spec.NumReads *= iterations
+			}
 			spec.Preloaded = true
 			if spec.NumReads == 0 {
 				continue
@@ -498,9 +524,11 @@ func (e *emitter) trackerManifest() []sim.TrackerSpec {
 			spec.NumReads = r.batchReads
 		}
 		specs = append(specs, spec)
-		e.emitTrackInstr(r, spec)
+		if err := e.emitTrackInstr(r, spec); err != nil {
+			return nil, err
+		}
 	}
-	return specs
+	return specs, nil
 }
 
 // armBlockLen is the length of one tracker's arming block: five LDRIs
@@ -509,8 +537,9 @@ const armBlockLen = 6
 
 // emitTrackInstr adds a DMAMEMTRACK arming block for the region to its
 // lowest-ordered touching tile. The block lands ahead of that tile's
-// prologue at finalize.
-func (e *emitter) emitTrackInstr(r *region, spec sim.TrackerSpec) {
+// prologue at finalize. It fails if an operand does not fit the LDRI's
+// 32-bit immediate.
+func (e *emitter) emitTrackInstr(r *region, spec sim.TrackerSpec) error {
 	best := r.tiles[0]
 	for _, k := range r.tiles[1:] {
 		if lessKey(k, best) {
@@ -521,10 +550,14 @@ func (e *emitter) emitTrackInstr(r *region, spec sim.TrackerSpec) {
 	regs := e.args(armBlockLen - 1)
 	vals := [armBlockLen - 1]int64{isa.AbsTile(spec.MemTile), spec.Addr, spec.Size, int64(spec.NumUpdates), int64(spec.NumReads)}
 	for i, v := range vals {
+		if v != int64(int32(v)) {
+			return fmt.Errorf("compiler: tracker on %s: operand %d exceeds the 32-bit immediate", r.label(), v)
+		}
 		regs[i] = regScratch + isa.Reg(i)
 		tp.arming = append(tp.arming, isa.Ldri(regs[i], int32(v)))
 	}
 	tp.arming = append(tp.arming, isa.WithArgs(isa.DMAMEMTRACK, regs...))
+	return nil
 }
 
 func lessKey(a, b progKey) bool {

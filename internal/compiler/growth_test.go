@@ -58,18 +58,20 @@ func compileBytesPerInstr(t *testing.T, minibatch int) float64 {
 	return best
 }
 
-// maxBytesPerInstrMB32 bounds the bytes compile allocates per emitted
-// instruction at minibatch 32. Emitting image 0 once and copying it reads
-// 57 on a 2-vCPU VM with go1.24; emitting every image reads 98.
-const maxBytesPerInstrMB32 = 75
+// maxBytesPerInstrMB32 bounds the bytes compile allocates per instruction
+// of the emitted streams at minibatch 32. Storing image 0's section once
+// as each program's repeated section reads 20 on a 2-vCPU VM with go1.24;
+// copying it once per image reads 57, and emitting every image 98.
+const maxBytesPerInstrMB32 = 30
 
 // TestCompileAllocsLinearInMinibatch pins that compile cost grows with the
-// code it emits, not faster: every image adds the same instructions, so
-// the bytes allocated per instruction must stay about flat from minibatch 4
-// to 32. A step quadratic in program size breaks this: prepending each
-// tracker's arming block to the whole prologue doubles it. The absolute
-// ceiling at minibatch 32 catches per-image work that grows in step with
-// the program, such as emitting each image anew.
+// code it emits, not faster: every image adds the same instructions to the
+// streams, so the bytes allocated per instruction must not grow from
+// minibatch 4 to 32. A step quadratic in program size breaks this:
+// prepending each tracker's arming block to the whole prologue doubles it.
+// The absolute ceiling at minibatch 32 catches per-image work that grows in
+// step with the stream, such as laying down a copy of the image section
+// per image, or emitting each image anew.
 func TestCompileAllocsLinearInMinibatch(t *testing.T) {
 	small := compileBytesPerInstr(t, 4)
 	large := compileBytesPerInstr(t, 32)
@@ -113,7 +115,10 @@ func TestCompileOverCapacityAllocsBounded(t *testing.T) {
 
 // TestCompileRejectsIterationOverflow: the program loads its iteration
 // count into a register as an int32, so a count past math.MaxInt32 is an
-// error rather than a silently truncated loop.
+// error rather than a silently truncated loop. In evaluation a weight
+// tracker's read count is the iteration count times the reads of one
+// iteration, which at math.MaxInt32 iterations no longer fits its arming
+// LDRI: that too is an error, not a truncated count or a panic.
 func TestCompileRejectsIterationOverflow(t *testing.T) {
 	net := convPoolFCNet()
 	if _, err := Compile(net, testChip(8), Options{Minibatch: 1, Iterations: math.MaxInt32, Training: true}); err != nil {
@@ -123,6 +128,9 @@ func TestCompileRejectsIterationOverflow(t *testing.T) {
 		if _, err := Compile(net, testChip(8), Options{Minibatch: 1, Iterations: iters, Training: true}); err == nil || !strings.Contains(err.Error(), "iterations") {
 			t.Errorf("Compile at %d iterations = %v, want an iteration-count error", iters, err)
 		}
+	}
+	if _, err := Compile(net, testChip(8), Options{Minibatch: 1, Iterations: math.MaxInt32}); err == nil || !strings.Contains(err.Error(), "32-bit immediate") {
+		t.Errorf("evaluation at math.MaxInt32 iterations = %v, want a tracker operand error", err)
 	}
 }
 

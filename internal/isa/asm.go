@@ -8,18 +8,19 @@ import (
 )
 
 // Disassemble renders a program as text, one instruction per line with pc
-// prefixes — the format the paper's Fig. 13 listing uses.
+// prefixes — the format the paper's Fig. 13 listing uses. A repeated
+// section is listed once per copy, as the stream runs it.
 func Disassemble(p *Program) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "--- Program for %s ---\n", p.Tile)
-	for pc, ins := range p.Instrs {
-		fmt.Fprintf(&b, "%4d:  %s\n", pc, ins.String())
+	for pc, n := 0, p.Len(); pc < n; pc++ {
+		fmt.Fprintf(&b, "%4d:  %s\n", pc, p.at(pc).String())
 	}
 	return b.String()
 }
 
 // Assemble parses the Disassemble format (or hand-written assembly without
-// pc prefixes) back into a Program. Blank lines and lines starting with '#'
+// pc prefixes) back into a plain Program. Blank lines and lines starting with '#'
 // or ';' are ignored.
 func Assemble(tile, src string) (*Program, error) {
 	p := &Program{Tile: tile}

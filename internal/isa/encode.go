@@ -56,16 +56,17 @@ func DecodeInstr(buf []byte) (Instr, int, error) {
 	return ins, 8 + n, nil
 }
 
-// EncodeProgram serializes a whole program.
+// EncodeProgram serializes a whole program: the stream it runs, its
+// repeated section laid out once per copy.
 func EncodeProgram(p *Program) []byte {
-	var buf []byte
-	for _, ins := range p.Instrs {
-		buf = ins.Encode(buf)
+	buf := make([]byte, 0, CodeBytes(p))
+	for pc, n := 0, p.Len(); pc < n; pc++ {
+		buf = p.at(pc).Encode(buf)
 	}
 	return buf
 }
 
-// DecodeProgram parses a serialized program.
+// DecodeProgram parses a serialized program into a plain program.
 func DecodeProgram(tile string, buf []byte) (*Program, error) {
 	p := &Program{Tile: tile}
 	for len(buf) > 0 {
@@ -82,11 +83,12 @@ func DecodeProgram(tile string, buf []byte) (*Program, error) {
 	return p, nil
 }
 
-// CodeBytes returns the instruction-memory footprint of a program.
+// CodeBytes returns the instruction-memory footprint of a program: the
+// encoded size of the stream it runs.
 func CodeBytes(p *Program) int {
 	n := 0
-	for _, ins := range p.Instrs {
-		n += ins.EncodedSize()
+	for idx, ins := range p.Instrs {
+		n += p.times(idx) * ins.EncodedSize()
 	}
 	return n
 }

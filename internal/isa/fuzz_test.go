@@ -8,7 +8,8 @@ import "testing"
 // DecodeProgram. Anything else must be an error, never a panic. The seeds
 // are the assembly the other tests in this package use.
 func FuzzAssemble(f *testing.F) {
-	for _, src := range append([]string{fig13Style, commentedSource, Disassemble(sampleProgram())}, badSources...) {
+	seeds := []string{fig13Style, commentedSource, Disassemble(sampleProgram()), Disassemble(repeatedProgram())}
+	for _, src := range append(seeds, badSources...) {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

@@ -74,11 +74,11 @@ func Collect(c *compiler.Compiled, m *sim.Machine, st sim.Stats) (*Report, error
 			continue
 		}
 		profiled = true
-		tags := c.LayerTags[k]
+		p, tags := c.Programs[k], c.LayerTags[k]
 		for pc := range prof.Attr {
 			tag := -1
-			if pc < len(tags) {
-				tag = tags[pc]
+			if idx, _ := p.Locate(pc); idx < len(tags) {
+				tag = tags[idx]
 			}
 			a := byLayer[tag]
 			if a == nil {

@@ -76,12 +76,13 @@ func init() {
 // data window. Timing never depends on data (no scalar op reads memory), so
 // the window changes only the values in memory, never a cycle, span or
 // statistic. The loop reads the installed program's instructions in place,
-// through opTab, and works in the machine's reusable scratch buffers:
-// steady-state execution allocates nothing.
+// through opTab, a repeated section's copies from its one stored copy (see
+// seek), and works in the machine's reusable scratch buffers: steady-state
+// execution allocates nothing.
 func (m *Machine) runTile(ct *compTile) {
 	ct.blocked, ct.blockTk = "", nil
 	if m.instrProfile && ct.pcProf == nil {
-		n := len(ct.prog.Instrs)
+		n := ct.prog.Len()
 		ct.pcProf = &instrProf{
 			attr:  make([]CycleAttribution, n),
 			flops: make([]int64, n),
@@ -90,11 +91,11 @@ func (m *Machine) runTile(ct *compTile) {
 	}
 	code := ct.prog.Instrs
 	for {
-		if ct.pc >= len(code) {
+		if (ct.pc < ct.segLo || ct.pc >= ct.segHi) && !ct.seek() {
 			m.halt(ct)
 			return
 		}
-		ins := &code[ct.pc]
+		ins := &code[ct.pc-ct.shift]
 		op := &opTab[ins.Op]
 		ct.instrs++
 		if ct.instrs > maxInstructions {
@@ -169,6 +170,55 @@ func opBusyBucket(op isa.Opcode) AttrBucket {
 	}
 }
 
+// seek points the tile's fetch segment at its pc, and reports false when
+// the pc lies past the end of the stream. Copy k of the repeated section
+// is stored k section lengths before its pcs; copy 0's segment also holds
+// the instructions before the section, and the last copy's those after it.
+// Stepping off a segment's end moves to the next copy, and a branch back
+// into the first copy starts it again, both without a division.
+func (ct *compTile) seek() bool {
+	p := ct.prog
+	r := &p.Repeat
+	if r.N <= 1 {
+		ct.segLo, ct.segHi, ct.shift, ct.k = 0, len(p.Instrs), 0, 0
+		return ct.pc < ct.segHi
+	}
+	last := r.N - 1
+	var k int
+	switch {
+	case ct.pc < r.Lo+r.Len:
+	case ct.pc == ct.segHi && ct.k < last:
+		k = ct.k + 1
+	case ct.pc >= r.Lo+last*r.Len:
+		k = last
+	default:
+		k = (ct.pc - r.Lo) / r.Len
+	}
+	ct.k, ct.shift = k, k*r.Len
+	ct.segLo, ct.segHi = r.Lo+ct.shift, r.Lo+ct.shift+r.Len
+	if k == 0 {
+		ct.segLo = 0
+	}
+	if k == last {
+		ct.segHi = len(p.Instrs) + ct.shift
+	}
+	return ct.pc < ct.segHi
+}
+
+// rebased returns the immediate that the tile's current copy of the stored
+// LDRI ins loads: the stored one, moved by the copy's multiple of its
+// stride.
+func (ct *compTile) rebased(ins *isa.Instr) int64 {
+	imm := int64(ins.Imm)
+	if ct.k > 0 {
+		r := &ct.prog.Repeat
+		if j := ct.pc - ct.shift - r.Lo; j < len(r.Stride) {
+			imm += int64(ct.k) * r.Stride[j]
+		}
+	}
+	return imm
+}
+
 func (m *Machine) halt(ct *compTile) {
 	ct.halted = true
 	m.finished++
@@ -183,7 +233,7 @@ func (m *Machine) execScalar(ct *compTile, ins *isa.Instr) bool {
 	r := &ct.regs
 	switch ins.Op {
 	case isa.LDRI:
-		r[ins.Dst] = int64(ins.Imm)
+		r[ins.Dst] = ct.rebased(ins)
 	case isa.MOVR:
 		r[ins.Dst] = r[ins.Src1]
 	case isa.ADDR:

@@ -53,8 +53,13 @@ type compTile struct {
 	step  Step
 
 	prog *isa.Program // run as emitted (see opTab)
-	pc   int
+	pc   int          // a pc of the stream prog runs (see isa.Program)
 	regs [isa.NumRegs]int64
+	// The fetch segment: the pcs [segLo, segHi) lie in copy k of prog's
+	// repeated section (with the instructions before the section in copy
+	// 0, and those after it in the last), stored at pc-shift in
+	// prog.Instrs (see seek).
+	segLo, segHi, shift, k int
 	// dataLo and dataHi bound the data window: the ops at pcs in [dataLo,
 	// dataHi) run their datapath (see SetDataWindow).
 	dataLo, dataHi int
@@ -236,7 +241,8 @@ func (m *Machine) compTileAt(row, ccol int, s Step) (*compTile, error) {
 
 // LoadProgram installs a program on the CompHeavy tile at (row, ccol, step)
 // and opens the tile's data window to the whole program. The tile runs p's
-// instructions in place, so p must not change until the machine is Reset.
+// instructions in place, fetching a repeated section's copies from its one
+// stored copy, so p must not change until the machine is Reset.
 func (m *Machine) LoadProgram(row, ccol int, s Step, p *isa.Program) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -246,22 +252,23 @@ func (m *Machine) LoadProgram(row, ccol int, s Step, p *isa.Program) error {
 		return err
 	}
 	ct.prog = p
+	ct.segLo, ct.segHi = 0, 0 // the first fetch seeks
 	ct.dataLo, ct.dataHi = 0, 0
 	if m.Functional {
-		ct.dataHi = len(p.Instrs)
+		ct.dataHi = p.Len()
 	}
 	m.resolveOpHists(p)
 	return nil
 }
 
 // SetDataWindow sets the data window of the tile at (row, ccol, step) to
-// the pcs [lo, hi) of its loaded program: from Run on, only the ops there
-// run their datapath, and every other op runs its timing alone. lo == hi
-// runs no datapath on the tile. The caller chooses a window whose ops read
-// only data that ops inside the windows write or that was loaded before
-// Run; data outside it is left as it stood. It refuses a tile without a
-// program and a window outside the program. On a timing-only machine the
-// window stays empty.
+// the pcs [lo, hi) of the stream its loaded program runs: from Run on,
+// only the ops there run their datapath, and every other op runs its
+// timing alone. lo == hi runs no datapath on the tile. The caller chooses a
+// window whose ops read only data that ops inside the windows write or that
+// was loaded before Run; data outside it is left as it stood. It refuses a
+// tile without a program and a window outside the program. On a
+// timing-only machine the window stays empty.
 func (m *Machine) SetDataWindow(row, ccol int, s Step, lo, hi int) error {
 	ct, err := m.compTileAt(row, ccol, s)
 	if err != nil {
@@ -270,8 +277,8 @@ func (m *Machine) SetDataWindow(row, ccol int, s Step, lo, hi int) error {
 	if ct.prog == nil {
 		return fmt.Errorf("sim: data window on %s, which has no program", ct.name())
 	}
-	if lo < 0 || lo > hi || hi > len(ct.prog.Instrs) {
-		return fmt.Errorf("sim: data window [%d, %d) on %s outside its %d-instruction program", lo, hi, ct.name(), len(ct.prog.Instrs))
+	if n := ct.prog.Len(); lo < 0 || lo > hi || hi > n {
+		return fmt.Errorf("sim: data window [%d, %d) on %s outside its %d-instruction program", lo, hi, ct.name(), n)
 	}
 	if m.Functional {
 		ct.dataLo, ct.dataHi = lo, hi
@@ -536,9 +543,9 @@ func (m *Machine) account(ct *compTile, b AttrBucket, d Cycle) {
 }
 
 // EnableInstrProfile turns on per-instruction accounting (cycles by bucket,
-// FLOPs, operand/link bytes, all indexed by program counter) for every tile.
-// Call before Run; the layer profiler (internal/profile) consumes the result
-// through InstrProfile.
+// FLOPs, operand/link bytes, all indexed by the pc of the stream each
+// program runs) for every tile. Call before Run; the layer profiler
+// (internal/profile) consumes the result through InstrProfile.
 func (m *Machine) EnableInstrProfile() { m.instrProfile = true }
 
 // InstrProfile is one tile's per-instruction accounting, slices indexed by

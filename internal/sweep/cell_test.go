@@ -30,16 +30,18 @@ func runColdCell(tb testing.TB, job Job) {
 }
 
 // Bytes and allocations per coldCell run on a reused machine, measured on a
-// 2-vCPU VM with go1.24: 5.88 MB and 4,054 allocations. Before the data
-// window, per-image regions from one array and layer tags by run, a cell
-// took 6.08 MB and 6,094; a compiler that emitted every image anew and a
-// simulator that built a string for every STALL note took 9.47 MB and
-// 8,862; a simulator that predecoded each program and staged tensor headers
-// on the heap, behind an emitter that allocated each op's Args, took
-// 23.5 MB and 75,450.
+// 2-vCPU VM with go1.24: 3.20 MB and 3,925 allocations. Before each
+// program stored its image section once, with every program's
+// instructions, tags and strides from one array each, a cell took 5.88 MB
+// and 4,054; before the data window, per-image regions from one array and
+// layer tags by run, 6.08 MB and 6,094; a compiler that emitted every image
+// anew and a simulator that built a string for every STALL note took
+// 9.47 MB and 8,862; a simulator that predecoded each program and staged
+// tensor headers on the heap, behind an emitter that allocated each op's
+// Args, took 23.5 MB and 75,450.
 const (
-	coldCellBytes  = 5.88e6
-	coldCellAllocs = 4054
+	coldCellBytes  = 3.20e6
+	coldCellAllocs = 3925
 )
 
 // TestColdCellAllocBudget fails when a cold cell's bytes or allocations

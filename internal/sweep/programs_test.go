@@ -183,8 +183,9 @@ func TestZooMetricsPinned(t *testing.T) {
 }
 
 // programsDigest writes one compiled cell into h: its programs in tile-name
-// order (name, encoded instructions, layer tags), then its tracker manifest
-// in manifest order. Every variable-length field is length-prefixed.
+// order (name, encoded instructions, layer tags, both of the stream the
+// program runs), then its tracker manifest in manifest order. Every
+// variable-length field is length-prefixed.
 func programsDigest(h hash.Hash, c *compiler.Compiled) {
 	type tile struct {
 		prog *isa.Program
@@ -201,9 +202,10 @@ func programsDigest(h hash.Hash, c *compiler.Compiled) {
 		code := isa.EncodeProgram(tl.prog)
 		writeInt(h, int64(len(code)))
 		h.Write(code)
-		writeInt(h, int64(len(tl.tags)))
-		for _, tag := range tl.tags {
-			writeInt(h, int64(tag))
+		writeInt(h, int64(tl.prog.Len()))
+		for pc := range tl.prog.Len() {
+			idx, _ := tl.prog.Locate(pc)
+			writeInt(h, int64(tl.tags[idx]))
 		}
 	}
 	writeInt(h, int64(len(c.Trackers)))
