@@ -16,6 +16,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"scaledeep/internal/arch"
 	"scaledeep/internal/compiler"
@@ -68,7 +70,12 @@ func main() {
 		chip.Rows, chip.Cols = 3, 4
 		c, err := compiler.Compile(net, chip, compiler.Options{Minibatch: 1, Training: true, LR: 0.0625})
 		die(err)
+		progs := make([]*isa.Program, 0, len(c.Programs))
 		for _, p := range c.Programs {
+			progs = append(progs, p)
+		}
+		slices.SortFunc(progs, func(a, b *isa.Program) int { return strings.Compare(a.Tile, b.Tile) })
+		for _, p := range progs {
 			text := isa.Disassemble(p)
 			q, err := isa.Assemble(p.Tile, text)
 			die(err)

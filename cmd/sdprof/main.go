@@ -7,8 +7,12 @@
 //
 // Usage:
 //
-//	sdprof [-net minivgg|simnet] [-train] [-mb N] [-iters N] [-top N] [-json] \
+//	sdprof [-net NAME] [-train] [-mb N] [-iters N] [-top N] [-json] \
 //	       [-serve :6060] [-log-out PATH|-] [-log-level LEVEL]
+//
+// -net names a sweep catalogue workload (sweep.Workloads; MiniVGG by
+// default), loaded with the sweep cell's data (sweep.LoadCell) on a 3×10
+// single-precision chip.
 //
 // Below the table, sdprof prints interpolated p50/p95/p99 quantiles of the
 // per-op cycle histogram (sim.op.cycles) — a quick read on whether the
@@ -20,30 +24,38 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"scaledeep/internal/arch"
 	"scaledeep/internal/compiler"
-	"scaledeep/internal/dnn"
 	"scaledeep/internal/profile"
 	"scaledeep/internal/report"
 	"scaledeep/internal/sim"
+	"scaledeep/internal/sweep"
 	"scaledeep/internal/telemetry"
-	"scaledeep/internal/tensor"
-	"scaledeep/internal/zoo"
 )
 
 func main() {
-	netName := flag.String("net", "minivgg", "workload: minivgg (zoo.MiniVGG) or simnet (sdsim's network)")
+	netName := flag.String("net", "minivgg", "sweep catalogue workload: "+strings.Join(sweep.Workloads(), ", "))
 	train := flag.Bool("train", false, "profile training (FP+BP+WG) instead of evaluation")
 	mb := flag.Int("mb", 2, "minibatch size")
-	iters := flag.Int("iters", 1, "training iterations")
+	iters := flag.Int("iters", 1, "minibatch iterations")
 	top := flag.Int("top", 0, "limit the table to the N worst layers (0 = all)")
 	jsonOut := flag.Bool("json", false, "emit the report as JSON instead of the table")
 	serveAddr := flag.String("serve", "", "also serve /metrics, /trace, /profile and /debug/pprof/ on this address and stay up after the run")
 	logOut := flag.String("log-out", "", "structured JSON log destination (path, - for stderr, empty = off)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
 	flag.Parse()
+	if *mb < 1 || *iters < 1 {
+		fmt.Fprintf(os.Stderr, "sdprof: -mb %d -iters %d: both must be at least 1\n", *mb, *iters)
+		os.Exit(2)
+	}
+	nw, err := sweep.BuildWorkload(*netName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sdprof: -net: %v\n", err)
+		os.Exit(2)
+	}
 
 	logger, closeLog, err := telemetry.OpenLogger(*logOut, *logLevel)
 	if err != nil {
@@ -51,23 +63,6 @@ func main() {
 		os.Exit(1)
 	}
 	defer closeLog()
-
-	var nw *dnn.Network
-	switch *netName {
-	case "minivgg":
-		nw = zoo.MiniVGG()
-	case "simnet":
-		b := dnn.NewBuilder("simnet")
-		in := b.Input(3, 12, 12)
-		c1 := b.Conv(in, "c1", 6, 3, 1, 1, tensor.ActReLU)
-		p1 := b.MaxPool(c1, "s1", 2, 2)
-		c2 := b.Conv(p1, "c2", 8, 3, 1, 1, tensor.ActTanh)
-		b.FC(c2, "f1", 10, tensor.ActNone)
-		nw = b.Build()
-	default:
-		fmt.Fprintf(os.Stderr, "sdprof: unknown -net %q (want minivgg or simnet)\n", *netName)
-		os.Exit(2)
-	}
 
 	chip := arch.Baseline().Cluster.Conv
 	chip.Rows, chip.Cols = 3, 10
@@ -109,32 +104,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	e := dnn.NewExecutor(nw, 1)
-	e.NoBias = true
-	if err := c.LoadWeights(m, e); err != nil {
+	if err := sweep.LoadCell(c, m); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-	inShape := nw.Layers[0].Out
-	outDim := nw.Layers[len(nw.Layers)-1].Out.Elems()
-	rng := tensor.NewRNG(7)
-	inputs := make([]*tensor.Tensor, *mb)
-	golden := make([]*tensor.Tensor, *mb)
-	for i := range inputs {
-		inputs[i] = tensor.New(inShape.C, inShape.H, inShape.W)
-		rng.FillUniform(inputs[i], 1)
-		golden[i] = tensor.New(outDim)
-		rng.FillUniform(golden[i], 1)
-	}
-	if err := c.LoadInputs(m, inputs); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if *train {
-		if err := c.LoadGolden(m, golden); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	}
 
 	if logger != nil {

@@ -7,8 +7,9 @@
 //	sdsim [-train] [-mb N] [-iters N] [-trace-out t.json] \
 //	      [-metrics-out m.json] [-serve :6060] [-log-out PATH|-] [-log-level LEVEL]
 //
-// A minibatch sweep of the same network is sdsweep -workloads simnet
-// -archs baseline -mb 1,2,4.
+// The run is one sweep cell: the catalogue's simnet on its baseline chip,
+// loaded with the cell's data (sweep.LoadCell). A minibatch sweep of the
+// same network is sdsweep -workloads simnet -archs baseline -mb 1,2,4.
 package main
 
 import (
@@ -20,21 +21,19 @@ import (
 	"sort"
 	"time"
 
-	"scaledeep/internal/arch"
 	"scaledeep/internal/compiler"
-	"scaledeep/internal/dnn"
 	"scaledeep/internal/outfile"
 	"scaledeep/internal/profile"
 	"scaledeep/internal/report"
 	"scaledeep/internal/sim"
+	"scaledeep/internal/sweep"
 	"scaledeep/internal/telemetry"
-	"scaledeep/internal/tensor"
 )
 
 func main() {
 	train := flag.Bool("train", false, "simulate training (FP+BP+WG) instead of evaluation")
 	mb := flag.Int("mb", 2, "minibatch size")
-	iters := flag.Int("iters", 1, "training iterations")
+	iters := flag.Int("iters", 1, "minibatch iterations")
 	traceN := flag.Int("trace", 0, "print the first N simulator trace events (0 = off)")
 	utilMap := flag.Bool("map", false, "print the Fig.19-style chip utilization map")
 	traceOut := flag.String("trace-out", "", "write a Chrome/Perfetto trace-event JSON file")
@@ -44,6 +43,10 @@ func main() {
 	logOut := flag.String("log-out", "", "structured JSON log destination (path, - for stderr, empty = off)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
 	flag.Parse()
+	if *mb < 1 || *iters < 1 {
+		fmt.Fprintf(os.Stderr, "sdsim: -mb %d -iters %d: both must be at least 1\n", *mb, *iters)
+		os.Exit(2)
+	}
 
 	logger, closeLog, err := telemetry.OpenLogger(*logOut, *logLevel)
 	if err != nil {
@@ -52,17 +55,16 @@ func main() {
 	}
 	defer closeLog()
 
-	b := dnn.NewBuilder("simnet")
-	in := b.Input(3, 12, 12)
-	c1 := b.Conv(in, "c1", 6, 3, 1, 1, tensor.ActReLU)
-	p1 := b.MaxPool(c1, "s1", 2, 2)
-	c2 := b.Conv(p1, "c2", 8, 3, 1, 1, tensor.ActTanh)
-	f1 := b.FC(c2, "f1", 10, tensor.ActNone)
-	_ = f1
-	net := b.Build()
-
-	chip := arch.Baseline().Cluster.Conv
-	chip.Rows, chip.Cols = 3, 8
+	net, err := sweep.BuildWorkload("simnet")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	chip, prec, err := sweep.ArchFor("baseline")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	// One trace lane records the run: the compiler's phase spans, then the
 	// simulator's op and stall spans, up to -span-cap in all.
@@ -80,7 +82,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	m := sim.NewMachine(chip, arch.Single, true)
+	m := sim.NewMachine(chip, prec, true)
 	m.SetSpanSink(lane)
 	var metrics *telemetry.Registry
 	if *metricsOut != "" || *serveAddr != "" {
@@ -104,30 +106,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	e := dnn.NewExecutor(net, 1)
-	e.NoBias = true
-	if err := c.LoadWeights(m, e); err != nil {
+	if err := sweep.LoadCell(c, m); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-	rng := tensor.NewRNG(7)
-	inputs := make([]*tensor.Tensor, *mb)
-	golden := make([]*tensor.Tensor, *mb)
-	for i := range inputs {
-		inputs[i] = tensor.New(3, 12, 12)
-		rng.FillUniform(inputs[i], 1)
-		golden[i] = tensor.New(10)
-		rng.FillUniform(golden[i], 1)
-	}
-	if err := c.LoadInputs(m, inputs); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if *train {
-		if err := c.LoadGolden(m, golden); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	}
 
 	mode := "evaluation"

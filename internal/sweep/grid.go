@@ -31,10 +31,10 @@ type Grid struct {
 }
 
 // Workloads lists the cycle-simulator workload catalog: networks small
-// enough for the functional simulator to execute whole, mirroring the nets
-// the CLI tools simulate (sdsim's simnet, sdtrain's trainnet, sdprof's
-// MiniVGG reference workload) plus fcnet, an FC-only stack that exercises
-// the MLP/LSTM-style layer balance of the paper's Table 2.
+// enough for the functional simulator to execute whole. The CLI tools run
+// these definitions (sdsim simnet, sdtrain trainnet, sdprof any of them,
+// MiniVGG by default); fcnet, an FC-only stack, exercises the MLP/LSTM-style
+// layer balance of the paper's Table 2.
 func Workloads() []string { return []string{"simnet", "trainnet", "minivgg", "fcnet"} }
 
 // Archs lists the chip configurations a grid can sweep: the Fig. 14
@@ -110,11 +110,11 @@ func (g Grid) Jobs() ([]Job, error) {
 	}
 	var jobs []Job
 	for _, wl := range g.Workloads {
-		if _, err := buildWorkload(wl); err != nil {
+		if _, err := BuildWorkload(wl); err != nil {
 			return nil, err
 		}
 		for _, ar := range g.Archs {
-			if _, _, err := chipFor(ar); err != nil {
+			if _, _, err := ArchFor(ar); err != nil {
 				return nil, err
 			}
 			for _, mb := range g.Minibatches {
@@ -401,9 +401,12 @@ func (p *machinePool) put(key string, m *sim.Machine) {
 	p.mu.Unlock()
 }
 
-// buildWorkload constructs a fresh network for a catalog entry. Every call
-// returns a new DAG so parallel jobs never share layer state.
-func buildWorkload(name string) (*dnn.Network, error) {
+// BuildWorkload constructs a fresh network for a catalog workload name.
+// Every call returns a new DAG so parallel jobs never share layer state. It
+// is the exported handle the CLIs, the predictor's feature extractor and
+// its training harvest use to see exactly the topology a grid cell
+// simulates.
+func BuildWorkload(name string) (*dnn.Network, error) {
 	switch strings.ToLower(name) {
 	case "simnet": // sdsim's demo network
 		b := dnn.NewBuilder("simnet")
@@ -433,10 +436,10 @@ func buildWorkload(name string) (*dnn.Network, error) {
 	return nil, fmt.Errorf("sweep: unknown workload %q (want %s)", name, strings.Join(Workloads(), ", "))
 }
 
-// chipFor maps an arch name to the simulated chip configuration and
+// ArchFor maps a catalog arch name to the simulated chip configuration and
 // datapath precision. The chip is cut down to the same 3-row grid the CLI
 // tools simulate so one job fits comfortably in a test run.
-func chipFor(name string) (arch.ChipConfig, arch.Precision, error) {
+func ArchFor(name string) (arch.ChipConfig, arch.Precision, error) {
 	switch strings.ToLower(name) {
 	case "baseline":
 		chip := arch.Baseline().Cluster.Conv
@@ -475,11 +478,11 @@ func runJob(job Job, reg *telemetry.Registry, tc telemetry.TraceContext) (Result
 	fail := func(err error) (Result, error) {
 		return Result{}, fmt.Errorf("sweep: %s: %w", job.Name(), err)
 	}
-	net, err := buildWorkload(job.Workload)
+	net, err := BuildWorkload(job.Workload)
 	if err != nil {
 		return Result{}, err
 	}
-	chip, prec, err := chipFor(job.Arch)
+	chip, prec, err := ArchFor(job.Arch)
 	if err != nil {
 		return Result{}, err
 	}
@@ -506,7 +509,7 @@ func runJob(job Job, reg *telemetry.Registry, tc telemetry.TraceContext) (Result
 	if err := c.InstallLastOutput(m); err != nil {
 		return fail(err)
 	}
-	if err := loadCell(c, m, net, job); err != nil {
+	if err := LoadCell(c, m); err != nil {
 		return fail(err)
 	}
 	st, err := m.Run()
@@ -516,11 +519,14 @@ func runJob(job Job, reg *telemetry.Registry, tc telemetry.TraceContext) (Result
 	return cellResult(job, st, c.ReadOutput(m, job.Minibatch-1)), nil
 }
 
-// loadCell loads a cell's data onto a machine c is installed on: weights
+// LoadCell loads a cell's data onto a machine c is installed on: weights
 // from a bias-free executor, and the minibatch's inputs (plus golden
 // outputs in training) from a fixed PRNG stream, so the data depend only
-// on the job's spec.
-func loadCell(c *compiler.Compiled, m *sim.Machine, net *dnn.Network, job Job) error {
+// on the network, minibatch and mode c was compiled for. sdsim and sdprof
+// load their runs with it, so a CLI run computes the data of the sweep
+// cell it reproduces.
+func LoadCell(c *compiler.Compiled, m *sim.Machine) error {
+	net := c.Mapping.Net
 	e := dnn.NewExecutor(net, 1)
 	e.NoBias = true
 	if err := c.LoadWeights(m, e); err != nil {
@@ -529,8 +535,8 @@ func loadCell(c *compiler.Compiled, m *sim.Machine, net *dnn.Network, job Job) e
 	inShape := net.Layers[0].Out
 	outElems := net.OutputLayer().Out.Elems()
 	rng := tensor.NewRNG(7)
-	inputs := make([]*tensor.Tensor, job.Minibatch)
-	golden := make([]*tensor.Tensor, job.Minibatch)
+	inputs := make([]*tensor.Tensor, c.Opts.Minibatch)
+	golden := make([]*tensor.Tensor, c.Opts.Minibatch)
 	for i := range inputs {
 		inputs[i] = tensor.New(inShape.C, inShape.H, inShape.W)
 		rng.FillUniform(inputs[i], 1)
@@ -540,7 +546,7 @@ func loadCell(c *compiler.Compiled, m *sim.Machine, net *dnn.Network, job Job) e
 	if err := c.LoadInputs(m, inputs); err != nil {
 		return err
 	}
-	if job.Mode == "train" {
+	if c.Opts.Training {
 		return c.LoadGolden(m, golden)
 	}
 	return nil

@@ -65,7 +65,7 @@ func TestGridValidation(t *testing.T) {
 
 func TestWorkloadCatalogBuilds(t *testing.T) {
 	for _, name := range Workloads() {
-		net, err := buildWorkload(name)
+		net, err := BuildWorkload(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestWorkloadCatalogBuilds(t *testing.T) {
 		}
 	}
 	for _, name := range Archs() {
-		if _, _, err := chipFor(name); err != nil {
+		if _, _, err := ArchFor(name); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -72,7 +72,7 @@ func TestZooGridMatchesGolden(t *testing.T) {
 // idle machines per arch, however many were checked out at once, hands the
 // kept ones out again before building more, and counts both.
 func TestMachinePoolBounded(t *testing.T) {
-	chip, prec, err := chipFor("baseline")
+	chip, prec, err := ArchFor("baseline")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,15 +45,6 @@ type Predictor interface {
 	PredictCell(net *dnn.Network, chip arch.ChipConfig, prec arch.Precision, minibatch int, mode string, iters int) (CellPrediction, bool)
 }
 
-// BuildWorkload constructs a fresh network for a catalog workload name —
-// the exported handle the predictor's feature extractor and training
-// harvest use to see exactly the topology a grid cell simulates.
-func BuildWorkload(name string) (*dnn.Network, error) { return buildWorkload(name) }
-
-// ArchFor maps a catalog arch name to the simulated chip configuration and
-// datapath precision (the cut-down grid the cycle simulator runs).
-func ArchFor(name string) (arch.ChipConfig, arch.Precision, error) { return chipFor(name) }
-
 // TopologySignature serializes a network's full layer graph into the
 // deterministic string the result store keys on. The predictor uses it to
 // recognize whether a query's topology exactly matches a training workload
@@ -65,11 +56,11 @@ func TopologySignature(net *dnn.Network) string { return topologySignature(net) 
 // validated by Grid.Jobs, so construction errors are impossible here and
 // reported as a fallback.
 func predictJob(p Predictor, job Job) (Result, bool) {
-	net, err := buildWorkload(job.Workload)
+	net, err := BuildWorkload(job.Workload)
 	if err != nil {
 		return Result{}, false
 	}
-	chip, prec, err := chipFor(job.Arch)
+	chip, prec, err := ArchFor(job.Arch)
 	if err != nil {
 		return Result{}, false
 	}

@@ -13,7 +13,6 @@ import (
 
 	"scaledeep/internal/arch"
 	"scaledeep/internal/compiler"
-	"scaledeep/internal/dnn"
 	"scaledeep/internal/isa"
 	"scaledeep/internal/telemetry"
 )
@@ -81,7 +80,7 @@ func gridProgramsDigest(t *testing.T, g Grid, offChip bool) string {
 	}
 	h := sha256.New()
 	for _, job := range jobs {
-		c, _, _, _ := compileJob(t, job, offChip)
+		c, _, _ := compileJob(t, job, offChip)
 		writeString(h, job.Name())
 		programsDigest(h, c)
 	}
@@ -89,15 +88,15 @@ func gridProgramsDigest(t *testing.T, g Grid, offChip bool) string {
 }
 
 // compileJob compiles job as runJob does, with the weights off-chip when
-// offChip is set, and returns the result with its network, chip and
-// datapath precision.
-func compileJob(t *testing.T, job Job, offChip bool) (*compiler.Compiled, *dnn.Network, arch.ChipConfig, arch.Precision) {
+// offChip is set, and returns the result with its chip and datapath
+// precision.
+func compileJob(t *testing.T, job Job, offChip bool) (*compiler.Compiled, arch.ChipConfig, arch.Precision) {
 	t.Helper()
-	net, err := buildWorkload(job.Workload)
+	net, err := BuildWorkload(job.Workload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chip, prec, err := chipFor(job.Arch)
+	chip, prec, err := ArchFor(job.Arch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +112,7 @@ func compileJob(t *testing.T, job Job, offChip bool) (*compiler.Compiled, *dnn.N
 	if err != nil {
 		t.Fatalf("%s: %v", job.Name(), err)
 	}
-	return c, net, chip, prec
+	return c, chip, prec
 }
 
 // zoo48Grid is the 48-cell zoo: every catalogue workload × arch × mb

@@ -71,11 +71,11 @@ func TestTemplateRunsAsExpansion(t *testing.T) {
 	}
 	for _, c := range cells {
 		name := fmt.Sprintf("%s/iters%d/offchip=%v", c.job.Name(), c.iters, c.offChip)
-		net, err := buildWorkload(c.job.Workload)
+		net, err := BuildWorkload(c.job.Workload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		chip, prec, err := chipFor(c.job.Arch)
+		chip, prec, err := ArchFor(c.job.Arch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestTemplateRunsAsExpansion(t *testing.T) {
 			if err := cc.Install(m); err != nil {
 				t.Fatal(err)
 			}
-			if err := loadCell(cc, m, net, job); err != nil {
+			if err := LoadCell(cc, m); err != nil {
 				t.Fatal(err)
 			}
 			st, err := m.Run()

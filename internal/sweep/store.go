@@ -70,13 +70,13 @@ func keyFor(topo, archSig string, k cellKey) string {
 var catalogueSigs = sync.OnceValue(func() (sigs struct{ topology, arch map[string]string }) {
 	sigs.topology = map[string]string{}
 	for _, w := range Workloads() {
-		if net, err := buildWorkload(w); err == nil {
+		if net, err := BuildWorkload(w); err == nil {
 			sigs.topology[w] = topologySignature(net)
 		}
 	}
 	sigs.arch = map[string]string{}
 	for _, a := range Archs() {
-		if chip, prec, err := chipFor(a); err == nil {
+		if chip, prec, err := ArchFor(a); err == nil {
 			sigs.arch[a] = archSignature(chip, prec)
 		}
 	}
@@ -90,7 +90,7 @@ func signatures(k cellKey) (topo, archSig string, err error) {
 	sigs := catalogueSigs()
 	topo, ok := sigs.topology[k.Workload]
 	if !ok {
-		net, err := buildWorkload(k.Workload)
+		net, err := BuildWorkload(k.Workload)
 		if err != nil {
 			return "", "", err
 		}
@@ -98,7 +98,7 @@ func signatures(k cellKey) (topo, archSig string, err error) {
 	}
 	archSig, ok = sigs.arch[k.Arch]
 	if !ok {
-		chip, prec, err := chipFor(k.Arch)
+		chip, prec, err := ArchFor(k.Arch)
 		if err != nil {
 			return "", "", err
 		}

@@ -578,13 +578,13 @@ func TestStoreMalformedBlobQuarantined(t *testing.T) {
 // built fresh, for every catalogue workload × arch.
 func TestStoreKeyCachedSignatures(t *testing.T) {
 	for _, w := range Workloads() {
-		net, err := buildWorkload(w)
+		net, err := BuildWorkload(w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		topo := topologySignature(net)
 		for _, a := range Archs() {
-			chip, prec, err := chipFor(a)
+			chip, prec, err := ArchFor(a)
 			if err != nil {
 				t.Fatal(err)
 			}

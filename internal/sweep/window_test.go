@@ -52,12 +52,12 @@ func TestDataWindowRowsMatchInstall(t *testing.T) {
 // fresh machine.
 func installedRow(t *testing.T, job Job) Result {
 	t.Helper()
-	c, net, chip, prec := compileJob(t, job, false)
+	c, chip, prec := compileJob(t, job, false)
 	m := sim.NewMachine(chip, prec, true)
 	if err := c.Install(m); err != nil {
 		t.Fatal(err)
 	}
-	if err := loadCell(c, m, net, job); err != nil {
+	if err := LoadCell(c, m); err != nil {
 		t.Fatal(err)
 	}
 	st, err := m.Run()
